@@ -282,6 +282,13 @@ def _run_g_oracle(cfg: RunConfig) -> dict:
     k2 = float(_need(p, "k2"))
     delta = float(p.get("delta", "1"))
     nmax = int(p.get("nmax", "12"))
+    if nmax < 0:
+        raise DomainError(f"g-oracle requires nmax >= 0, got {nmax}")
+    if delta == 0:
+        # d_m = delta^m makes g_{n,m} = 0 for every m >= 1, and the relative
+        # errors against it 0/0
+        raise DomainError("g-oracle requires delta != 0 (g vanishes for m >= 1, "
+                          "so its relative errors are undefined)")
     params = bp.BipartiteParams(a1, a2, k1, k2, q)
     boundary = bp.BoundarySequence.geometric(delta)
     g = bp.solve_g_recurrence(boundary, params, nmax, nmax)
@@ -360,7 +367,11 @@ def _emit(payload: dict, cfg: RunConfig) -> None:
     else:
         text = _to_csv(payload)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
+        try:
+            fh = open(cfg.out, "w")
+        except OSError as exc:
+            raise DomainError(f"cannot write out={cfg.out}: {exc.strerror}") from exc
+        with fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
@@ -406,7 +417,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         cfg = _parse_argv(argv)
-        payload = run(cfg)
+        _emit(run(cfg), cfg)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (DomainError, TruncationError, ValueError) as exc:
@@ -415,7 +426,6 @@ def main(argv=None) -> int:
     except (SeriesConvergenceError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    _emit(payload, cfg)
     return 0
 
 

@@ -75,7 +75,7 @@ def classical_measure(rho: float, nu: int,
 # --------------------------------------------------------------------------
 
 _PSI_CACHE: dict = {}     # q -> list of dd psi_{q^2}(m), m = 1..len
-_QNUM_CACHE: dict = {}    # q -> list of dd [m]_q, m = 0..len-1
+_QNUM_CACHE: dict = {}    # q -> (dd q, dd q - 1/q, list of dd [m]_q, m = 0..len-1)
 _CACHE_LOCK = threading.Lock()  # table extension is append-based, guard it
 
 
@@ -92,7 +92,8 @@ def _psi_q2_table(q: float, count: int, control: SeriesControl):
             big_q = _dd.sqr(q_dd)
             ln_big_q = _dd.log(big_q)
             s = _dd.dd(0.0)
-            block = 8192
+            # Q^n falls below e^-90 (past the 1e-36 stop) within 90/|ln Q| terms
+            block = min(8192, 1 << max(0, math.ceil(math.log2(90.0 / abs(ln_big_q[0])))))
             n0 = 1
             converged = False
             while n0 < control.max_terms:
@@ -123,9 +124,12 @@ def _psi_q2_table(q: float, count: int, control: SeriesControl):
 def _qnum_dd_table(q: float, count: int):
     """dd values of the symmetric q-numbers [m]_q, m = 0..count-1."""
     with _CACHE_LOCK:
-        lst = _QNUM_CACHE.setdefault(q, [_dd.dd(0.0), _dd.dd(1.0)])
-        q_dd = _dd.dd(q)
-        denom = _dd.sub(q_dd, _dd.recip(q_dd))
+        entry = _QNUM_CACHE.get(q)
+        if entry is None:
+            q_dd = _dd.dd(q)
+            entry = (q_dd, _dd.sub(q_dd, _dd.recip(q_dd)), [_dd.dd(0.0), _dd.dd(1.0)])
+            _QNUM_CACHE[q] = entry
+        q_dd, denom, lst = entry
         while len(lst) < count:
             m = len(lst)
             num = _dd.sub(_dd.pow_int(q_dd, m), _dd.pow_int(q_dd, -m))
@@ -137,7 +141,7 @@ def _q_bracket_dd(rho, nu: int, q: float, log_term_offset: int,
                   control: SeriesControl):
     """The bracketed factor of the q-measure, vectorised over rho, in dd.
 
-    Returns (value_dd, noise_floor).  Structure:
+    Returns (value_dd, noise_floor), both shaped like rho.  Structure:
 
         C1 sum_{l<nu} (-1)^l [nu-l-1]!/[l]! rho^{2l-nu}
         + (-1)^{nu+1} C2 [ (ln rho) S_A - S_B ],
@@ -147,15 +151,24 @@ def _q_bracket_dd(rho, nu: int, q: float, log_term_offset: int,
         T_l = rho^{2l+nu} / ([l]_q! [l+nu]_q!),
         W_l = psi_{q^2}(l+1)/2 + psi_{q^2}(l+nu+1)/2
               - (2l + nu + log_term_offset) ln(q)/2.
+
+    The log series stops per group of nodes: each row of a 2-d rho is a
+    group, a 0-d or 1-d rho is one.  A group stops at the first l > 4 where
+    every one of its nodes meets the roundoff test, so each row comes out
+    bit for bit as it would from a call with that row alone.
     """
     rho = np.asarray(rho, dtype=float)
+    shape = rho.shape
+    rho = rho.reshape(-1, shape[-1]) if rho.ndim > 1 else rho.reshape(1, -1)
     rho_dd = (rho, np.zeros_like(rho))
     q_dd = _dd.dd(q)
     lnq = _dd.log(q_dd)
     q_sq = _dd.sqr(q_dd)
     one = _dd.dd(1.0)
 
-    qnum = _qnum_dd_table(q, nu + 2)
+    psi_needed = 64
+    psi = _psi_q2_table(q, psi_needed + nu + 2, control)
+    qnum = _qnum_dd_table(q, psi_needed + nu + 2)
     # C1 * finite alternating sum
     c1 = _dd.div(_dd.sub(q_sq, one), _dd.mul(q_dd, lnq))
     total = _dd.dd(np.zeros_like(rho))
@@ -177,36 +190,53 @@ def _q_bracket_dd(rho, nu: int, q: float, log_term_offset: int,
     fact_nu = _dd.dd(1.0)
     for m in range(1, nu + 1):
         fact_nu = _dd.mul(fact_nu, qnum[m])
+    # the working arrays (suffix _w) hold the rows still summing; a row that
+    # stops moves its sums into s_a, s_b, max_opmag and leaves them
+    s_a = (np.empty_like(rho), np.empty_like(rho))
+    s_b = (np.empty_like(rho), np.empty_like(rho))
+    max_opmag = np.empty_like(rho)
+    rows = np.arange(rho.shape[0])
     t = _dd.div(_dd.pow_int(rho_dd, nu), fact_nu)
     rho2 = _dd.sqr(rho_dd)
-    s_a = _dd.dd(np.zeros_like(rho))
-    s_b = _dd.dd(np.zeros_like(rho))
-    max_opmag = np.zeros_like(rho)
-    psi_needed = 64
-    psi = _psi_q2_table(q, psi_needed + nu + 2, control)
+    lnrho_w = np.abs(lnrho[0])
+    s_a_w = _dd.dd(np.zeros_like(rho))
+    s_b_w = _dd.dd(np.zeros_like(rho))
+    max_w = np.zeros_like(rho)
     l = 0
     while True:
         if l + nu + 2 > psi_needed:
             psi_needed *= 2
             psi = _psi_q2_table(q, psi_needed + nu + 2, control)
+            qnum = _qnum_dd_table(q, psi_needed + nu + 2)
         w = _dd.mul_d(_dd.add(psi[l], psi[l + nu]), 0.5)   # psi(l+1), psi(l+nu+1)
         w = _dd.sub(w, _dd.mul_d(lnq, (2 * l + nu + log_term_offset) / 2.0))
-        s_a = _dd.add(s_a, t)
-        s_b = _dd.add(s_b, _dd.mul(t, w))
-        wmag = np.abs(lnrho[0]) + abs(_dd.to_float(w)) + 1.0
-        np.maximum(max_opmag, np.abs(t[0]) * wmag, out=max_opmag)
+        s_a_w = _dd.add(s_a_w, t)
+        s_b_w = _dd.add(s_b_w, _dd.mul(t, w))
+        wmag = lnrho_w + abs(_dd.to_float(w)) + 1.0
+        np.maximum(max_w, np.abs(t[0]) * wmag, out=max_w)
         l += 1
         if l >= control.max_terms:
             raise SeriesConvergenceError("q-measure log series", f"q={q}, nu={nu}")
-        qn = _qnum_dd_table(q, l + nu + 1)
-        t = _dd.div(_dd.mul(t, rho2), _dd.mul(qn[l], qn[l + nu]))
-        if l > 4 and np.all(t[0] * (np.abs(lnrho[0]) + abs(_dd.to_float(w)) + 1.0)
-                            <= 1e-34 * max_opmag):
-            break
+        t = _dd.div(_dd.mul(t, rho2), _dd.mul(qnum[l], qnum[l + nu]))
+        if l > 4:
+            done = np.all(t[0] * (lnrho_w + abs(_dd.to_float(w)) + 1.0) <= 1e-34 * max_w,
+                          axis=1)
+            if done.any():
+                finished = rows[done]
+                s_a[0][finished], s_a[1][finished] = s_a_w[0][done], s_a_w[1][done]
+                s_b[0][finished], s_b[1][finished] = s_b_w[0][done], s_b_w[1][done]
+                max_opmag[finished] = max_w[done]
+                if done.all():
+                    break
+                keep = ~done
+                rows = rows[keep]
+                t, rho2, s_a_w, s_b_w = (tuple(part[keep] for part in v)
+                                         for v in (t, rho2, s_a_w, s_b_w))
+                lnrho_w, max_w = lnrho_w[keep], max_w[keep]
     log_part = _dd.sub(_dd.mul(lnrho, s_a), s_b)
     total = _dd.add(total, _dd.mul_d(_dd.mul(c2, log_part), sign))
     noise = max_opmag * abs(_dd.to_float(c2)) * 2.0 ** -98
-    return total, noise
+    return (total[0].reshape(shape), total[1].reshape(shape)), noise.reshape(shape)
 
 
 def q_measure(rho: float, nu: int, q, log_term_offset: int = -1,
@@ -289,6 +319,10 @@ class MomentReport:
         return max(r.rel_err for r in self.records)
 
 
+# panels of the adaptive q-mode cutoff evaluated per integrand call
+_PANEL_BATCH = 8
+
+
 def _panel_edges(lower: float, upper: float, width: float) -> np.ndarray:
     edges = [lower]
     x = lower
@@ -307,6 +341,22 @@ def _gl_grid(edges: np.ndarray, nodes: int):
     x = ((b - a) * x0[None, :] / 2.0 + (a + b) / 2.0).ravel()
     w = ((b - a) * w0[None, :] / 2.0).ravel()
     return x, w
+
+
+def _q_outer_panels(r: float, k: float, nu: int, qp: QParam, log_term_offset: int,
+                    nodes: int, control: SeriesControl):
+    """Yield (x, w, base, noise) for the 2-wide panels from r up to 40 in order.
+
+    The integrand is evaluated _PANEL_BATCH panels per call (one row each),
+    lazily, so a caller that stops early leaves later batches unevaluated.
+    """
+    starts = np.arange(r, 40.0, 2.0)
+    edges = np.append(starts, starts[-1:] + 2.0)
+    for i in range(0, len(edges) - 1, _PANEL_BATCH):
+        x, w = _gl_grid(edges[i:i + _PANEL_BATCH + 1], nodes)
+        x, w = x.reshape(-1, nodes), w.reshape(-1, nodes)
+        base, noise = _base_integrand_q(x, k, nu, qp, log_term_offset, control)
+        yield from zip(x, w, base, noise)
 
 
 def _k_asymptotic(nu: int, two_rho: np.ndarray, terms: int = 6):
@@ -336,6 +386,8 @@ def _base_integrand_classical(rho: np.ndarray, k: float, nu: int,
 
 def _base_integrand_q(rho: np.ndarray, k: float, nu: int, qp: QParam,
                       log_term_offset: int, control: SeriesControl):
+    """2 rho g_q(rho^2) N(rho^2)^2 on the grid, with its noise floor; the
+    bracket's log series stops per row of a 2-d rho (one row per panel)."""
     bracket, b_noise = _q_bracket_dd(rho, nu, qp.value, log_term_offset, control)
     i_val = _bessel_i_series(nu, rho, qp, control)
     norm = normalization_series(rho, k, DeformationMap.q_deformed(qp), control)
@@ -415,9 +467,8 @@ def moment_check(n_max: int, k: float, mode, quad: Optional[QuadratureSpec] = No
             r = r_hi
             quiet = 0
             prev_contrib = math.inf
-            while r < 40.0:
-                x, w = _gl_grid(np.array([r, r + 2.0]), quad.nodes_per_panel)
-                base, noise = _base_integrand_q(x, k, nu, qp, log_term_offset, control)
+            for x, w, base, noise in _q_outer_panels(r, k, nu, qp, log_term_offset,
+                                                     quad.nodes_per_panel, control):
                 node_count += len(x)
                 contrib = float(np.dot(w, base * x ** (2 * n_max)))
                 panel_noise = float(np.dot(np.abs(w), noise * x ** (2 * n_max)))

@@ -175,6 +175,41 @@ class TestExitCodes:
     def test_help_is_0(self):
         assert run_cli(["--help"]) == 0
 
+    def test_g_oracle_negative_nmax_is_2(self, capsys):
+        code = run_cli(["g-oracle", "q=0.7", "a1=0.3", "a2=0.5", "k1=1", "k2=1",
+                        "delta=0.9", "nmax=-1"])
+        assert code == 2
+        assert "nmax >= 0" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")      # a RuntimeWarning fails the test
+    def test_g_oracle_zero_delta_is_2_without_nan(self, capsys):
+        def no_constant(name):
+            raise AssertionError(f"non-finite {name} in output")
+
+        code = run_cli(["g-oracle", "q=0.7", "a1=0.3", "a2=0.5", "k1=1", "k2=1",
+                        "delta=0", "nmax=3"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("invalid configuration:") and "delta" in err
+        assert "Warning" not in err
+        assert out == ""
+        # a nonzero delta still emits strict JSON
+        assert run_cli(["g-oracle", "q=0.7", "a1=0.3", "a2=0.5", "k1=1", "k2=1",
+                        "delta=0.5", "nmax=3"]) == 0
+        out, err = capsys.readouterr()
+        json.loads(out, parse_constant=no_constant)
+        assert "Warning" not in err
+
+    def test_unwritable_out_is_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "m.json"
+        code = run_cli(["verify-moments", "mode=classical", "k=1", "nmax=1",
+                        f"out={target}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:")
+        assert str(target) in err
+        assert not target.parent.exists()
+
 
 def test_float_formatting_17_sig_digits():
     assert cli._fmt(1.0) == "1.0000000000000000e+00"

@@ -8,7 +8,7 @@ import pytest
 from bgstates import measure as me
 from bgstates import qspecial as qs
 from bgstates.errors import DomainError
-from bgstates.qspecial import CLASSICAL, QParam
+from bgstates.qspecial import CLASSICAL, DEFAULT_CONTROL, QParam
 
 
 class TestClassicalMeasure:
@@ -152,3 +152,94 @@ class TestValidation:
                                  quad=me.QuadratureSpec(upper=14.0))
         assert report.upper_cutoff == 14.0
         assert report.records[0].rel_err < 1e-3
+
+
+def _per_panel_q_moments(n_max, k, qp):
+    """The adaptive q-mode quadrature with one integrand call per panel: the
+    reference the batched loop in moment_check must reproduce exactly."""
+    nu = int(2 * k - 1)
+    quad = me.QuadratureSpec()
+    x, w = me._gl_grid(me._panel_edges(quad.lower, 6.0, quad.panel_width),
+                       quad.nodes_per_panel)
+    base, noise = me._base_integrand_q(x, k, nu, qp, -1, DEFAULT_CONTROL)
+    lhs = np.array([float(np.dot(w, base * x ** (2 * n))) for n in range(n_max + 1)])
+    noise_tally = float(np.dot(np.abs(w), noise * x ** (2 * n_max)))
+    node_count = len(x)
+    tail_estimate = math.inf
+    r, quiet, prev_contrib = 6.0, 0, math.inf
+    while r < 40.0:
+        x, w = me._gl_grid(np.array([r, r + 2.0]), quad.nodes_per_panel)
+        base, noise = me._base_integrand_q(x, k, nu, qp, -1, DEFAULT_CONTROL)
+        node_count += len(x)
+        contrib = float(np.dot(w, base * x ** (2 * n_max)))
+        panel_noise = float(np.dot(np.abs(w), noise * x ** (2 * n_max)))
+        if abs(contrib) <= panel_noise:
+            tail_estimate = abs(contrib) + panel_noise
+            break
+        if abs(contrib) > abs(prev_contrib):
+            tail_estimate = abs(contrib) + abs(prev_contrib)
+            break
+        for n in range(n_max + 1):
+            lhs[n] += float(np.dot(w, base * x ** (2 * n)))
+        noise_tally += panel_noise
+        prev_contrib = contrib
+        r += 2.0
+        if abs(contrib) < 1e-7 * abs(lhs[n_max]):
+            quiet += 1
+            if quiet >= 2:
+                tail_estimate = 2.0 * abs(contrib)
+                break
+        else:
+            quiet = 0
+    return lhs, r, node_count, tail_estimate, noise_tally / abs(lhs[n_max])
+
+
+class TestBatchedPanels:
+    """The adaptive q-mode loop evaluates several panels per integrand call;
+    per-panel stopping of the bracket's log series keeps every result bit for
+    bit what one call per panel gives."""
+
+    @pytest.mark.parametrize("q", [0.7, 0.95, 0.999])
+    @pytest.mark.parametrize("nu", [0, 1, 3])
+    @pytest.mark.parametrize("start", [6.0, 22.0])   # the loop's first two batches
+    def test_bracket_rows_match_per_panel_calls(self, start, nu, q):
+        x, _ = me._gl_grid(np.arange(start, start + 17.0, 2.0), 16)
+        panels = x.reshape(8, 16)
+        batch, noise = me._q_bracket_dd(panels, nu, q, -1, DEFAULT_CONTROL)
+        for j, row in enumerate(panels):
+            one, one_noise = me._q_bracket_dd(row, nu, q, -1, DEFAULT_CONTROL)
+            assert np.array_equal(batch[0][j], one[0])
+            assert np.array_equal(batch[1][j], one[1])
+            assert np.array_equal(noise[j], one_noise)
+
+    def test_fixed_cutoff_grid_is_one_group(self):
+        # with an explicit upper cutoff no adaptive loop runs: the whole
+        # [lower, 14] grid is one integrand call, and its bracket one group
+        quad = me.QuadratureSpec(upper=14.0)
+        qp = QParam(0.9)
+        x, w = me._gl_grid(me._panel_edges(quad.lower, 14.0, quad.panel_width),
+                           quad.nodes_per_panel)
+        flat, flat_noise = me._q_bracket_dd(x, 1, 0.9, -1, DEFAULT_CONTROL)
+        row, row_noise = me._q_bracket_dd(x[None, :], 1, 0.9, -1, DEFAULT_CONTROL)
+        assert np.array_equal(flat[0], row[0][0]) and np.array_equal(flat[1], row[1][0])
+        assert np.array_equal(flat_noise, row_noise[0])
+        base, _ = me._base_integrand_q(x, 1.0, 1, qp, -1, DEFAULT_CONTROL)
+        report = me.moment_check(2, 1.0, qp, quad=quad)
+        assert report.node_count == len(x)
+        assert report.tail_estimate == 0.0
+        for rec in report.records:
+            assert rec.lhs == float(np.dot(w, base * x ** (2 * rec.n)))
+
+    @pytest.mark.parametrize("k,q", [(1.0, 0.5), (1.0, 0.95), (0.5, 0.999),
+                                     (2.0, 0.87403), (1.0, 0.82014)])
+    def test_moment_check_matches_per_panel_loop(self, k, q):
+        # covers the dip (q = 0.5, 0.82), the quiet stop (0.95, 0.999) and a
+        # second batch (cutoff 22 at q = 0.874)
+        lhs, upper, node_count, tail_estimate, residual = _per_panel_q_moments(
+            3, k, QParam(q))
+        report = me.moment_check(3, k, QParam(q))
+        assert [rec.lhs for rec in report.records] == list(lhs)
+        assert report.upper_cutoff == upper
+        assert report.node_count == node_count
+        assert report.tail_estimate == tail_estimate
+        assert report.tail_bound_residual == residual
