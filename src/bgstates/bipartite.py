@@ -300,20 +300,22 @@ def build_q_bipartite(params: BipartiteParams, boundary: BoundarySequence,
                           "propagation undefined; the state degenerates to "
                           "vacuum (x) single-node")
     q = params.q
-    if boundary.kind == "geometric":
-        qv = q.value
-        # row-scaled closed form: poch[n] = (delta eta; q^2)_n
-        poch = np.ones(N1 + 1, dtype=complex)
-        for n in range(N1):
-            poch[n + 1] = poch[n] * (1.0 - boundary.delta * params.eta * qv ** (2 * n))
-        g = (poch[:, None] * np.asarray(params.xi) ** -np.arange(N1 + 1)[:, None]
-             * boundary.delta ** np.arange(N2 + 1)[None, :]
-             * qv ** np.outer(np.arange(N1 + 1), np.arange(N2 + 1)))
-    else:
-        g = solve_g_recurrence(boundary, params, N1, N2)
-    p1 = _single_node_prefactors(params.alpha1, params.k1, q, N1)
-    p2 = _single_node_prefactors(params.alpha2, params.k2, q, N2)
-    c = p1[:, None] * p2[None, :] * g
+    # an overflow here is caught and named by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if boundary.kind == "geometric":
+            qv = q.value
+            # row-scaled closed form: poch[n] = (delta eta; q^2)_n
+            poch = np.ones(N1 + 1, dtype=complex)
+            for n in range(N1):
+                poch[n + 1] = poch[n] * (1.0 - boundary.delta * params.eta * qv ** (2 * n))
+            g = (poch[:, None] * np.asarray(params.xi) ** -np.arange(N1 + 1)[:, None]
+                 * boundary.delta ** np.arange(N2 + 1)[None, :]
+                 * qv ** np.outer(np.arange(N1 + 1), np.arange(N2 + 1)))
+        else:
+            g = solve_g_recurrence(boundary, params, N1, N2)
+        p1 = _single_node_prefactors(params.alpha1, params.k1, q, N1)
+        p2 = _single_node_prefactors(params.alpha2, params.k2, q, N2)
+        c = p1[:, None] * p2[None, :] * g
     if not np.all(np.isfinite(c.view(float))):
         raise DomainError("coefficient assembly overflowed; |alpha/alpha1| is "
                           "too large for this truncation (xi^{-n} exceeds "

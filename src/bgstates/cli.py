@@ -20,6 +20,7 @@ failure (the diagnostic names the failing series).
 
 from __future__ import annotations
 
+import cmath
 import io
 import json
 import sys
@@ -83,7 +84,7 @@ def _parse_argv(argv) -> RunConfig:
     fmt = params.pop("format", "json")
     if fmt not in ("json", "csv"):
         raise DomainError(f"format must be json or csv, got {fmt!r}")
-    seed = int(params.pop("seed", "0"))
+    seed = _parse("seed", params.pop("seed", "0"), int)
     return RunConfig(command=command, params=params, out=out, fmt=fmt, seed=seed)
 
 
@@ -93,17 +94,28 @@ def _need(params: dict, key: str) -> str:
     return params[key]
 
 
-def _as_complex(s: str) -> complex:
+def _parse(key: str, text, kind=float):
+    """``text`` as a finite number of type ``kind`` (float, complex or int);
+    anything else is an invalid configuration that names ``key``."""
     try:
-        return complex(s)
+        value = kind(text)
     except ValueError:
-        raise DomainError(f"cannot parse complex number from {s!r}")
+        raise DomainError(f"{key}= must be a {kind.__name__} number, got {text!r}") from None
+    if kind is not int and not cmath.isfinite(value):
+        raise DomainError(f"{key}= must be finite, got {text!r}")
+    return value
 
 
-def _as_q(s: str) -> QParam:
-    if s == "classical":
+def _num(params: dict, key: str, kind=float, default=None):
+    """The value of a numeric key; required unless ``default`` is given."""
+    return _parse(key, _need(params, key) if default is None else params.get(key, default),
+                  kind)
+
+
+def _as_q(params: dict) -> QParam:
+    if params.get("q") == "classical":
         return CLASSICAL
-    q = float(s)
+    q = _num(params, "q")
     return QParam(q) if q < 1.0 else QParam.for_crossing(q)
 
 
@@ -113,10 +125,10 @@ def _as_q(s: str) -> QParam:
 
 def _run_state_single(cfg: RunConfig) -> dict:
     p = cfg.params
-    q = _as_q(_need(p, "q"))
-    alpha = _as_complex(_need(p, "alpha"))
-    k = float(_need(p, "k"))
-    n = int(_need(p, "N"))
+    q = _as_q(p)
+    alpha = _num(p, "alpha", complex)
+    k = _num(p, "k")
+    n = _num(p, "N", int)
     if q.is_classical:
         state = cs.build_f_coherent(alpha, k, DeformationMap.classical(), n)
     else:
@@ -138,14 +150,14 @@ def _run_state_single(cfg: RunConfig) -> dict:
 
 
 def _bipartite_from_params(p: dict):
-    q = _as_q(_need(p, "q"))
-    a1 = _as_complex(_need(p, "a1"))
-    a2 = _as_complex(_need(p, "a2"))
-    k1 = float(_need(p, "k1"))
-    k2 = float(_need(p, "k2"))
-    n1 = int(_need(p, "N"))
-    n2 = int(p.get("N2", n1))
-    delta = float(p.get("delta", "1"))
+    q = _as_q(p)
+    a1 = _num(p, "a1", complex)
+    a2 = _num(p, "a2", complex)
+    k1 = _num(p, "k1")
+    k2 = _num(p, "k2")
+    n1 = _num(p, "N", int)
+    n2 = _num(p, "N2", int, n1)
+    delta = _num(p, "delta", float, "1")
     return q, a1, a2, k1, k2, n1, n2, delta
 
 
@@ -186,7 +198,7 @@ def _run_state_bipartite(cfg: RunConfig) -> dict:
         payload["norm_double_sum"] = _jf(raw)
         payload["norm_rel_err"] = _jf(abs(ns - raw) / abs(raw))
     if "perturb" in cfg.params:
-        eps = float(cfg.params["perturb"])
+        eps = _num(cfg.params, "perturb")
         rng = np.random.default_rng(cfg.seed)
         noise = rng.standard_normal(M.coeffs.shape) + 1j * rng.standard_normal(M.coeffs.shape)
         noisy = M.coeffs + eps * noise / np.linalg.norm(noise)
@@ -215,12 +227,12 @@ def _raw_double_sum(params, boundary, n1, n2) -> float:
 def _run_verify_moments(cfg: RunConfig) -> dict:
     p = cfg.params
     mode = _need(p, "mode")
-    k = float(_need(p, "k"))
-    nmax = int(_need(p, "nmax"))
+    k = _num(p, "k")
+    nmax = _num(p, "nmax", int)
     if mode == "classical":
         report = me.moment_check(nmax, k, "classical")
     elif mode == "q":
-        report = me.moment_check(nmax, k, QParam(float(_need(p, "q"))))
+        report = me.moment_check(nmax, k, QParam(_num(p, "q")))
     else:
         raise DomainError(f"mode must be classical or q, got {mode!r}")
     return {
@@ -239,22 +251,23 @@ def _run_verify_moments(cfg: RunConfig) -> dict:
 
 def _run_sweep_q(cfg: RunConfig) -> dict:
     p = cfg.params
-    q_from = float(_need(p, "from"))
-    q_to = float(_need(p, "to"))
-    steps = int(p.get("steps", "12"))
-    a1 = _as_complex(_need(p, "a1"))
-    a2 = _as_complex(_need(p, "a2"))
-    k1 = float(_need(p, "k1"))
-    k2 = float(_need(p, "k2"))
-    n = int(_need(p, "N"))
+    q_from = _num(p, "from")
+    q_to = _num(p, "to")
+    steps = _num(p, "steps", int, "12")
+    a1 = _num(p, "a1", complex)
+    a2 = _num(p, "a2", complex)
+    k1 = _num(p, "k1")
+    k2 = _num(p, "k2")
+    n = _num(p, "N", int)
     delta_spec = p.get("delta", "1")
+    delta_power = delta_spec.startswith("q^")
+    delta_num = _parse("delta", delta_spec[2:] if delta_power else delta_spec)
     classical = bp.classical_bipartite(a1, a2, k1, k2, n, n)
     rows = []
     for q in np.linspace(q_from, q_to, steps):
         qv = float(q)
         params = bp.BipartiteParams(a1, a2, k1, k2, QParam(qv))
-        delta = qv ** float(delta_spec[2:]) if delta_spec.startswith("q^") \
-            else float(delta_spec)
+        delta = qv ** delta_num if delta_power else delta_num
         M = bp.build_q_bipartite(params, bp.BoundarySequence.geometric(delta), n, n)
         spec = bp.schmidt_entropy(M)
         rows.append({
@@ -275,13 +288,13 @@ def _run_sweep_q(cfg: RunConfig) -> dict:
 
 def _run_g_oracle(cfg: RunConfig) -> dict:
     p = cfg.params
-    q = QParam(float(_need(p, "q")))
-    a1 = _as_complex(_need(p, "a1"))
-    a2 = _as_complex(_need(p, "a2"))
-    k1 = float(_need(p, "k1"))
-    k2 = float(_need(p, "k2"))
-    delta = float(p.get("delta", "1"))
-    nmax = int(p.get("nmax", "12"))
+    q = QParam(_num(p, "q"))
+    a1 = _num(p, "a1", complex)
+    a2 = _num(p, "a2", complex)
+    k1 = _num(p, "k1")
+    k2 = _num(p, "k2")
+    delta = _num(p, "delta", float, "1")
+    nmax = _num(p, "nmax", int, "12")
     if nmax < 0:
         raise DomainError(f"g-oracle requires nmax >= 0, got {nmax}")
     if delta == 0:

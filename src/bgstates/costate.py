@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, TruncationError
 from .qspecial import (CLASSICAL, DEFAULT_CONTROL, QParam, SeriesControl,
-                       _bessel_i_series, q_factorial, q_number)
+                       _bessel_i_series, q_factorial)
 from .repalg import DeformationMap, check_bargmann, lowering_elements
 
 __all__ = [
@@ -95,11 +95,6 @@ def normalization_series(rho, k: float, deformation: DeformationMap,
     raise TruncationError("normalization series did not converge")
 
 
-def _ratio_denominators(deformation: DeformationMap, k: float, N: int) -> np.ndarray:
-    """e[n] = f(n+k) sqrt(n(n+2k-1)) for n = 1..N+1 (the recurrence divisors)."""
-    return lowering_elements(deformation, k, N + 2)
-
-
 def _check_tail(coeffs: np.ndarray, alpha: complex, e_next: float, total: float):
     """Ratio-test bound on the dropped tail mass: with r = |alpha|/e[N+1] the
     dropped sum is below |c_N|^2 r^2/(1-r^2) provided the ratios keep
@@ -160,7 +155,7 @@ def build_f_coherent(alpha: complex, k: float, f: DeformationMap, N: int,
     k = check_bargmann(k)
     if N < 1:
         raise DomainError("truncation N must be >= 1")
-    e = _ratio_denominators(f, k, N)
+    e = lowering_elements(f, k, N + 2)
     c = np.zeros(N + 1, dtype=complex)
     c[0] = 1.0
     for n in range(N):
@@ -174,23 +169,13 @@ def build_q_coherent(alpha: complex, k: float, q, N: int,
                      control: SeriesControl = DEFAULT_CONTROL) -> LadderState:
     """q-deformed state with c_n proportional to alpha^n / sqrt([n]_q! [n+2k-1]_q!).
 
-    Equivalent to :func:`build_f_coherent` with the Curtright-Zachos map;
-    built here through the q-number ratios directly.
+    This is :func:`build_f_coherent` with the Curtright-Zachos map, whose
+    ratios are sqrt([n]_q [n+2k-1]_q); a classical tag gives the classical
+    state.
     """
-    k = check_bargmann(k)
-    if N < 1:
-        raise DomainError("truncation N must be >= 1")
     qp = q if isinstance(q, QParam) else QParam(q)
-    if qp.is_classical:
-        return build_f_coherent(alpha, k, DeformationMap.classical(), N, control)
-    c = np.zeros(N + 1, dtype=complex)
-    c[0] = 1.0
-    for n in range(N):
-        c[n + 1] = alpha / math.sqrt(q_number(n + 1, qp) * q_number(n + 2 * k, qp)) * c[n]
-    e_next = math.sqrt(q_number(N + 1, qp) * q_number(N + 2 * k, qp))
-    state = _finish(c, k, alpha, DeformationMap.q_deformed(qp), e_next)
-    _crosscheck_bessel_norm(state, control)
-    return state
+    dmap = DeformationMap.classical() if qp.is_classical else DeformationMap.q_deformed(qp)
+    return build_f_coherent(alpha, k, dmap, N, control)
 
 
 def build_by_operator_series(alpha: complex, k: float, f: DeformationMap, N: int,
@@ -206,7 +191,7 @@ def build_by_operator_series(alpha: complex, k: float, f: DeformationMap, N: int
     k = check_bargmann(k)
     if N < 1:
         raise DomainError("truncation N must be >= 1")
-    e = _ratio_denominators(f, k, N)
+    e = lowering_elements(f, k, N + 2)
     levels = np.arange(N + 1, dtype=float)
     inv_k0_plus_k = 1.0 / (levels + 2 * k)          # (K0 + k)^{-1} on |n>
     f_sq = np.ones(N + 1)

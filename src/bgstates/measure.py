@@ -42,8 +42,8 @@ from . import _dd
 from .costate import normalization_series
 from .errors import DomainError, SeriesConvergenceError
 from .qspecial import (CLASSICAL, DEFAULT_CONTROL, QParam, SeriesControl,
-                       _bessel_i_series, _bessel_k_dd, q_factorial,
-                       q_factorial_cont)
+                       _bessel_i_series, _bessel_k_dd, _log_series_dd, bessel_k,
+                       q_factorial)
 from .repalg import DeformationMap
 
 __all__ = [
@@ -62,12 +62,7 @@ def classical_measure(rho: float, nu: int,
     if not rho > 0:
         raise DomainError("classical_measure requires rho > 0")
     i_val = float(_bessel_i_series(nu, rho, CLASSICAL, control))
-    k_dd, noise = _bessel_k_dd(nu, 2.0 * rho, control)
-    k_val = float(_dd.to_float(k_dd))
-    if not float(noise) < 0.03 * abs(k_val):
-        raise SeriesConvergenceError("classical_measure",
-                                     f"K_nu noise floor at rho={rho}")
-    return 2.0 * i_val * k_val
+    return 2.0 * i_val * bessel_k(nu, 2.0 * rho, control)
 
 
 # --------------------------------------------------------------------------
@@ -141,102 +136,27 @@ def _q_bracket_dd(rho, nu: int, q: float, log_term_offset: int,
                   control: SeriesControl):
     """The bracketed factor of the q-measure, vectorised over rho, in dd.
 
-    Returns (value_dd, noise_floor), both shaped like rho.  Structure:
-
-        C1 sum_{l<nu} (-1)^l [nu-l-1]!/[l]! rho^{2l-nu}
-        + (-1)^{nu+1} C2 [ (ln rho) S_A - S_B ],
+    Returns (value_dd, noise_floor), both shaped like rho: the shared
+    ascending log series (:func:`qspecial._log_series_dd`) with q-numbers,
+    psi_{q^2} and
 
         C1 = (q^2-1)/(q ln q),   C2 = (1-q^2)^2 / (q^2 (ln q)^2),
-        S_A = sum_l T_l,         S_B = sum_l T_l W_l,
-        T_l = rho^{2l+nu} / ([l]_q! [l+nu]_q!),
-        W_l = psi_{q^2}(l+1)/2 + psi_{q^2}(l+nu+1)/2
-              - (2l + nu + log_term_offset) ln(q)/2.
 
-    The log series stops per group of nodes: each row of a 2-d rho is a
-    group, a 0-d or 1-d rho is one.  A group stops at the first l > 4 where
-    every one of its nodes meets the roundoff test, so each row comes out
-    bit for bit as it would from a call with that row alone.
+    so that it reduces to 4 K_nu(2 rho) as q -> 1.  Each row of a 2-d rho
+    stops its log series on its own and comes out bit for bit as a call with
+    that row alone.
     """
-    rho = np.asarray(rho, dtype=float)
-    shape = rho.shape
-    rho = rho.reshape(-1, shape[-1]) if rho.ndim > 1 else rho.reshape(1, -1)
-    rho_dd = (rho, np.zeros_like(rho))
     q_dd = _dd.dd(q)
     lnq = _dd.log(q_dd)
     q_sq = _dd.sqr(q_dd)
     one = _dd.dd(1.0)
-
-    psi_needed = 64
-    psi = _psi_q2_table(q, psi_needed + nu + 2, control)
-    qnum = _qnum_dd_table(q, psi_needed + nu + 2)
-    # C1 * finite alternating sum
     c1 = _dd.div(_dd.sub(q_sq, one), _dd.mul(q_dd, lnq))
-    total = _dd.dd(np.zeros_like(rho))
-    if nu > 0:
-        qfact = [_dd.dd(1.0)]
-        for m in range(1, nu):
-            qfact.append(_dd.mul(qfact[-1], qnum[m]))
-        t = _dd.pow_int(rho_dd, -nu)
-        rho2 = _dd.sqr(rho_dd)
-        for l in range(nu):
-            coeff = _dd.mul_d(_dd.div(qfact[nu - l - 1], qfact[l]), float((-1) ** l))
-            total = _dd.add(total, _dd.mul(t, _dd.mul(c1, coeff)))
-            t = _dd.mul(t, rho2)
-
-    # log series
     c2 = _dd.div(_dd.sqr(_dd.sub(one, q_sq)), _dd.mul(q_sq, _dd.sqr(lnq)))
-    sign = float((-1) ** (nu + 1))
-    lnrho = _dd.log(rho_dd)
-    fact_nu = _dd.dd(1.0)
-    for m in range(1, nu + 1):
-        fact_nu = _dd.mul(fact_nu, qnum[m])
-    # the working arrays (suffix _w) hold the rows still summing; a row that
-    # stops moves its sums into s_a, s_b, max_opmag and leaves them
-    s_a = (np.empty_like(rho), np.empty_like(rho))
-    s_b = (np.empty_like(rho), np.empty_like(rho))
-    max_opmag = np.empty_like(rho)
-    rows = np.arange(rho.shape[0])
-    t = _dd.div(_dd.pow_int(rho_dd, nu), fact_nu)
-    rho2 = _dd.sqr(rho_dd)
-    lnrho_w = np.abs(lnrho[0])
-    s_a_w = _dd.dd(np.zeros_like(rho))
-    s_b_w = _dd.dd(np.zeros_like(rho))
-    max_w = np.zeros_like(rho)
-    l = 0
-    while True:
-        if l + nu + 2 > psi_needed:
-            psi_needed *= 2
-            psi = _psi_q2_table(q, psi_needed + nu + 2, control)
-            qnum = _qnum_dd_table(q, psi_needed + nu + 2)
-        w = _dd.mul_d(_dd.add(psi[l], psi[l + nu]), 0.5)   # psi(l+1), psi(l+nu+1)
-        w = _dd.sub(w, _dd.mul_d(lnq, (2 * l + nu + log_term_offset) / 2.0))
-        s_a_w = _dd.add(s_a_w, t)
-        s_b_w = _dd.add(s_b_w, _dd.mul(t, w))
-        wmag = lnrho_w + abs(_dd.to_float(w)) + 1.0
-        np.maximum(max_w, np.abs(t[0]) * wmag, out=max_w)
-        l += 1
-        if l >= control.max_terms:
-            raise SeriesConvergenceError("q-measure log series", f"q={q}, nu={nu}")
-        t = _dd.div(_dd.mul(t, rho2), _dd.mul(qnum[l], qnum[l + nu]))
-        if l > 4:
-            done = np.all(t[0] * (lnrho_w + abs(_dd.to_float(w)) + 1.0) <= 1e-34 * max_w,
-                          axis=1)
-            if done.any():
-                finished = rows[done]
-                s_a[0][finished], s_a[1][finished] = s_a_w[0][done], s_a_w[1][done]
-                s_b[0][finished], s_b[1][finished] = s_b_w[0][done], s_b_w[1][done]
-                max_opmag[finished] = max_w[done]
-                if done.all():
-                    break
-                keep = ~done
-                rows = rows[keep]
-                t, rho2, s_a_w, s_b_w = (tuple(part[keep] for part in v)
-                                         for v in (t, rho2, s_a_w, s_b_w))
-                lnrho_w, max_w = lnrho_w[keep], max_w[keep]
-    log_part = _dd.sub(_dd.mul(lnrho, s_a), s_b)
-    total = _dd.add(total, _dd.mul_d(_dd.mul(c2, log_part), sign))
-    noise = max_opmag * abs(_dd.to_float(c2)) * 2.0 ** -98
-    return (total[0].reshape(shape), total[1].reshape(shape)), noise.reshape(shape)
+
+    def tables(count):
+        return _qnum_dd_table(q, count), _psi_q2_table(q, count, control)
+
+    return _log_series_dd(rho, nu, tables, c1, c2, lnq, log_term_offset, control)
 
 
 def q_measure(rho: float, nu: int, q, log_term_offset: int = -1,
@@ -499,10 +419,7 @@ def moment_check(n_max: int, k: float, mode, quad: Optional[QuadratureSpec] = No
         else:
             tail_estimate = 0.0
         tail_bound_residual = noise_tally / max(abs(lhs[n_max]), 1e-300)
-        rhs = np.array([q_factorial(int(n), qp)
-                        * (q_factorial(int(n + 2 * k - 1), qp)
-                           if float(n + 2 * k - 1).is_integer()
-                           else q_factorial_cont(n + 2 * k - 1, qp, control))
+        rhs = np.array([q_factorial(int(n), qp) * q_factorial(int(n) + nu, qp)
                         for n in powers])
         qv = qp.value
 

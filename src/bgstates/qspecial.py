@@ -15,11 +15,14 @@ is used (see :func:`q_factorial_cont`).
 
 The modified Bessel function of the second kind is evaluated from its
 ascending log-series, which cancels by ~e^{4 rho}; terms are therefore
-carried in compensated double-double pairs (:mod:`._dd`).
+carried in compensated double-double pairs (:mod:`._dd`).  The same
+evaluator, with q-numbers and psi_{q^2} in place of integers and digamma,
+gives the bracket of the q-measure (:mod:`.measure`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -146,10 +149,16 @@ def q_number(x: float, q) -> float:
         if q.is_classical:
             return float(x)
         q = q.value
-    q = float(q)
+    q, x = float(q), float(x)
     if q <= 0.0 or q == 1.0:
         raise DomainError(f"q_number requires q > 0, q != 1, got {q!r}")
-    return (q ** x - q ** (-x)) / (q - 1.0 / q)
+    try:
+        out = (q ** x - q ** (-x)) / (q - 1.0 / q)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise DomainError(f"q-number [{x:g}]_q overflows double range at q={q!r}")
+    return out
 
 
 def q_factorial(n: int, q) -> float:
@@ -358,69 +367,133 @@ def bessel_i_q(m: int, two_z: float, q, control: SeriesControl = DEFAULT_CONTROL
     return float(_bessel_i_series(m, two_z / 2.0, q, control))
 
 
-def _bessel_k_dd(nu: int, two_rho, control: SeriesControl = DEFAULT_CONTROL):
-    """K_nu(2 rho) from the ascending series, in double-double arithmetic.
+def _log_series_dd(rho, nu: int, tables, c1, c2, lnq, log_term_offset: int,
+                   control: SeriesControl):
+    """The ascending log series of K_nu and of the q-measure bracket, in dd.
 
-    Vectorised over rho.  Returns ``(value_dd, noise)`` where ``noise`` is the
-    estimated absolute roundoff floor (largest term magnitude times dd ulp);
-    callers decide whether the cancellation left anything meaningful.
+    Vectorised over rho > 0; returns ``(value_dd, noise)``, both shaped like
+    rho, where ``noise`` is the estimated absolute roundoff floor (largest
+    uncancelled operand times dd ulp).  The value is
 
-        K_nu(2r) = 1/2 sum_{l<nu} (-1)^l (nu-l-1)!/l! r^{2l-nu}
-                   + (-1)^{nu+1} sum_{l>=0} [ln r - psi(l+1)/2 - psi(l+nu+1)/2]
-                     r^{2l+nu} / (l! (l+nu)!)
+        c1 sum_{l<nu} (-1)^l [nu-l-1]!/[l]! rho^{2l-nu}
+        + (-1)^{nu+1} c2 [ (ln rho) S_A - S_B ],
 
-    with psi(m+1) = -EulerGamma + H_m, so the log bracket is assembled as
-    (ln r + EulerGamma) - (H_l + H_{l+nu})/2 with harmonic numbers kept in dd.
+        S_A = sum_l T_l,         S_B = sum_l T_l W_l,
+        T_l = rho^{2l+nu} / ([l]! [l+nu]!),
+        W_l = psi(l+1)/2 + psi(l+nu+1)/2 - (2l + nu + log_term_offset) ln(q)/2,
+
+    with c1, c2 and ln q given as dd constants and ``tables(count)`` returning
+    dd lists of the numbers [m], m = 0..count-1, and of psi(m), m = 1..count
+    (integers and the digamma function for K_nu, q-numbers and psi_{q^2} for
+    the bracket).
+
+    The log series stops per group of nodes: each row of a 2-d rho is a
+    group, a 0-d or 1-d rho is one.  A group stops at the first l > 4 where
+    every one of its nodes meets the roundoff test, so each row comes out
+    bit for bit as it would from a call with that row alone.
     """
-    if nu < 0 or nu != int(nu):
-        raise DomainError(f"bessel_k requires nonnegative integer order, got {nu!r}")
-    nu = int(nu)
-    rho = np.asarray(two_rho, dtype=float) / 2.0
-    if np.any(rho <= 0.0):
-        raise DomainError("bessel_k requires rho > 0")
-
+    rho = np.asarray(rho, dtype=float)
+    shape = rho.shape
+    rho = rho.reshape(-1, shape[-1]) if rho.ndim > 1 else rho.reshape(1, -1)
     rho_dd = (rho, np.zeros_like(rho))
+
+    psi_needed = 64
+    qnum, psi = tables(psi_needed + nu + 2)
+    # c1 * finite alternating sum
     total = _dd.dd(np.zeros_like(rho))
-    # finite part: 1/2 sum_{l=0}^{nu-1} (-1)^l (nu-l-1)!/l! rho^{2l-nu}
     if nu > 0:
+        qfact = [_dd.dd(1.0)]
+        for m in range(1, nu):
+            qfact.append(_dd.mul(qfact[-1], qnum[m]))
         t = _dd.pow_int(rho_dd, -nu)
         rho2 = _dd.sqr(rho_dd)
         for l in range(nu):
-            coeff = 0.5 * (-1) ** l * math.factorial(nu - l - 1) / math.factorial(l)
-            total = _dd.add(total, _dd.mul_d(t, coeff))
+            coeff = _dd.mul_d(_dd.div(qfact[nu - l - 1], qfact[l]), float((-1) ** l))
+            total = _dd.add(total, _dd.mul(t, _dd.mul(c1, coeff)))
             t = _dd.mul(t, rho2)
 
-    # log part
-    lbase = _dd.add(_dd.log(rho_dd), _dd.EULER_GAMMA)  # ln(rho) + gamma
+    # log series
     sign = float((-1) ** (nu + 1))
-    t = _dd.div_d(_dd.pow_int(rho_dd, nu), float(math.factorial(nu)))
+    lnrho = _dd.log(rho_dd)
+    fact_nu = _dd.dd(1.0)
+    for m in range(1, nu + 1):
+        fact_nu = _dd.mul(fact_nu, qnum[m])
+    # the working arrays (suffix _w) hold the rows still summing; a row that
+    # stops moves its sums into s_a, s_b, max_opmag and leaves them
+    s_a = (np.empty_like(rho), np.empty_like(rho))
+    s_b = (np.empty_like(rho), np.empty_like(rho))
+    max_opmag = np.empty_like(rho)
+    rows = np.arange(rho.shape[0])
+    t = _dd.div(_dd.pow_int(rho_dd, nu), fact_nu)
     rho2 = _dd.sqr(rho_dd)
-    h_l = _dd.dd(0.0)
-    h_lnu = _dd.dd(0.0)
-    for j in range(1, nu + 1):
-        h_lnu = _dd.add(h_lnu, _dd.div_d(_dd.dd(1.0), float(j)))
-    max_opmag = np.zeros_like(rho)
+    lnrho_w = np.abs(lnrho[0])
+    s_a_w = _dd.dd(np.zeros_like(rho))
+    s_b_w = _dd.dd(np.zeros_like(rho))
+    max_w = np.zeros_like(rho)
     l = 0
     while True:
-        bracket = _dd.sub(lbase, _dd.mul_d(_dd.add(h_l, h_lnu), 0.5))
-        term = _dd.mul(t, bracket)
-        total = _dd.add(total, _dd.mul_d(term, sign))
-        # roundoff floor scales with the *uncancelled* operand size, not with
-        # |t * bracket| (the bracket nearly vanishes where t peaks)
-        np.maximum(max_opmag,
-                   np.abs(t[0]) * (np.abs(lbase[0]) + h_lnu[0] + 1.0),
-                   out=max_opmag)
+        if l + nu + 2 > psi_needed:
+            psi_needed *= 2
+            qnum, psi = tables(psi_needed + nu + 2)
+        w = _dd.mul_d(_dd.add(psi[l], psi[l + nu]), 0.5)   # psi(l+1), psi(l+nu+1)
+        w = _dd.sub(w, _dd.mul_d(lnq, (2 * l + nu + log_term_offset) / 2.0))
+        s_a_w = _dd.add(s_a_w, t)
+        s_b_w = _dd.add(s_b_w, _dd.mul(t, w))
+        wmag = lnrho_w + abs(_dd.to_float(w)) + 1.0
+        np.maximum(max_w, np.abs(t[0]) * wmag, out=max_w)
         l += 1
         if l >= control.max_terms:
-            raise SeriesConvergenceError("bessel_k series", f"nu={nu}")
-        h_l = _dd.add(h_l, _dd.div_d(_dd.dd(1.0), float(l)))
-        h_lnu = _dd.add(h_lnu, _dd.div_d(_dd.dd(1.0), float(l + nu)))
-        t = _dd.div_d(_dd.mul(t, rho2), float(l * (l + nu)))
-        if l > 4 and np.all(t[0] * (np.abs(lbase[0]) + h_lnu[0] + 1.0)
-                            <= 1e-34 * max_opmag):
-            break
-    noise = max_opmag * 2.0 ** -98
-    return total, noise
+            raise SeriesConvergenceError("ascending log series", f"nu={nu}")
+        t = _dd.div(_dd.mul(t, rho2), _dd.mul(qnum[l], qnum[l + nu]))
+        if l > 4:
+            done = np.all(t[0] * (lnrho_w + abs(_dd.to_float(w)) + 1.0) <= 1e-34 * max_w,
+                          axis=1)
+            if done.any():
+                finished = rows[done]
+                s_a[0][finished], s_a[1][finished] = s_a_w[0][done], s_a_w[1][done]
+                s_b[0][finished], s_b[1][finished] = s_b_w[0][done], s_b_w[1][done]
+                max_opmag[finished] = max_w[done]
+                if done.all():
+                    break
+                keep = ~done
+                rows = rows[keep]
+                t, rho2, s_a_w, s_b_w = (tuple(part[keep] for part in v)
+                                         for v in (t, rho2, s_a_w, s_b_w))
+                lnrho_w, max_w = lnrho_w[keep], max_w[keep]
+    log_part = _dd.sub(_dd.mul(lnrho, s_a), s_b)
+    total = _dd.add(total, _dd.mul_d(_dd.mul(c2, log_part), sign))
+    noise = max_opmag * abs(_dd.to_float(c2)) * 2.0 ** -98
+    return (total[0].reshape(shape), total[1].reshape(shape)), noise.reshape(shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _integer_tables(count: int):
+    """dd integers m, m = 0..count-1, and psi(m) = H_{m-1} - EulerGamma,
+    m = 1..count: the q -> 1 limits of the bracket's tables."""
+    psi = [_dd.neg(_dd.EULER_GAMMA)]
+    for m in range(1, count):
+        psi.append(_dd.add(psi[-1], _dd.div_d(_dd.dd(1.0), float(m))))
+    return [_dd.dd(float(m)) for m in range(count)], psi
+
+
+def _bessel_k_dd(nu: int, two_rho, control: SeriesControl = DEFAULT_CONTROL):
+    """K_nu(2 rho) and its noise floor: :func:`_log_series_dd` at q = 1,
+
+        K_nu(2r) = 1/2 sum_{l<nu} (-1)^l (nu-l-1)!/l! r^{2l-nu}
+                   + (-1)^{nu+1} sum_{l>=0} [ln r - psi(l+1)/2 - psi(l+nu+1)/2]
+                     r^{2l+nu} / (l! (l+nu)!).
+
+    Callers decide whether the cancellation left anything meaningful.  The
+    finite part's coefficients stay in dd: rounded to doubles, their error
+    outlives the e^{4 rho} cancellation from nu = 4 on.
+    """
+    if nu < 0 or nu != int(nu):
+        raise DomainError(f"bessel_k requires nonnegative integer order, got {nu!r}")
+    rho = np.asarray(two_rho, dtype=float) / 2.0
+    if np.any(rho <= 0.0):
+        raise DomainError("bessel_k requires rho > 0")
+    return _log_series_dd(rho, int(nu), _integer_tables, _dd.dd(0.5), _dd.dd(1.0),
+                          _dd.dd(0.0), 0, control)
 
 
 def bessel_k(nu: int, two_rho: float, control: SeriesControl = DEFAULT_CONTROL) -> float:

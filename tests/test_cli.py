@@ -145,6 +145,26 @@ class TestGOracle:
         assert data["max_rel_recurrence_vs_closed"] <= 1e-11
 
 
+_SINGLE = ["state-single", "q=0.9", "alpha=0.8", "k=1", "N=20"]
+_PAIR = ["state-bipartite", "q=0.9", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "N=20"]
+
+# (argv, one more key=value that must be rejected naming its key)
+NON_FINITE = [
+    (["g-oracle", "q=0.7", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "nmax=3"], "delta=nan"),
+    (_PAIR, "perturb=nan"),
+    (_PAIR, "perturb=inf"),
+    (_PAIR[:2] + _PAIR[3:], "a1=nan"),
+    (_SINGLE[:2] + _SINGLE[3:], "alpha=0.8+infj"),
+    (_SINGLE[:3] + _SINGLE[4:], "k=inf"),
+    (_SINGLE[:1] + _SINGLE[2:], "q=-inf"),
+    (_SINGLE[:-1], "N=2.5"),
+    (_SINGLE, "seed=nan"),
+    (["verify-moments", "mode=q", "k=1", "nmax=1"], "q=nan"),
+    (["sweep-q", "from=0.99", "to=0.7", "steps=3", "a1=0.3", "a2=0.5", "k1=1", "k2=1",
+      "N=20"], "delta=q^nan"),
+]
+
+
 class TestExitCodes:
     def test_invalid_config_is_2(self, capsys):
         assert run_cli(["state-bipartite", "q=0.9", "a1=0.3", "k1=1"]) == 2
@@ -199,6 +219,30 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         json.loads(out, parse_constant=no_constant)
         assert "Warning" not in err
+
+    @pytest.mark.filterwarnings("error")      # a RuntimeWarning fails the test
+    @pytest.mark.parametrize("argv, bad", NON_FINITE, ids=[bad for _, bad in NON_FINITE])
+    def test_unparsable_or_non_finite_value_is_2(self, argv, bad, capsys):
+        code = run_cli(argv + [bad])
+        out, err = capsys.readouterr()
+        assert code == 2
+        key = bad.partition("=")[0]
+        assert err.startswith(f"invalid configuration: {key}= must be")
+        assert out == ""
+
+    def test_q_number_overflow_is_2(self, capsys):
+        code = run_cli(["state-single", "q=0.9", "alpha=0.8", "k=1", "N=10000"])
+        assert code == 2
+        assert "]_q overflows" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_assembly_overflow_is_2_without_warnings(self, capsys):
+        code = run_cli(["state-bipartite", "q=0.9", "a1=0.05", "a2=0.9", "k1=1", "k2=1",
+                        "N=800"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "coefficient assembly overflowed" in err
+        assert out == ""
 
     def test_unwritable_out_is_2(self, tmp_path, capsys):
         target = tmp_path / "missing" / "m.json"

@@ -79,6 +79,12 @@ class TestClassicalMoments:
         assert report.records[0].lhs == pytest.approx(1.0, abs=1e-6)
         assert report.records[3].lhs == pytest.approx(144.0, rel=1e-5)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0])
+    def test_high_order_accuracy(self, k):
+        # nu = 4, 5: with K_nu's finite-part coefficients rounded to doubles
+        # these moments are off by ~1e-7; carried in dd, by ~1e-13
+        assert me.moment_check(3, k, "classical").max_rel_err <= 1e-9
+
     def test_metadata_present(self):
         report = me.moment_check(1, 1.0, "classical")
         assert report.upper_cutoff > report.lower_cutoff > 0

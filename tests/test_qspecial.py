@@ -7,6 +7,7 @@ integral representation) and then frozen.
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,12 @@ class TestQNumber:
     def test_symmetric_and_odd(self, x, q):
         assert qs.q_number(x, q) == pytest.approx(qs.q_number(x, 1.0 / q), rel=1e-12, abs=1e-12)
         assert qs.q_number(-x, q) == pytest.approx(-qs.q_number(x, q), rel=1e-12, abs=1e-12)
+
+    def test_overflow_is_named(self):
+        with pytest.raises(DomainError, match=r"\[10000\]_q"):
+            qs.q_number(10000, 0.9)
+        with pytest.raises(DomainError, match=r"\[-800\]_q"):
+            qs.q_number(-800, 0.3)
 
     def test_classical_tag(self):
         assert qs.q_number(3.7, qs.CLASSICAL) == 3.7
@@ -253,6 +260,23 @@ class TestBesselK:
     def test_cancellation_floor_raises(self):
         with pytest.raises(SeriesConvergenceError):
             qs.bessel_k(2, 60.0)
+
+    @pytest.mark.parametrize("nu", [4, 5, 7])
+    @pytest.mark.parametrize("two_rho", [20.0, 26.0, 30.0, 33.0])
+    def test_error_within_reported_noise(self, nu, two_rho):
+        # oracle: mpmath at 40 digits.  The finite part's coefficients
+        # (nu-l-1)!/(2 l!) must not be rounded to doubles: from nu = 4 on that
+        # rounding survives the e^{4 rho} cancellation and exceeds the noise
+        value, noise = qs._bessel_k_dd(nu, two_rho)
+        with mpmath.workdps(40):
+            ref = mpmath.besselk(nu, two_rho)
+        got = mpmath.mpf(float(value[0])) + mpmath.mpf(float(value[1]))
+        assert abs(float(got - ref)) <= float(noise)
+
+    def test_rounded_coefficients_do_not_pass_the_floor(self):
+        # the true value is 9.43e-17, below what the series can resolve here
+        with pytest.raises(SeriesConvergenceError):
+            qs.bessel_k(7, 36.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
