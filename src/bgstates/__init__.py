@@ -26,7 +26,7 @@ from .qspecial import (CLASSICAL, DEFAULT_CONTROL, QParam, SeriesControl,
 from .repalg import (BipartiteOperator, DeformationMap, LadderOperator,
                      apply_coproduct, apply_ladder)
 from .costate import (LadderState, build_by_operator_series, build_f_coherent,
-                      build_q_coherent, normalization_series)
+                      build_q_coherent, normalization_series, single_node_profile)
 from .bipartite import (BipartiteMatrix, BipartiteParams, BoundarySequence,
                         SchmidtSpectrum, build_q_bipartite, classical_bipartite,
                         crossing_transform, eigen_residual, eigen_residual_parts,

@@ -28,11 +28,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .costate import build_f_coherent
+from .costate import build_f_coherent, single_node_profile
 from .errors import DomainError, ShapeError, TruncationError
 from .qspecial import (CLASSICAL, DEFAULT_CONTROL, QParam, SeriesControl,
-                       _bessel_i_series, q_factorial, q_factorial_cont,
-                       q_number, q_binomial, q_pochhammer)
+                       _bessel_i_series, q_factorial, q_number, q_binomial,
+                       q_pochhammer)
 from .repalg import BipartiteOperator, DeformationMap, apply_coproduct, check_bargmann
 
 __all__ = [
@@ -149,13 +149,17 @@ class BipartiteParams:
 
 @dataclass(frozen=True)
 class BipartiteMatrix:
-    """Coefficient matrix c_{n1,n2} over |n1,k1> (x) |n2,k2> with metadata."""
+    """Coefficient matrix c_{n1,n2} over |n1,k1> (x) |n2,k2> with metadata;
+    ``norm_before_truncation`` is sum |c|^2 before normalization, both node
+    profiles in the c_0 = 1 scale of :func:`costate.single_node_profile`
+    (0 for a matrix not built by this module)."""
 
     coeffs: np.ndarray
     params: BipartiteParams
     boundary: Optional[BoundarySequence] = None
     normalized: bool = False
     truncation_loss: float = 0.0
+    norm_before_truncation: float = 0.0
 
     @property
     def n1(self) -> int:
@@ -186,10 +190,12 @@ def classical_bipartite(alpha1: complex, alpha2: complex, k1: float, k2: float,
     """Factorized classical eigenstate: the outer product of two single-node
     states with eigenvalues alpha1 and alpha2."""
     cl = DeformationMap.classical()
-    v1 = build_f_coherent(alpha1, k1, cl, N1).coeffs
-    v2 = build_f_coherent(alpha2, k2, cl, N2).coeffs
+    s1 = build_f_coherent(alpha1, k1, cl, N1)
+    s2 = build_f_coherent(alpha2, k2, cl, N2)
     params = BipartiteParams(complex(alpha1), complex(alpha2), k1, k2, CLASSICAL)
-    return BipartiteMatrix(coeffs=np.outer(v1, v2), params=params, normalized=True)
+    return BipartiteMatrix(coeffs=np.outer(s1.coeffs, s2.coeffs), params=params,
+                           normalized=True, norm_before_truncation=(
+                               s1.norm_before_truncation * s2.norm_before_truncation))
 
 
 def solve_g_recurrence(boundary: BoundarySequence, params: BipartiteParams,
@@ -247,16 +253,10 @@ def g_closed_geometric(n: int, m: int, delta: float,
 
 
 def _single_node_prefactors(alpha: complex, k: float, q: QParam, N: int) -> np.ndarray:
-    """p[n] = alpha^n / sqrt([n]_q! [n+2k-1]_q!), by ratio recurrence.
-
-    The 1/sqrt([2k-1]_q!) start makes this the literal single-node profile of
-    the ansatz, so unnormalized double sums line up with the norm series.
-    """
-    p = np.zeros(N + 1, dtype=complex)
-    p[0] = 1.0 / math.sqrt(_q_factorial_maybe_cont(2 * k - 1, q))
-    for n in range(N):
-        p[n + 1] = p[n] * alpha / math.sqrt(q_number(n + 1, q) * q_number(n + 2 * k, q))
-    return p
+    """p[n] = alpha^n / sqrt([n]_q! [n+2k-1]_q!): the single-node profile in
+    the ansatz scale, in which double sums of |c|^2 equal the norm series."""
+    return (single_node_profile(alpha, k, DeformationMap.q_deformed(q), N)
+            / math.sqrt(q_factorial(2 * k - 1, q)))
 
 
 def _edge_tail_estimate(c_sq: np.ndarray) -> float:
@@ -294,7 +294,8 @@ def build_q_bipartite(params: BipartiteParams, boundary: BoundarySequence,
         mirror = build_q_bipartite(tparams, tboundary, N2, N1, control)
         return BipartiteMatrix(coeffs=mirror.coeffs.T.copy(), params=params,
                                boundary=boundary, normalized=True,
-                               truncation_loss=mirror.truncation_loss)
+                               truncation_loss=mirror.truncation_loss,
+                               norm_before_truncation=mirror.norm_before_truncation)
     if params.alpha1 == 0:
         raise DomainError("alpha1 = 0 makes xi = 0 and the boundary-row "
                           "propagation undefined; the state degenerates to "
@@ -313,8 +314,9 @@ def build_q_bipartite(params: BipartiteParams, boundary: BoundarySequence,
                  * qv ** np.outer(np.arange(N1 + 1), np.arange(N2 + 1)))
         else:
             g = solve_g_recurrence(boundary, params, N1, N2)
-        p1 = _single_node_prefactors(params.alpha1, params.k1, q, N1)
-        p2 = _single_node_prefactors(params.alpha2, params.k2, q, N2)
+        dmap = DeformationMap.q_deformed(q)
+        p1 = single_node_profile(params.alpha1, params.k1, dmap, N1)
+        p2 = single_node_profile(params.alpha2, params.k2, dmap, N2)
         c = p1[:, None] * p2[None, :] * g
     if not np.all(np.isfinite(c.view(float))):
         raise DomainError("coefficient assembly overflowed; |alpha/alpha1| is "
@@ -329,13 +331,8 @@ def build_q_bipartite(params: BipartiteParams, boundary: BoundarySequence,
             f"truncation insufficient: edge-ratio tail estimate {tail:.3e} "
             f"exceeds {TAIL_MASS_LIMIT:.0e} of the total; increase N1/N2")
     return BipartiteMatrix(coeffs=c / math.sqrt(total), params=params,
-                           boundary=boundary, normalized=True)
-
-
-def _q_factorial_maybe_cont(x: float, q) -> float:
-    if float(x).is_integer():
-        return q_factorial(int(x), q)
-    return q_factorial_cont(x, q)
+                           boundary=boundary, normalized=True,
+                           norm_before_truncation=total)
 
 
 def norm_series(params: BipartiteParams, delta: float, terms: Optional[int] = None,
@@ -362,7 +359,7 @@ def norm_series(params: BipartiteParams, delta: float, terms: Optional[int] = No
     eta = params.eta
     total = 0.0
     # ratio-managed pieces: w_n = |alpha|^{2n}/([n]![n+2k1-1]!), poch_n = (delta eta; q^2)_n
-    w = 1.0 / _q_factorial_maybe_cont(2 * k1 - 1, qp)
+    w = 1.0 / q_factorial(2 * k1 - 1, qp)
     poch = 1.0 + 0j
     below = 0
     for n in range(max_terms):

@@ -33,8 +33,8 @@ from . import bipartite as bp
 from . import costate as cs
 from . import measure as me
 from .errors import DomainError, SeriesConvergenceError, TruncationError
-from .qspecial import CLASSICAL, QParam
-from .repalg import DeformationMap, LadderOperator, apply_ladder
+from .qspecial import CLASSICAL, QParam, q_factorial
+from .repalg import LadderOperator, apply_ladder
 
 __all__ = ["main", "RunConfig", "run", "load_state_json"]
 
@@ -129,10 +129,7 @@ def _run_state_single(cfg: RunConfig) -> dict:
     alpha = _num(p, "alpha", complex)
     k = _num(p, "k")
     n = _num(p, "N", int)
-    if q.is_classical:
-        state = cs.build_f_coherent(alpha, k, DeformationMap.classical(), n)
-    else:
-        state = cs.build_q_coherent(alpha, k, q, n)
+    state = cs.build_q_coherent(alpha, k, q, n)
     km = LadderOperator("K-", state.deformation, k, n)
     lowered = apply_ladder(km, state).coeffs
     if alpha == 0:
@@ -191,9 +188,11 @@ def _run_state_bipartite(cfg: RunConfig) -> dict:
         "delta": delta, "N1": n1, "N2": n2,
     })
     if not q.is_classical:
-        ns = bp.norm_series(M.params if q.value < 1 else M.params.swapped_inverse_q(),
-                            delta)
-        raw = _raw_double_sum(M.params, M.boundary, n1, n2)
+        sp = M.params if q.value < 1 else M.params.swapped_inverse_q()
+        ns = bp.norm_series(sp, delta)
+        # the c_0 = 1 block sum, rescaled to the ansatz scale of norm_series
+        raw = M.norm_before_truncation / (q_factorial(2 * sp.k1 - 1, sp.q)
+                                          * q_factorial(2 * sp.k2 - 1, sp.q))
         payload["norm_series_value"] = _jf(ns)
         payload["norm_double_sum"] = _jf(raw)
         payload["norm_rel_err"] = _jf(abs(ns - raw) / abs(raw))
@@ -209,19 +208,6 @@ def _run_state_bipartite(cfg: RunConfig) -> dict:
         payload["perturb"] = eps
         payload["seed"] = cfg.seed
     return payload
-
-
-def _raw_double_sum(params, boundary, n1, n2) -> float:
-    """Unnormalized sum of |c|^2 on a block large enough to be converged."""
-    from .bipartite import _single_node_prefactors, solve_g_recurrence
-    if params.q.value > 1.0:
-        params, boundary = bp.crossing_transform(params, boundary)
-        n1, n2 = n2, n1
-    g = solve_g_recurrence(boundary, params, n1, n2)
-    p1 = _single_node_prefactors(params.alpha1, params.k1, params.q, n1)
-    p2 = _single_node_prefactors(params.alpha2, params.k2, params.q, n2)
-    c = p1[:, None] * p2[None, :] * g
-    return float(np.sum(np.abs(c) ** 2))
 
 
 def _run_verify_moments(cfg: RunConfig) -> dict:
@@ -254,6 +240,8 @@ def _run_sweep_q(cfg: RunConfig) -> dict:
     q_from = _num(p, "from")
     q_to = _num(p, "to")
     steps = _num(p, "steps", int, "12")
+    if steps < 1:
+        raise DomainError(f"steps= must be >= 1, got {steps}")
     a1 = _num(p, "a1", complex)
     a2 = _num(p, "a2", complex)
     k1 = _num(p, "k1")
@@ -297,14 +285,16 @@ def _run_g_oracle(cfg: RunConfig) -> dict:
     nmax = _num(p, "nmax", int, "12")
     if nmax < 0:
         raise DomainError(f"g-oracle requires nmax >= 0, got {nmax}")
-    if delta == 0:
-        # d_m = delta^m makes g_{n,m} = 0 for every m >= 1, and the relative
-        # errors against it 0/0
-        raise DomainError("g-oracle requires delta != 0 (g vanishes for m >= 1, "
-                          "so its relative errors are undefined)")
     params = bp.BipartiteParams(a1, a2, k1, k2, q)
     boundary = bp.BoundarySequence.geometric(delta)
     g = bp.solve_g_recurrence(boundary, params, nmax, nmax)
+    # the relative errors divide by |g|; delta = 0 or a large nmax makes them 0/0
+    bad = np.argwhere(~(np.isfinite(g) & (np.abs(g) >= np.finfo(float).tiny)))
+    if bad.size:
+        nn, mm = bad[0]
+        raise DomainError(f"g-oracle at delta={delta}, nmax={nmax}: |g[{nn},{mm}]| = "
+                          f"{abs(g[nn, mm]):.3g} is zero, subnormal or not finite, so its "
+                          "relative errors are undefined")
     rows = []
     worst_ansatz = 0.0
     worst_closed = 0.0

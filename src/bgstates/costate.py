@@ -1,12 +1,13 @@
 """Single-node Barut-Girardello coherent states.
 
 A state |alpha, k>_f is the K- eigenstate with eigenvalue alpha, expanded
-over the truncated carrier basis.  Three constructions are provided and
-cross-checked in the tests: the coefficient recurrence
+over the truncated carrier basis.  Two constructions are provided and
+cross-checked in the tests: the coefficient recurrence of
+:func:`single_node_profile`, which the bipartite states share,
 
     c_{n+1} = alpha / (f(n+k+1) sqrt((n+1)(n+2k))) * c_n,
 
-the explicit q-factorial form, and the operator exponential
+and the operator exponential
 
     c_0 exp(alpha f(K0)^{-2} K+ (K0+k)^{-1}) |0,k>.
 
@@ -30,6 +31,7 @@ from .repalg import DeformationMap, check_bargmann, lowering_elements
 
 __all__ = [
     "LadderState",
+    "single_node_profile",
     "build_f_coherent",
     "build_q_coherent",
     "build_by_operator_series",
@@ -145,6 +147,20 @@ def _crosscheck_bessel_norm(state: LadderState, control: SeriesControl):
                 f"{state.norm_before_truncation!r} vs {closed!r}")
 
 
+def single_node_profile(alpha: complex, k: float, f: DeformationMap, N: int) -> np.ndarray:
+    """The unnormalized profile c[n] = alpha^n / (e[1] ... e[n]), n = 0..N, in
+    the c_0 = 1 scale, with e from :func:`repalg.lowering_elements`."""
+    k = check_bargmann(k)
+    if N < 1:
+        raise DomainError(f"truncation N must be >= 1, got {N}")
+    e = lowering_elements(f, k, N + 1)
+    c = np.zeros(N + 1, dtype=complex)
+    c[0] = 1.0
+    for n in range(N):
+        c[n + 1] = alpha / e[n + 1] * c[n]
+    return c
+
+
 def build_f_coherent(alpha: complex, k: float, f: DeformationMap, N: int,
                      control: SeriesControl = DEFAULT_CONTROL) -> LadderState:
     """K- eigenstate for the deformation map f, by the coefficient recurrence.
@@ -152,15 +168,8 @@ def build_f_coherent(alpha: complex, k: float, f: DeformationMap, N: int,
     Raises TruncationError unless the estimated dropped tail mass is below
     TAIL_MASS_LIMIT of the total.
     """
-    k = check_bargmann(k)
-    if N < 1:
-        raise DomainError("truncation N must be >= 1")
-    e = lowering_elements(f, k, N + 2)
-    c = np.zeros(N + 1, dtype=complex)
-    c[0] = 1.0
-    for n in range(N):
-        c[n + 1] = alpha / e[n + 1] * c[n]
-    state = _finish(c, k, alpha, f, e[N + 1])
+    c = single_node_profile(alpha, k, f, N)
+    state = _finish(c, k, alpha, f, lowering_elements(f, k, N + 2)[N + 1])
     _crosscheck_bessel_norm(state, control)
     return state
 

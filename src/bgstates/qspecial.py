@@ -161,10 +161,13 @@ def q_number(x: float, q) -> float:
     return out
 
 
-def q_factorial(n: int, q) -> float:
-    """[n]_q! = prod_{j=1..n} [j]_q, with the empty product equal to 1."""
-    if n != int(n) or n < 0:
-        raise DomainError(f"q_factorial requires a nonnegative integer, got {n!r}")
+def q_factorial(n: float, q) -> float:
+    """[n]_q! = prod_{j=1..n} [j]_q, with the empty product equal to 1; a
+    non-integer order goes to :func:`q_factorial_cont`."""
+    if not n >= 0:
+        raise DomainError(f"q_factorial requires a nonnegative order, got {n!r}")
+    if n != int(n):
+        return q_factorial_cont(n, q)
     n = int(n)
     if isinstance(q, QParam) and q.is_classical:
         return float(math.factorial(n))

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from bgstates import bipartite as bp
 from bgstates import costate as cs
+from bgstates import qspecial
 from bgstates import repalg as ra
 from bgstates.errors import DomainError, ShapeError, TruncationError
-from bgstates.qspecial import CLASSICAL, QParam, bessel_i_q, q_binomial, q_number
+from bgstates.qspecial import (CLASSICAL, QParam, bessel_i_q, q_binomial, q_factorial,
+                               q_number)
 
 P9 = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(0.9))
 GEOM1 = bp.BoundarySequence.geometric(1.0)
@@ -74,6 +76,14 @@ class TestClassicalBipartite:
     def test_eigen_residual(self):
         M = bp.classical_bipartite(0.3, 0.5, 1.0, 1.5, 45, 45)
         assert bp.eigen_residual(M) <= 1e-9
+
+    def test_norm_before_truncation_is_the_profile_block_sum(self):
+        M = bp.classical_bipartite(0.3, 0.5, 1.0, 1.5, 40, 40)
+        cl = ra.DeformationMap.classical()
+        block = np.outer(cs.single_node_profile(0.3, 1.0, cl, 40),
+                         cs.single_node_profile(0.5, 1.5, cl, 40))
+        assert M.norm_before_truncation == pytest.approx(
+            float(np.sum(np.abs(block) ** 2)), rel=1e-13)
 
     def test_alpha1_zero_factor(self):
         M = bp.classical_bipartite(0.0, 0.6, 1.0, 1.0, 30, 30)
@@ -298,6 +308,16 @@ class TestBuildQBipartite:
         M = bp.build_q_bipartite(p, bp.BoundarySequence.custom(d), 50, 50)
         assert bp.fidelity(C, M) >= 1 - 1e-4
 
+    @pytest.mark.parametrize("q", [QParam(0.9), QParam.for_crossing(1 / 0.9)])
+    def test_non_integer_k_assembles_without_q_gamma(self, q, monkeypatch):
+        # the c_0 = 1 profiles need no [2k-1]_q! at any k
+        def boom(*args, **kwargs):
+            raise AssertionError("q_gamma called during assembly")
+        monkeypatch.setattr(qspecial, "q_gamma", boom)
+        p = bp.BipartiteParams(0.3, 0.5, 0.75, 1.0, q)
+        M = bp.build_q_bipartite(p, GEOM1, 40, 40)
+        assert bp.eigen_residual(M) <= 1e-8
+
     def test_complex_alphas_residual(self):
         p = bp.BipartiteParams(0.3 + 0.2j, 0.4 - 0.1j, 1.0, 1.5, QParam(0.8))
         M = bp.build_q_bipartite(p, bp.BoundarySequence.geometric(0.95), 45, 45)
@@ -316,6 +336,25 @@ class TestNormSeries:
         p2 = bp._single_node_prefactors(0.4, 1.0, p.q, 60)
         direct = float(np.sum(np.abs(p1[:, None] * p2[None, :] * g) ** 2))
         assert bp.norm_series(p, delta) == pytest.approx(direct, rel=1e-8)
+
+    @pytest.mark.parametrize("k2", [1.0, 1.5])
+    @pytest.mark.parametrize("q", [0.5, 0.8])
+    @pytest.mark.parametrize("delta", [0.9, 1.0])
+    def test_against_norm_before_truncation(self, q, delta, k2):
+        # the assembled c_0 = 1 block sum, rescaled to the ansatz scale
+        p = bp.BipartiteParams(0.4, 0.4, 1.0, k2, QParam(q))
+        M = bp.build_q_bipartite(p, bp.BoundarySequence.geometric(delta), 60, 60)
+        scale = q_factorial(1, p.q) * q_factorial(2 * k2 - 1, p.q)
+        assert M.norm_before_truncation / scale == pytest.approx(
+            bp.norm_series(p, delta), rel=1e-12)
+
+    def test_norm_before_truncation_through_crossing(self):
+        p = bp.BipartiteParams(0.3, 0.5, 1.0, 1.5, QParam.for_crossing(1.25))
+        M = bp.build_q_bipartite(p, bp.BoundarySequence.geometric(0.9), 60, 60)
+        t = p.swapped_inverse_q()
+        scale = q_factorial(2 * t.k1 - 1, t.q) * q_factorial(2 * t.k2 - 1, t.q)
+        assert M.norm_before_truncation / scale == pytest.approx(
+            bp.norm_series(t, 0.9), rel=1e-12)
 
     def test_q_to_one_matches_classical_product(self):
         # N -> N1 N2 with N_i = |alpha_i|^{k_i - 1/2} / sqrt(I_{2k_i-1}(2|alpha_i|))

@@ -1,6 +1,10 @@
 """CLI surface tests: subcommands, formats, exit codes, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +248,37 @@ class TestExitCodes:
         assert "coefficient assembly overflowed" in err
         assert out == ""
 
+    @pytest.mark.parametrize("q", ["0.9", "1.25"])
+    @pytest.mark.parametrize("truncation", [["N=0"], ["N=5", "N2=0"]])
+    def test_zero_truncation_is_2(self, q, truncation, capsys):
+        code = run_cli(["state-bipartite", f"q={q}", "a1=0.3", "a2=0.5", "k1=1", "k2=1",
+                        *truncation])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("invalid configuration: truncation N must be >= 1")
+        assert out == ""
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_sweep_steps_below_one_is_2(self, steps, capsys):
+        code = run_cli(["sweep-q", "from=0.99", "to=0.7", f"steps={steps}", "a1=0.3",
+                        "a2=0.5", "k1=1", "k2=1", "N=20"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith(f"invalid configuration: steps= must be >= 1, got {steps}")
+        assert out == ""
+
+    @pytest.mark.filterwarnings("error")      # a RuntimeWarning fails the test
+    def test_g_oracle_underflow_is_2_without_nan(self, capsys):
+        # at nmax = 50 entries of g reach subnormals and zero, and the
+        # relative errors against them would be 0/0
+        code = run_cli(["g-oracle", "q=0.7", "a1=0.3", "a2=0.5", "k1=1", "k2=1",
+                        "delta=0.9", "nmax=50"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("invalid configuration: g-oracle at delta=0.9, nmax=50: |g[")
+        assert "subnormal" in err
+        assert out == ""
+
     def test_unwritable_out_is_2(self, tmp_path, capsys):
         target = tmp_path / "missing" / "m.json"
         code = run_cli(["verify-moments", "mode=classical", "k=1", "nmax=1",
@@ -253,6 +288,26 @@ class TestExitCodes:
         assert err.startswith("invalid configuration:")
         assert str(target) in err
         assert not target.parent.exists()
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: a CLI process must never load it
+    script = (
+        "import sys\n"
+        "from bgstates import cli\n"
+        f"out = {str(tmp_path / 'a.json')!r}\n"
+        "assert cli.main(['verify-moments', 'mode=q', 'q=0.9', 'k=1', 'nmax=2',\n"
+        "                 'out=' + out]) == 0\n"
+        "assert cli.main(['sweep-q', 'from=0.99', 'to=0.7', 'steps=3', 'a1=0.3',\n"
+        "                 'a2=0.5', 'k1=0.75', 'k2=1', 'N=20', 'out=' + out]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_float_formatting_17_sig_digits():

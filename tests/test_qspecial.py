@@ -64,6 +64,10 @@ class TestQFactorial:
     def test_classical(self):
         assert qs.q_factorial(6, qs.CLASSICAL) == 720.0
 
+    @pytest.mark.parametrize("q", [0.5, 0.9, qs.CLASSICAL])
+    def test_non_integer_order_is_the_continuation(self, q):
+        assert qs.q_factorial(0.5, q) == qs.q_factorial_cont(0.5, q)
+
 
 class TestQFactorialCont:
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
