@@ -147,6 +147,31 @@ def pow_int(a, n: int):
     return recip(result) if inv else result
 
 
+def pow_ints(a, n):
+    """a**m for each integer m >= 1 of the array n, a a scalar pair.
+
+    Runs pow_int's binary powering over all of n at once: every element gets
+    the same products, in the same order, as ``pow_int(a, m)`` forms.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    hi, lo = np.zeros(n.shape), np.zeros(n.shape)
+    started = np.zeros(n.shape, dtype=bool)
+    base = a
+    bit = 1
+    top = int(n.max()) if n.size else 0
+    while bit <= top:
+        use = (n & bit) != 0
+        if use.any():
+            p_hi, p_lo = mul((hi, lo), base)
+            hi = np.where(use, np.where(started, p_hi, base[0]), hi)
+            lo = np.where(use, np.where(started, p_lo, base[1]), lo)
+            started |= use
+        bit <<= 1
+        if bit <= top:
+            base = sqr(base)
+    return hi, lo
+
+
 def exp(a):
     """Double-double exponential via range reduction and expm1 squaring."""
     hi = a[0]

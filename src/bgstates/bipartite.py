@@ -343,17 +343,14 @@ def norm_series(params: BipartiteParams, delta: float, terms: Optional[int] = No
         N^{-2} = |delta alpha2|^{1-2k2} sum_n q^n I^{(q)}_{2k2-1}(2 q^n |delta alpha2|)
                  |alpha|^{2n} |(delta eta; q^2)_n|^2 / ([n]! [n+2k1-1]!).
 
-    Agrees with the direct double sum of |c|^2 over the truncated block.
+    Agrees with the direct double sum of |c|^2 over the truncated block, for
+    real k1, k2 >= 1/2 alike (the q-Bessel order 2k2-1 need not be an integer).
     """
     q = _q_value_for_series(params)
     qp = params.q
     max_terms = terms if terms is not None else control.max_terms
     k1, k2 = params.k1, params.k2
     nu2 = 2 * k2 - 1
-    if not float(nu2).is_integer():
-        raise DomainError("norm_series requires integer q-Bessel order 2*k2 - 1; "
-                          "compare against the direct double sum instead")
-    nu2 = int(nu2)
     z2 = abs(delta * params.alpha2)
     alpha_sq = abs(params.alpha) ** 2
     eta = params.eta

@@ -41,9 +41,9 @@ import numpy as np
 from . import _dd
 from .costate import normalization_series
 from .errors import DomainError, SeriesConvergenceError
-from .qspecial import (CLASSICAL, DEFAULT_CONTROL, QParam, SeriesControl,
-                       _bessel_i_series, _bessel_k_dd, _log_series_dd, bessel_k,
-                       q_factorial)
+from .qspecial import (CLASSICAL, DEFAULT_CONTROL, NOISE_BUDGET, QParam,
+                       SeriesControl, _bessel_i_series, _bessel_k_dd, _log_series_dd,
+                       bessel_k, q_factorial)
 from .repalg import DeformationMap
 
 __all__ = [
@@ -78,7 +78,9 @@ def _psi_q2_table(q: float, count: int, control: SeriesControl):
     """dd values of psi_{q^2}(m) for m = 1..count, extended on demand.
 
     psi_Q(1) is summed once (vectorised dd blocks); successive integer
-    arguments follow from psi_Q(z+1) = psi_Q(z) - ln(Q) Q^z/(1-Q^z).
+    arguments follow from psi_Q(z+1) = psi_Q(z) - ln(Q) Q^z/(1-Q^z).  An
+    extension forms its steps ln(Q) Q^m/(1-Q^m) in one array pass; the Q^m
+    chain and the running subtraction stay scalar.
     """
     with _CACHE_LOCK:
         table = _PSI_CACHE.get(q)
@@ -108,16 +110,24 @@ def _psi_q2_table(q: float, count: int, control: SeriesControl):
                      "Qpow": big_q}  # Qpow tracks Q^m for the recurrence, m = 1
             _PSI_CACHE[q] = table
         psi = table["psi"]
-        while len(psi) < count:
-            qm = table["Qpow"]                                # Q^m
-            step = _dd.div(_dd.mul(table["lnQ"], qm), _dd.sub(_dd.dd(1.0), qm))
-            psi.append(_dd.sub(psi[-1], step))
-            table["Qpow"] = _dd.mul(qm, table["Q"])
+        if len(psi) < count:
+            powers = []                                       # Q^m, m = len(psi)..
+            qm = table["Qpow"]
+            for _ in range(count - len(psi)):
+                powers.append(qm)
+                qm = _dd.mul(qm, table["Q"])
+            table["Qpow"] = qm
+            qm = (np.array([p[0] for p in powers]), np.array([p[1] for p in powers]))
+            steps = _dd.div(_dd.mul(table["lnQ"], qm), _dd.sub(_dd.dd(1.0), qm))
+            for step in zip(steps[0].tolist(), steps[1].tolist()):
+                psi.append(_dd.sub(psi[-1], step))
         return psi
 
 
 def _qnum_dd_table(q: float, count: int):
-    """dd values of the symmetric q-numbers [m]_q, m = 0..count-1."""
+    """dd values of the symmetric q-numbers [m]_q, m = 0..count-1, extended
+    on demand in one array pass with the operations of the scalar formula
+    (q^m - 1/q^m) / (q - 1/q)."""
     with _CACHE_LOCK:
         entry = _QNUM_CACHE.get(q)
         if entry is None:
@@ -125,15 +135,16 @@ def _qnum_dd_table(q: float, count: int):
             entry = (q_dd, _dd.sub(q_dd, _dd.recip(q_dd)), [_dd.dd(0.0), _dd.dd(1.0)])
             _QNUM_CACHE[q] = entry
         q_dd, denom, lst = entry
-        while len(lst) < count:
-            m = len(lst)
-            num = _dd.sub(_dd.pow_int(q_dd, m), _dd.pow_int(q_dd, -m))
-            lst.append(_dd.div(num, denom))
+        if len(lst) < count:
+            power = _dd.pow_ints(q_dd, np.arange(len(lst), count))
+            num = _dd.sub(power, _dd.recip(power))
+            hi, lo = _dd.div(num, denom)
+            lst.extend(zip(hi.tolist(), lo.tolist()))
         return lst
 
 
 def _q_bracket_dd(rho, nu: int, q: float, log_term_offset: int,
-                  control: SeriesControl):
+                  control: SeriesControl, sizes=None):
     """The bracketed factor of the q-measure, vectorised over rho, in dd.
 
     Returns (value_dd, noise_floor), both shaped like rho: the shared
@@ -142,9 +153,10 @@ def _q_bracket_dd(rho, nu: int, q: float, log_term_offset: int,
 
         C1 = (q^2-1)/(q ln q),   C2 = (1-q^2)^2 / (q^2 (ln q)^2),
 
-    so that it reduces to 4 K_nu(2 rho) as q -> 1.  Each row of a 2-d rho
-    stops its log series on its own and comes out bit for bit as a call with
-    that row alone.
+    so that it reduces to 4 K_nu(2 rho) as q -> 1.  Each stopping group
+    (``sizes`` of the flattened rho; by default the rows of a 2-d rho) stops
+    its log series on its own and comes out bit for bit as a call with that
+    group alone.
     """
     q_dd = _dd.dd(q)
     lnq = _dd.log(q_dd)
@@ -156,7 +168,7 @@ def _q_bracket_dd(rho, nu: int, q: float, log_term_offset: int,
     def tables(count):
         return _qnum_dd_table(q, count), _psi_q2_table(q, count, control)
 
-    return _log_series_dd(rho, nu, tables, c1, c2, lnq, log_term_offset, control)
+    return _log_series_dd(rho, nu, tables, c1, c2, lnq, log_term_offset, control, sizes)
 
 
 def q_measure(rho: float, nu: int, q, log_term_offset: int = -1,
@@ -166,7 +178,8 @@ def q_measure(rho: float, nu: int, q, log_term_offset: int = -1,
     ``log_term_offset`` is the constant c in the (2l + nu + c) ln(q)/2 term
     of the log series; the default c = -1 is the value under which the
     moment relations hold (c = -3 makes them diverge; kept available for the
-    regression tests).
+    regression tests).  Raises :class:`SeriesConvergenceError` where the
+    roundoff floor exceeds NOISE_BUDGET of the value.
     """
     if not rho > 0:
         raise DomainError("q_measure requires rho > 0")
@@ -180,7 +193,7 @@ def q_measure(rho: float, nu: int, q, log_term_offset: int = -1,
     bracket, noise = _q_bracket_dd(rho, int(nu), qv, log_term_offset, control)
     i_val = float(_bessel_i_series(int(nu), rho, QParam(qv), control))
     out = 0.5 * i_val * float(_dd.to_float(bracket))
-    if not float(noise) * 0.5 * i_val < 0.03 * max(abs(out), 1e-300):
+    if not float(noise) * 0.5 * i_val < NOISE_BUDGET * max(abs(out), 1e-300):
         raise SeriesConvergenceError("q_measure",
                                      f"cancellation floor at rho={rho}, q={qv}")
     return out
@@ -254,8 +267,10 @@ def _panel_edges(lower: float, upper: float, width: float) -> np.ndarray:
     return np.asarray(edges)
 
 
-def _gl_grid(edges: np.ndarray, nodes: int):
-    x0, w0 = np.polynomial.legendre.leggauss(nodes)
+def _gl_grid(edges: np.ndarray, rule):
+    """Gauss-Legendre nodes and weights on the panels between the edges;
+    ``rule`` is a ``leggauss`` (nodes, weights) pair or the node count."""
+    x0, w0 = np.polynomial.legendre.leggauss(rule) if np.ndim(rule) == 0 else rule
     a = edges[:-1][:, None]
     b = edges[1:][:, None]
     x = ((b - a) * x0[None, :] / 2.0 + (a + b) / 2.0).ravel()
@@ -263,20 +278,24 @@ def _gl_grid(edges: np.ndarray, nodes: int):
     return x, w
 
 
-def _q_outer_panels(r: float, k: float, nu: int, qp: QParam, log_term_offset: int,
-                    nodes: int, control: SeriesControl):
-    """Yield (x, w, base, noise) for the 2-wide panels from r up to 40 in order.
-
-    The integrand is evaluated _PANEL_BATCH panels per call (one row each),
-    lazily, so a caller that stops early leaves later batches unevaluated.
-    """
+def _q_outer_batches(r: float, rule):
+    """Yield (x, w) for the 2-wide panels from r up to 40 in order,
+    _PANEL_BATCH panels per 2-d block, one row per panel."""
+    nodes = len(rule[0])
     starts = np.arange(r, 40.0, 2.0)
     edges = np.append(starts, starts[-1:] + 2.0)
     for i in range(0, len(edges) - 1, _PANEL_BATCH):
-        x, w = _gl_grid(edges[i:i + _PANEL_BATCH + 1], nodes)
-        x, w = x.reshape(-1, nodes), w.reshape(-1, nodes)
-        base, noise = _base_integrand_q(x, k, nu, qp, log_term_offset, control)
-        yield from zip(x, w, base, noise)
+        x, w = _gl_grid(edges[i:i + _PANEL_BATCH + 1], rule)
+        yield x.reshape(-1, nodes), w.reshape(-1, nodes)
+
+
+def _q_outer_panels(first, batches, integrand):
+    """Yield (x, w, base, noise) per outer panel in order: ``first`` holds the
+    first batch's blocks, already evaluated; each later (x, w) batch is
+    evaluated by ``integrand`` only once the caller reaches it."""
+    yield from zip(*first)
+    for x, w in batches:
+        yield from zip(x, w, *integrand(x))
 
 
 def _k_asymptotic(nu: int, two_rho: np.ndarray, terms: int = 6):
@@ -305,12 +324,29 @@ def _base_integrand_classical(rho: np.ndarray, k: float, nu: int,
 
 
 def _base_integrand_q(rho: np.ndarray, k: float, nu: int, qp: QParam,
-                      log_term_offset: int, control: SeriesControl):
-    """2 rho g_q(rho^2) N(rho^2)^2 on the grid, with its noise floor; the
-    bracket's log series stops per row of a 2-d rho (one row per panel)."""
-    bracket, b_noise = _q_bracket_dd(rho, nu, qp.value, log_term_offset, control)
-    i_val = _bessel_i_series(nu, rho, qp, control)
-    norm = normalization_series(rho, k, DeformationMap.q_deformed(qp), control)
+                      log_term_offset: int, control: SeriesControl, shapes=None):
+    """2 rho g_q(rho^2) N(rho^2)^2 on the grid, with its noise floor.
+
+    With ``shapes``, rho is the flattened concatenation of pieces of those
+    shapes and the results are flat.  I_nu and N stop on all nodes of a piece
+    jointly; the bracket's log series stops per group, a 1-d piece being one
+    and each row of a 2-d piece (one panel) one, in a single call for all
+    pieces.  Every value is bit for bit what a call per piece gives.
+    """
+    rho = np.asarray(rho, dtype=float)
+    pieces, sizes, at = [], [], 0
+    for shape in [rho.shape] if shapes is None else shapes:
+        n = math.prod(shape)
+        pieces.append(rho.ravel()[at:at + n].reshape(shape))
+        sizes += [shape[1]] * shape[0] if len(shape) == 2 else [n]
+        at += n
+    bracket, b_noise = _q_bracket_dd(rho, nu, qp.value, log_term_offset, control,
+                                     sizes)
+    deformation = DeformationMap.q_deformed(qp)
+    i_val = np.concatenate([_bessel_i_series(nu, piece, qp, control).ravel()
+                            for piece in pieces]).reshape(rho.shape)
+    norm = np.concatenate([normalization_series(piece, k, deformation, control).ravel()
+                           for piece in pieces]).reshape(rho.shape)
     # the general-f normalization sum is [nu]_q!/Gamma(2k) times the q-state
     # one; the moment targets [n]![n+nu]! presume the q-state convention, so
     # rescale the shared series accordingly
@@ -345,16 +381,17 @@ def moment_check(n_max: int, k: float, mode, quad: Optional[QuadratureSpec] = No
         qp = mode if isinstance(mode, QParam) else QParam(float(mode))
 
     powers = np.arange(n_max + 1)
+    rule = np.polynomial.legendre.leggauss(quad.nodes_per_panel)
 
     if classical:
         upper = quad.upper if quad.upper is not None else 12.0
         edges = _panel_edges(quad.lower, upper, quad.panel_width)
-        x, w = _gl_grid(edges, quad.nodes_per_panel)
+        x, w = _gl_grid(edges, rule)
         base, noise = _base_integrand_classical(x, k, nu, control)
         lhs = np.array([float(np.dot(w, base * x ** (2 * n))) for n in powers])
         # restore the tail with the large-argument K form on [R, R+40]
         tail_edges = np.arange(upper, upper + 40.0 + 1e-9, 2.0)
-        tx, tw = _gl_grid(tail_edges, quad.nodes_per_panel)
+        tx, tw = _gl_grid(tail_edges, rule)
         k_asym, k_resid = _k_asymptotic(nu, 2.0 * tx)
         i_tail = _bessel_i_series(nu, tx, CLASSICAL, control)
         norm_tail = normalization_series(tx, k, DeformationMap.classical(), control)
@@ -372,12 +409,19 @@ def moment_check(n_max: int, k: float, mode, quad: Optional[QuadratureSpec] = No
         # grow the cutoff until the n_max panel contribution is negligible or
         # the compensated-arithmetic noise floor is reached
         lhs = np.zeros(n_max + 1)
-        noise_tally = 0.0
         upper = quad.upper
         r_lo, r_hi = quad.lower, 6.0 if upper is None else upper
-        edges = _panel_edges(r_lo, r_hi, quad.panel_width)
-        x, w = _gl_grid(edges, quad.nodes_per_panel)
-        base, noise = _base_integrand_q(x, k, nu, qp, log_term_offset, control)
+        x, w = _gl_grid(_panel_edges(r_lo, r_hi, quad.panel_width), rule)
+        # the adaptive loop always reaches the first outer batch: evaluate it
+        # with the grid in one integrand call, and later batches on demand
+        batches = _q_outer_batches(r_hi, rule) if upper is None else iter(())
+        first = next(batches, None)
+        pieces = [x] if first is None else [x, first[0]]
+        base, noise = _base_integrand_q(np.concatenate([p.ravel() for p in pieces]), k, nu,
+                                        qp, log_term_offset, control,
+                                        [p.shape for p in pieces])
+        base, first_base = base[:len(x)], base[len(x):]
+        noise, first_noise = noise[:len(x)], noise[len(x):]
         for n in powers:
             lhs[n] = float(np.dot(w, base * x ** (2 * n)))
         noise_tally = float(np.dot(np.abs(w), noise * x ** (2 * n_max)))
@@ -387,8 +431,11 @@ def moment_check(n_max: int, k: float, mode, quad: Optional[QuadratureSpec] = No
             r = r_hi
             quiet = 0
             prev_contrib = math.inf
-            for x, w, base, noise in _q_outer_panels(r, k, nu, qp, log_term_offset,
-                                                     quad.nodes_per_panel, control):
+            shape = first[0].shape
+            panels = _q_outer_panels(
+                (*first, first_base.reshape(shape), first_noise.reshape(shape)), batches,
+                lambda x: _base_integrand_q(x, k, nu, qp, log_term_offset, control))
+            for x, w, base, noise in panels:
                 node_count += len(x)
                 contrib = float(np.dot(w, base * x ** (2 * n_max)))
                 panel_noise = float(np.dot(np.abs(w), noise * x ** (2 * n_max)))

@@ -45,6 +45,7 @@ __all__ = [
     "q_digamma",
     "bessel_i_q",
     "bessel_k",
+    "NOISE_BUDGET",
 ]
 
 
@@ -68,6 +69,10 @@ class SeriesControl:
 
 
 DEFAULT_CONTROL = SeriesControl()
+
+# largest relative roundoff floor a cancelling dd series result may carry
+# (bessel_k, q_measure); past it they raise instead of returning the value
+NOISE_BUDGET = 1e-10
 
 
 class QParam:
@@ -330,16 +335,20 @@ def q_digamma(z: float, q, control: SeriesControl = DEFAULT_CONTROL) -> float:
 # modified Bessel functions
 # --------------------------------------------------------------------------
 
-def _bessel_i_series(m: int, z, q, control: SeriesControl = DEFAULT_CONTROL):
+def _bessel_i_series(m, z, q, control: SeriesControl = DEFAULT_CONTROL):
     """sum_n z^{m+2n} / ([n]! [m+n]!)  (classical factorials for the classical
-    tag).  Vectorised over z (>= 0); all terms positive."""
+    tag).  Vectorised over z (>= 0); all terms positive.  The deformed series
+    takes any real order m >= 0 ([m]_q! by continuation), the classical one
+    integer orders."""
     z = np.asarray(z, dtype=float)
     classical = isinstance(q, QParam) and q.is_classical
     if not classical:
         qv = _series_value(q, where="bessel_i_q")
-    if m < 0 or m != int(m):
-        raise DomainError(f"bessel index must be a nonnegative integer, got {m!r}")
-    m = int(m)
+    if not m >= 0 or (classical and m != int(m)):
+        raise DomainError("bessel index must be a nonnegative "
+                          f"{'integer' if classical else 'number'}, got {m!r}")
+    if m == int(m):
+        m = int(m)
     with np.errstate(divide="ignore"):
         term = np.where(z > 0, z ** m, 1.0 if m == 0 else 0.0) / (
             math.factorial(m) if classical else q_factorial(m, qv))
@@ -371,7 +380,7 @@ def bessel_i_q(m: int, two_z: float, q, control: SeriesControl = DEFAULT_CONTROL
 
 
 def _log_series_dd(rho, nu: int, tables, c1, c2, lnq, log_term_offset: int,
-                   control: SeriesControl):
+                   control: SeriesControl, sizes=None, exact_divisors: bool = False):
     """The ascending log series of K_nu and of the q-measure bracket, in dd.
 
     Vectorised over rho > 0; returns ``(value_dd, noise)``, both shaped like
@@ -388,16 +397,22 @@ def _log_series_dd(rho, nu: int, tables, c1, c2, lnq, log_term_offset: int,
     with c1, c2 and ln q given as dd constants and ``tables(count)`` returning
     dd lists of the numbers [m], m = 0..count-1, and of psi(m), m = 1..count
     (integers and the digamma function for K_nu, q-numbers and psi_{q^2} for
-    the bracket).
+    the bracket).  With ``exact_divisors`` the numbers are integers and each
+    term is divided by the double l(l+nu), exact for them, instead of by the
+    dd product [l][l+nu].
 
-    The log series stops per group of nodes: each row of a 2-d rho is a
-    group, a 0-d or 1-d rho is one.  A group stops at the first l > 4 where
-    every one of its nodes meets the roundoff test, so each row comes out
-    bit for bit as it would from a call with that row alone.
+    The log series stops per group of nodes.  ``sizes`` splits the flattened
+    rho into consecutive groups of those sizes; by default each row of a 2-d
+    rho is a group, and a 0-d or 1-d rho is one.  A group stops at the first
+    l > 4 where every one of its nodes meets the roundoff test, so each group
+    comes out bit for bit as it would from a call with that group alone.
     """
     rho = np.asarray(rho, dtype=float)
     shape = rho.shape
-    rho = rho.reshape(-1, shape[-1]) if rho.ndim > 1 else rho.reshape(1, -1)
+    if sizes is None:
+        sizes = [shape[-1]] * (rho.size // shape[-1]) if rho.ndim > 1 else [rho.size]
+    sizes = np.asarray(sizes, dtype=np.intp)
+    rho = rho.ravel()
     rho_dd = (rho, np.zeros_like(rho))
 
     psi_needed = 64
@@ -421,12 +436,14 @@ def _log_series_dd(rho, nu: int, tables, c1, c2, lnq, log_term_offset: int,
     fact_nu = _dd.dd(1.0)
     for m in range(1, nu + 1):
         fact_nu = _dd.mul(fact_nu, qnum[m])
-    # the working arrays (suffix _w) hold the rows still summing; a row that
-    # stops moves its sums into s_a, s_b, max_opmag and leaves them
+    # the working arrays (suffix _w) hold the groups still summing, `where`
+    # their nodes' positions; a group that stops moves its sums into s_a,
+    # s_b, max_opmag and leaves them
     s_a = (np.empty_like(rho), np.empty_like(rho))
     s_b = (np.empty_like(rho), np.empty_like(rho))
     max_opmag = np.empty_like(rho)
-    rows = np.arange(rho.shape[0])
+    where = np.arange(rho.size)
+    starts = np.cumsum(sizes) - sizes
     t = _dd.div(_dd.pow_int(rho_dd, nu), fact_nu)
     rho2 = _dd.sqr(rho_dd)
     lnrho_w = np.abs(lnrho[0])
@@ -447,19 +464,25 @@ def _log_series_dd(rho, nu: int, tables, c1, c2, lnq, log_term_offset: int,
         l += 1
         if l >= control.max_terms:
             raise SeriesConvergenceError("ascending log series", f"nu={nu}")
-        t = _dd.div(_dd.mul(t, rho2), _dd.mul(qnum[l], qnum[l + nu]))
+        if exact_divisors:
+            t = _dd.div_d(_dd.mul(t, rho2), float(l * (l + nu)))
+        else:
+            t = _dd.div(_dd.mul(t, rho2), _dd.mul(qnum[l], qnum[l + nu]))
         if l > 4:
-            done = np.all(t[0] * (lnrho_w + abs(_dd.to_float(w)) + 1.0) <= 1e-34 * max_w,
-                          axis=1)
+            met = t[0] * (lnrho_w + abs(_dd.to_float(w)) + 1.0) <= 1e-34 * max_w
+            done = np.logical_and.reduceat(met, starts)
             if done.any():
-                finished = rows[done]
-                s_a[0][finished], s_a[1][finished] = s_a_w[0][done], s_a_w[1][done]
-                s_b[0][finished], s_b[1][finished] = s_b_w[0][done], s_b_w[1][done]
-                max_opmag[finished] = max_w[done]
+                leaving = np.repeat(done, sizes)
+                finished = where[leaving]
+                s_a[0][finished], s_a[1][finished] = s_a_w[0][leaving], s_a_w[1][leaving]
+                s_b[0][finished], s_b[1][finished] = s_b_w[0][leaving], s_b_w[1][leaving]
+                max_opmag[finished] = max_w[leaving]
                 if done.all():
                     break
-                keep = ~done
-                rows = rows[keep]
+                keep = ~leaving
+                where = where[keep]
+                sizes = sizes[~done]
+                starts = np.cumsum(sizes) - sizes
                 t, rho2, s_a_w, s_b_w = (tuple(part[keep] for part in v)
                                          for v in (t, rho2, s_a_w, s_b_w))
                 lnrho_w, max_w = lnrho_w[keep], max_w[keep]
@@ -496,7 +519,7 @@ def _bessel_k_dd(nu: int, two_rho, control: SeriesControl = DEFAULT_CONTROL):
     if np.any(rho <= 0.0):
         raise DomainError("bessel_k requires rho > 0")
     return _log_series_dd(rho, int(nu), _integer_tables, _dd.dd(0.5), _dd.dd(1.0),
-                          _dd.dd(0.0), 0, control)
+                          _dd.dd(0.0), 0, control, exact_divisors=True)
 
 
 def bessel_k(nu: int, two_rho: float, control: SeriesControl = DEFAULT_CONTROL) -> float:
@@ -504,11 +527,12 @@ def bessel_k(nu: int, two_rho: float, control: SeriesControl = DEFAULT_CONTROL) 
 
     Evaluated from the two-part ascending series (finite sum plus log series).
     Raises :class:`SeriesConvergenceError` once the e^{4 rho} cancellation
-    exhausts even compensated precision (rho beyond roughly 18).
+    leaves a roundoff floor above NOISE_BUDGET of the value (2 rho beyond
+    roughly 24).
     """
     value, noise = _bessel_k_dd(nu, two_rho, control)
     out = float(_dd.to_float(value))
-    if not float(noise) < 0.03 * abs(out):
+    if not float(noise) < NOISE_BUDGET * abs(out):
         raise SeriesConvergenceError(
             "bessel_k",
             f"cancellation floor reached at 2rho={two_rho} (noise {float(noise):.2e})",

@@ -356,6 +356,27 @@ class TestNormSeries:
         assert M.norm_before_truncation / scale == pytest.approx(
             bp.norm_series(t, 0.9), rel=1e-12)
 
+    @pytest.mark.parametrize("k2", [0.75, 1.25])
+    @pytest.mark.parametrize("q", [0.6, 0.9])
+    def test_non_integer_order_against_double_sum(self, q, k2):
+        # a non-integer k2 gives a real q-Bessel order 2 k2 - 1
+        p = bp.BipartiteParams(0.3, 0.5, 1.0, k2, QParam(q))
+        M = bp.build_q_bipartite(p, bp.BoundarySequence.geometric(0.9), 60, 60)
+        double_sum = M.norm_before_truncation / (q_factorial(1, p.q)
+                                                 * q_factorial(2 * k2 - 1, p.q))
+        assert bp.norm_series(p, 0.9) == pytest.approx(double_sum, rel=1e-10)
+
+    @pytest.mark.parametrize("k1", [0.75, 1.25])
+    def test_non_integer_order_through_crossing(self, k1):
+        # for q > 1 the mirror swaps the nodes: the user's k1 becomes the
+        # mirror's q-Bessel order
+        p = bp.BipartiteParams(0.5, 0.3, k1, 1.0, QParam.for_crossing(1.1))
+        M = bp.build_q_bipartite(p, bp.BoundarySequence.geometric(0.9), 60, 60)
+        t = p.swapped_inverse_q()
+        double_sum = M.norm_before_truncation / (q_factorial(2 * t.k1 - 1, t.q)
+                                                 * q_factorial(2 * t.k2 - 1, t.q))
+        assert bp.norm_series(t, 0.9) == pytest.approx(double_sum, rel=1e-10)
+
     def test_q_to_one_matches_classical_product(self):
         # N -> N1 N2 with N_i = |alpha_i|^{k_i - 1/2} / sqrt(I_{2k_i-1}(2|alpha_i|))
         a1, a2, k1, k2 = 0.3, 0.5, 1.0, 1.0

@@ -76,6 +76,17 @@ class TestStateBipartite:
         assert bp.eigen_residual(M) == pytest.approx(stored["residual_interior"],
                                                      abs=1e-12)
 
+    @pytest.mark.parametrize("argv", [
+        ["q=0.9", "a1=0.3", "a2=0.5", "k1=1", "k2=0.75"],
+        ["q=1.1", "a1=0.3", "a2=0.5", "k1=0.75", "k2=1"]])
+    def test_non_integer_k_checks_its_norm(self, argv, tmp_path):
+        # the norm series takes real q-Bessel orders: a non-integer k2 (or,
+        # through the q > 1 mirror, k1) is checked like any other
+        out = tmp_path / "n.json"
+        assert run_cli(["state-bipartite", *argv, "N=30", f"out={out}"]) == 0
+        data = json.loads(out.read_text())
+        assert data["norm_rel_err"] <= 1e-10
+
     def test_csv_state_is_coefficient_table(self, tmp_path):
         out = tmp_path / "s.csv"
         args = ["state-bipartite", "q=0.9", "a1=0.3", "a2=0.5", "k1=1", "k2=1",

@@ -75,3 +75,13 @@ def test_vectorised_matches_scalar():
     for i in range(3):
         s = _dd.mul(_dd.dd(float(xs[i])), _dd.dd(float(ys[i])))
         assert v[0][i] == s[0] and v[1][i] == s[1]
+
+
+@pytest.mark.parametrize("x", [0.5, 0.9, 1.0 / 0.93, (0.96, 1.3e-18)])
+def test_pow_ints_matches_pow_int(x):
+    # the array powering forms, per element, the products pow_int forms
+    a = _dd.dd(x) if isinstance(x, float) else x
+    exps = np.arange(1, 301)
+    hi, lo = _dd.pow_ints(a, exps)
+    for m, h, l in zip(exps, hi, lo):
+        assert (h, l) == _dd.pow_int(a, int(m))

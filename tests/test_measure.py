@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from bgstates import _dd
 from bgstates import measure as me
 from bgstates import qspecial as qs
-from bgstates.errors import DomainError
+from bgstates.errors import DomainError, SeriesConvergenceError
 from bgstates.qspecial import CLASSICAL, DEFAULT_CONTROL, QParam
 
 
@@ -54,6 +55,12 @@ class TestQMeasure:
     def test_positive_on_moderate_grid(self):
         for rho in np.linspace(0.1, 4.0, 12):
             assert me.q_measure(float(rho), 1, 0.9) > 0
+
+    def test_noise_past_the_budget_raises(self):
+        # at rho = 13 the bracket's roundoff floor is 1.1e-9 of the value
+        assert me.q_measure(12.0, 1, 0.9) > 0
+        with pytest.raises(SeriesConvergenceError):
+            me.q_measure(13.0, 1, 0.9)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -249,3 +256,96 @@ class TestBatchedPanels:
         assert report.node_count == node_count
         assert report.tail_estimate == tail_estimate
         assert report.tail_bound_residual == residual
+
+
+class TestRaggedGroups:
+    """The adaptive q-mode loop evaluates the [lower, 6] grid and the first
+    batch of outer panels in one bracket call with ragged stopping groups;
+    each group must come out bit for bit as a call with that group alone."""
+
+    @staticmethod
+    def _grid_and_panels():
+        quad = me.QuadratureSpec()
+        grid, _ = me._gl_grid(me._panel_edges(quad.lower, 6.0, quad.panel_width), 16)
+        panels, _ = me._gl_grid(np.arange(6.0, 23.0, 2.0), 16)
+        return grid, panels.reshape(8, 16)
+
+    @pytest.mark.parametrize("q", [0.83, 0.9, 0.96])
+    @pytest.mark.parametrize("nu", [0, 1, 3])
+    def test_ragged_call_matches_per_group_calls(self, nu, q):
+        grid, panels = self._grid_and_panels()
+        assert len(grid) == 592
+        flat = np.concatenate([grid, panels.ravel()])
+        value, noise = me._q_bracket_dd(flat, nu, q, -1, DEFAULT_CONTROL,
+                                        sizes=[592] + [16] * 8)
+        groups = [grid, *panels]
+        bounds = np.cumsum([0] + [len(g) for g in groups])
+        for group, lo, hi in zip(groups, bounds[:-1], bounds[1:]):
+            one, one_noise = me._q_bracket_dd(group, nu, q, -1, DEFAULT_CONTROL)
+            assert np.array_equal(value[0][lo:hi], one[0])
+            assert np.array_equal(value[1][lo:hi], one[1])
+            assert np.array_equal(noise[lo:hi], one_noise)
+
+    def test_integrand_pieces_match_per_piece_calls(self):
+        # I_nu and N stop jointly per piece, so the merged integrand call
+        # evaluates them per piece and only the bracket across pieces
+        grid, panels = self._grid_and_panels()
+        qp = QParam(0.9)
+        flat = np.concatenate([grid, panels.ravel()])
+        base, noise = me._base_integrand_q(flat, 1.5, 2, qp, -1, DEFAULT_CONTROL,
+                                           [grid.shape, panels.shape])
+        g_base, g_noise = me._base_integrand_q(grid, 1.5, 2, qp, -1, DEFAULT_CONTROL)
+        p_base, p_noise = me._base_integrand_q(panels, 1.5, 2, qp, -1, DEFAULT_CONTROL)
+        assert np.array_equal(base, np.concatenate([g_base, p_base.ravel()]))
+        assert np.array_equal(noise, np.concatenate([g_noise, p_noise.ravel()]))
+
+
+def _scalar_qnum_table(q, count):
+    """The q-number table as the scalar loop forms it, one m at a time."""
+    q_dd = _dd.dd(q)
+    denom = _dd.sub(q_dd, _dd.recip(q_dd))
+    out = [_dd.dd(0.0), _dd.dd(1.0)]
+    for m in range(2, count):
+        num = _dd.sub(_dd.pow_int(q_dd, m), _dd.pow_int(q_dd, -m))
+        out.append(_dd.div(num, denom))
+    return out
+
+
+def _scalar_psi_extension(psi1, q, count):
+    """psi_{q^2}(m), m = 1..count, from psi_{q^2}(1) by the scalar recurrence."""
+    big_q = _dd.sqr(_dd.dd(q))
+    ln_big_q = _dd.log(big_q)
+    out, qm = [psi1], big_q
+    while len(out) < count:
+        step = _dd.div(_dd.mul(ln_big_q, qm), _dd.sub(_dd.dd(1.0), qm))
+        out.append(_dd.sub(out[-1], step))
+        qm = _dd.mul(qm, big_q)
+    return out
+
+
+class TestVectorisedTables:
+    """The q-number and psi_{q^2} tables extend in array passes with the
+    operations of the scalar loops, staged or in one go."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_tables(self):
+        me._QNUM_CACHE.clear()
+        me._PSI_CACHE.clear()
+        yield
+        me._QNUM_CACHE.clear()
+        me._PSI_CACHE.clear()
+
+    @pytest.mark.parametrize("q", [0.5, 0.83, 0.96, 0.999])
+    @pytest.mark.parametrize("stages", [(300,), (70, 300)])
+    def test_qnum_table_matches_scalar_loop(self, stages, q):
+        for count in stages:
+            table = me._qnum_dd_table(q, count)
+        assert table == _scalar_qnum_table(q, 300)
+
+    @pytest.mark.parametrize("q", [0.5, 0.83, 0.96, 0.999])
+    @pytest.mark.parametrize("stages", [(300,), (70, 300)])
+    def test_psi_table_matches_scalar_recurrence(self, stages, q):
+        psi1 = me._psi_q2_table(q, 1, DEFAULT_CONTROL)[0]
+        for count in stages:
+            table = me._psi_q2_table(q, count, DEFAULT_CONTROL)
+        assert table == _scalar_psi_extension(psi1, q, 300)

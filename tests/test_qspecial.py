@@ -8,6 +8,7 @@ integral representation) and then frozen.
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -342,3 +343,41 @@ def test_series_control_max_terms_signal():
     tight = qs.SeriesControl(rel_tol=1e-30, max_terms=3)
     with pytest.raises(SeriesConvergenceError):
         qs.q_pochhammer(0.9, 0.99, None, tight)
+
+
+class TestNoiseBudget:
+    @pytest.mark.parametrize("nu,two_rho", [(5, 33.0), (7, 33.5)])
+    def test_bessel_k_refuses_percent_level_noise(self, nu, two_rho):
+        # these carry a roundoff floor of 2.0 % and 2.7 % of the value and
+        # are 0.15 % off mpmath: far past the budget
+        with pytest.raises(SeriesConvergenceError):
+            qs.bessel_k(nu, two_rho)
+
+    @pytest.mark.parametrize("nu", [0, 1, 4, 8])
+    @pytest.mark.parametrize("two_rho", [0.5, 6.0, 20.0])
+    def test_accepted_range_is_far_inside_the_budget(self, nu, two_rho):
+        value, noise = qs._bessel_k_dd(nu, two_rho)
+        assert float(noise) <= 0.01 * qs.NOISE_BUDGET * abs(float(value[0]))
+        assert qs.bessel_k(nu, two_rho) == float(value[0] + value[1])
+
+
+class TestBesselIRealOrder:
+    @pytest.mark.parametrize("m", [0.5, 1.5, 2.25])
+    def test_real_order_is_the_defining_sum(self, m):
+        q = 0.85
+        z = 0.7
+        want = math.fsum(z ** (m + 2 * n) / (qs.q_factorial(n, q) * qs.q_factorial(m + n, q))
+                         for n in range(60))
+        assert qs.bessel_i_q(m, 2 * z, qs.QParam(q)) == pytest.approx(want, rel=1e-12)
+
+    def test_integer_valued_float_order_takes_the_integer_path(self):
+        z = np.linspace(0.1, 3.0, 7)
+        a = qs._bessel_i_series(2, z, qs.QParam(0.9))
+        b = qs._bessel_i_series(2.0, z, qs.QParam(0.9))
+        assert np.array_equal(a, b)
+
+    def test_classical_order_stays_integer(self):
+        with pytest.raises(DomainError):
+            qs.bessel_i_q(0.5, 1.0, qs.CLASSICAL)
+        with pytest.raises(DomainError):
+            qs.bessel_i_q(-0.5, 1.0, qs.QParam(0.9))
