@@ -22,6 +22,7 @@ substitution (swap the nodes, invert q, transpose).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -31,8 +32,8 @@ import numpy as np
 from .costate import build_f_coherent, single_node_profile
 from .errors import DomainError, ShapeError, TruncationError
 from .qspecial import (CLASSICAL, DEFAULT_CONTROL, QParam, SeriesControl,
-                       _bessel_i_series, q_factorial, q_number, q_binomial,
-                       q_pochhammer)
+                       _bessel_i_series, _sum_series, q_factorial, q_number,
+                       q_binomial, q_pochhammer)
 from .repalg import BipartiteOperator, DeformationMap, apply_coproduct, check_bargmann
 
 __all__ = [
@@ -335,7 +336,7 @@ def build_q_bipartite(params: BipartiteParams, boundary: BoundarySequence,
                            norm_before_truncation=total)
 
 
-def norm_series(params: BipartiteParams, delta: float, terms: Optional[int] = None,
+def norm_series(params: BipartiteParams, delta: float,
                 control: SeriesControl = DEFAULT_CONTROL) -> float:
     """The squared inverse norm of the unnormalized geometric-boundary state
     as a single-index series:
@@ -348,35 +349,28 @@ def norm_series(params: BipartiteParams, delta: float, terms: Optional[int] = No
     """
     q = _q_value_for_series(params)
     qp = params.q
-    max_terms = terms if terms is not None else control.max_terms
     k1, k2 = params.k1, params.k2
     nu2 = 2 * k2 - 1
     z2 = abs(delta * params.alpha2)
     alpha_sq = abs(params.alpha) ** 2
     eta = params.eta
-    total = 0.0
-    # ratio-managed pieces: w_n = |alpha|^{2n}/([n]![n+2k1-1]!), poch_n = (delta eta; q^2)_n
-    w = 1.0 / q_factorial(2 * k1 - 1, qp)
-    poch = 1.0 + 0j
-    below = 0
-    for n in range(max_terms):
-        if z2 == 0.0:
-            # alpha2 = 0 limit: z^{-nu} I^{(q)}_nu(2 q^n z) -> q^{n nu} / [nu]_q!
-            bessel_part = q ** (n * nu2) / q_factorial(nu2, qp)
-        else:
-            bessel_part = z2 ** -nu2 * float(
-                _bessel_i_series(nu2, q ** n * z2, qp, control))
-        term = q ** n * bessel_part * abs(poch) ** 2 * w
-        total += term
-        if term <= control.rel_tol * total:
-            below += 1
-            if below >= 2:
-                return total
-        else:
-            below = 0
-        poch *= 1.0 - delta * eta * q ** (2 * n)
-        w *= alpha_sq / (q_number(n + 1, qp) * q_number(n + 2 * k1, qp))
-    raise TruncationError("norm series did not converge within the term budget")
+
+    def terms():
+        # ratio-managed pieces: w_n = |alpha|^{2n}/([n]![n+2k1-1]!), poch_n = (delta eta; q^2)_n
+        w = 1.0 / q_factorial(2 * k1 - 1, qp)
+        poch = 1.0 + 0j
+        for n in itertools.count():
+            if z2 == 0.0:
+                # alpha2 = 0 limit: z^{-nu} I^{(q)}_nu(2 q^n z) -> q^{n nu} / [nu]_q!
+                bessel_part = q ** (n * nu2) / q_factorial(nu2, qp)
+            else:
+                bessel_part = z2 ** -nu2 * float(
+                    _bessel_i_series(nu2, q ** n * z2, qp, control))
+            yield q ** n * bessel_part * abs(poch) ** 2 * w
+            poch *= 1.0 - delta * eta * q ** (2 * n)
+            w *= alpha_sq / (q_number(n + 1, qp) * q_number(n + 2 * k1, qp))
+
+    return _sum_series(terms(), control, "norm series", f"max_terms={control.max_terms}")
 
 
 def crossing_transform(params: BipartiteParams, boundary: BoundarySequence):

@@ -21,10 +21,10 @@ failure (the diagnostic names the failing series).
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import io
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -55,7 +55,7 @@ def _jc(z) -> list:
     return [z.real, z.imag]
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     command: str
     params: dict
@@ -116,7 +116,29 @@ def _as_q(params: dict) -> QParam:
     if params.get("q") == "classical":
         return CLASSICAL
     q = _num(params, "q")
+    if q == 1.0:
+        raise DomainError("q=1 is the undeformed algebra; pass q=classical")
     return QParam(q) if q < 1.0 else QParam.for_crossing(q)
+
+
+class _ReadKeys(dict):
+    """A copy of the run's parameters that records every key looked up."""
+
+    def __init__(self, params: dict):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
 
 
 # --------------------------------------------------------------------------
@@ -412,8 +434,15 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig) -> dict:
-    """Execute a parsed configuration and return the payload dict."""
-    return _RUNNERS[cfg.command](cfg)
+    """Execute a parsed configuration and return the payload dict.  A key the
+    subcommand never looked up is an invalid configuration."""
+    params = _ReadKeys(cfg.params)
+    payload = _RUNNERS[cfg.command](dataclasses.replace(cfg, params=params))
+    unknown = sorted(params.keys() - params.read)
+    if unknown:
+        raise DomainError(f"{cfg.command} does not use the key(s) "
+                          + ", ".join(f"{key}=" for key in unknown))
+    return payload
 
 
 def main(argv=None) -> int:

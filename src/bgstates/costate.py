@@ -19,6 +19,7 @@ normalization constant into a test surface rather than a trusted input.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, TruncationError
 from .qspecial import (CLASSICAL, DEFAULT_CONTROL, QParam, SeriesControl,
-                       _bessel_i_series, q_factorial)
+                       _bessel_i_series, _sum_series, q_factorial)
 from .repalg import DeformationMap, check_bargmann, lowering_elements
 
 __all__ = [
@@ -72,29 +73,19 @@ def normalization_series(rho, k: float, deformation: DeformationMap,
                          control: SeriesControl = DEFAULT_CONTROL):
     """The normalization sum  S(rho^2) = sum_n rho^{2n} / (([f(n+k)]!)^2 n! Gamma(n+2k)).
 
-    This is N_f^{-2} up to convergence of the infinite sum; the completeness
-    quadratures consume exactly this function so that measure checks exercise
-    the same series the state construction uses.  Vectorised over rho >= 0.
+    This is N_f^{-2} up to convergence of the infinite sum.  Vectorised over
+    rho >= 0.
     """
     k = check_bargmann(k)
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise DomainError("normalization_series requires rho >= 0")
-    term = np.full_like(rho, 1.0 / math.gamma(2 * k))
-    total = term.copy()
     rho2 = rho * rho
-    below = 0
-    for n in range(control.max_terms):
-        denom = (n + 1) * (n + 2 * k) * deformation.value(n + 1 + k, k) ** 2
-        term = term * rho2 / denom
-        total += term
-        if np.all(term <= control.rel_tol * total):
-            below += 1
-            if below >= 2:
-                return total
-        else:
-            below = 0
-    raise TruncationError("normalization series did not converge")
+    terms = itertools.accumulate(
+        itertools.count(), lambda term, n: term * rho2 / (
+            (n + 1) * (n + 2 * k) * deformation.value(n + 1 + k, k) ** 2),
+        initial=np.full_like(rho, 1.0 / math.gamma(2 * k)))
+    return _sum_series(terms, control, "normalization series", f"k={k}")
 
 
 def _check_tail(coeffs: np.ndarray, alpha: complex, e_next: float, total: float):

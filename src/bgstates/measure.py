@@ -5,16 +5,19 @@ measure g(rho^2) reproduces every moment
 
     2 int_0^inf drho rho^{2n+1} g(rho^2) N(rho^2)^2  =  n! Gamma(n+2k)
 
-classically, and [n]_q! [n+2k-1]_q! for the q-deformed states.  Both sides
-are assembled from the package's own building blocks: N^2 comes from the same
-normalization series the state constructors use, and g from the Bessel /
-q-series evaluators, so these quadratures close the loop between modules.
-
-The q-measure is
+classically, and [n]_q! [n+2k-1]_q! for the q-deformed states.  The q-measure
+is
 
     g_q(rho^2) = 1/2 I_nu^{(q)}(2 rho) * [ first sum  +  log series ],
 
-with nu = 2k-1, evaluated verbatim except for one pinned coefficient: the
+with nu = 2k-1, and classically g = 2 I_nu(2 rho) K_nu(2 rho).  In the
+convention of these targets N(rho^2)^{-2} = rho^{-nu} I_nu^{(q)}(2 rho)
+(Barut-Girardello), so the Bessel factor of g cancels against N^2 and the
+integrand is exactly rho^{nu+1} times the bracket, 4 rho^{nu+1} K_nu(2 rho)
+classically; the tests check this against q_measure, classical_measure and
+costate.normalization_series.
+
+The bracket is evaluated verbatim except for one pinned coefficient: the
 log series carries a linear-in-l term (2l + nu + c) ln(q)/2 whose
 moment-consistent value is c = -1 (the default here).  c = -3 also appears
 in print; with that choice the measure differs by a multiple of
@@ -39,12 +42,10 @@ from typing import Optional
 import numpy as np
 
 from . import _dd
-from .costate import normalization_series
 from .errors import DomainError, SeriesConvergenceError
 from .qspecial import (CLASSICAL, DEFAULT_CONTROL, NOISE_BUDGET, QParam,
                        SeriesControl, _bessel_i_series, _bessel_k_dd, _log_series_dd,
                        bessel_k, q_factorial)
-from .repalg import DeformationMap
 
 __all__ = [
     "MomentRecord",
@@ -312,48 +313,22 @@ def _k_asymptotic(nu: int, two_rho: np.ndarray, terms: int = 6):
     return pref * series, pref * a_next
 
 
-def _base_integrand_classical(rho: np.ndarray, k: float, nu: int,
-                              control: SeriesControl):
-    """2 rho g(rho^2) N(rho^2)^2 on the grid, with its noise floor."""
-    i_val = _bessel_i_series(nu, rho, CLASSICAL, control)
+def _base_integrand_classical(rho: np.ndarray, nu: int, control: SeriesControl):
+    """2 rho g(rho^2) N(rho^2)^2 = 4 rho^{nu+1} K_nu(2 rho) on the grid, with
+    its noise floor."""
     k_dd, k_noise = _bessel_k_dd(nu, 2.0 * rho, control)
-    norm = normalization_series(rho, k, DeformationMap.classical(), control)
-    base = 2.0 * rho * 2.0 * i_val * _dd.to_float(k_dd) / norm
-    noise = 2.0 * rho * 2.0 * i_val * k_noise / norm
-    return base, noise
+    scale = 4.0 * rho ** (nu + 1)
+    return scale * _dd.to_float(k_dd), scale * k_noise
 
 
-def _base_integrand_q(rho: np.ndarray, k: float, nu: int, qp: QParam,
-                      log_term_offset: int, control: SeriesControl, shapes=None):
-    """2 rho g_q(rho^2) N(rho^2)^2 on the grid, with its noise floor.
-
-    With ``shapes``, rho is the flattened concatenation of pieces of those
-    shapes and the results are flat.  I_nu and N stop on all nodes of a piece
-    jointly; the bracket's log series stops per group, a 1-d piece being one
-    and each row of a 2-d piece (one panel) one, in a single call for all
-    pieces.  Every value is bit for bit what a call per piece gives.
-    """
-    rho = np.asarray(rho, dtype=float)
-    pieces, sizes, at = [], [], 0
-    for shape in [rho.shape] if shapes is None else shapes:
-        n = math.prod(shape)
-        pieces.append(rho.ravel()[at:at + n].reshape(shape))
-        sizes += [shape[1]] * shape[0] if len(shape) == 2 else [n]
-        at += n
-    bracket, b_noise = _q_bracket_dd(rho, nu, qp.value, log_term_offset, control,
-                                     sizes)
-    deformation = DeformationMap.q_deformed(qp)
-    i_val = np.concatenate([_bessel_i_series(nu, piece, qp, control).ravel()
-                            for piece in pieces]).reshape(rho.shape)
-    norm = np.concatenate([normalization_series(piece, k, deformation, control).ravel()
-                           for piece in pieces]).reshape(rho.shape)
-    # the general-f normalization sum is [nu]_q!/Gamma(2k) times the q-state
-    # one; the moment targets [n]![n+nu]! presume the q-state convention, so
-    # rescale the shared series accordingly
-    norm = norm * (math.gamma(2.0 * k) / q_factorial(nu, qp))
-    base = 2.0 * rho * 0.5 * i_val * _dd.to_float(bracket) / norm
-    noise = 2.0 * rho * 0.5 * i_val * b_noise / norm
-    return base, noise
+def _base_integrand_q(rho: np.ndarray, nu: int, qp: QParam, log_term_offset: int,
+                      control: SeriesControl, sizes=None):
+    """2 rho g_q(rho^2) N(rho^2)^2 = rho^{nu+1} times the bracket on the grid,
+    with its noise floor; ``sizes`` are the bracket's stopping groups (see
+    :func:`qspecial._log_series_dd`)."""
+    bracket, noise = _q_bracket_dd(rho, nu, qp.value, log_term_offset, control, sizes)
+    scale = rho ** (nu + 1)
+    return scale * _dd.to_float(bracket), scale * noise
 
 
 def moment_check(n_max: int, k: float, mode, quad: Optional[QuadratureSpec] = None,
@@ -387,16 +362,15 @@ def moment_check(n_max: int, k: float, mode, quad: Optional[QuadratureSpec] = No
         upper = quad.upper if quad.upper is not None else 12.0
         edges = _panel_edges(quad.lower, upper, quad.panel_width)
         x, w = _gl_grid(edges, rule)
-        base, noise = _base_integrand_classical(x, k, nu, control)
+        base, noise = _base_integrand_classical(x, nu, control)
         lhs = np.array([float(np.dot(w, base * x ** (2 * n))) for n in powers])
         # restore the tail with the large-argument K form on [R, R+40]
         tail_edges = np.arange(upper, upper + 40.0 + 1e-9, 2.0)
         tx, tw = _gl_grid(tail_edges, rule)
         k_asym, k_resid = _k_asymptotic(nu, 2.0 * tx)
-        i_tail = _bessel_i_series(nu, tx, CLASSICAL, control)
-        norm_tail = normalization_series(tx, k, DeformationMap.classical(), control)
-        tail_base = 2.0 * tx * 2.0 * i_tail * k_asym / norm_tail
-        resid_base = 2.0 * tx * 2.0 * i_tail * k_resid / norm_tail
+        scale = 4.0 * tx ** (nu + 1)
+        tail_base = scale * k_asym
+        resid_base = scale * k_resid
         tails = np.array([float(np.dot(tw, tail_base * tx ** (2 * n))) for n in powers])
         resids = np.array([float(np.dot(tw, resid_base * tx ** (2 * n))) for n in powers])
         lhs = lhs + tails
@@ -416,10 +390,9 @@ def moment_check(n_max: int, k: float, mode, quad: Optional[QuadratureSpec] = No
         # with the grid in one integrand call, and later batches on demand
         batches = _q_outer_batches(r_hi, rule) if upper is None else iter(())
         first = next(batches, None)
-        pieces = [x] if first is None else [x, first[0]]
-        base, noise = _base_integrand_q(np.concatenate([p.ravel() for p in pieces]), k, nu,
-                                        qp, log_term_offset, control,
-                                        [p.shape for p in pieces])
+        rows = () if first is None else first[0]
+        base, noise = _base_integrand_q(np.concatenate([x, *rows]), nu, qp, log_term_offset,
+                                        control, [len(x)] + [len(row) for row in rows])
         base, first_base = base[:len(x)], base[len(x):]
         noise, first_noise = noise[:len(x)], noise[len(x):]
         for n in powers:
@@ -434,7 +407,7 @@ def moment_check(n_max: int, k: float, mode, quad: Optional[QuadratureSpec] = No
             shape = first[0].shape
             panels = _q_outer_panels(
                 (*first, first_base.reshape(shape), first_noise.reshape(shape)), batches,
-                lambda x: _base_integrand_q(x, k, nu, qp, log_term_offset, control))
+                lambda x: _base_integrand_q(x, nu, qp, log_term_offset, control))
             for x, w, base, noise in panels:
                 node_count += len(x)
                 contrib = float(np.dot(w, base * x ** (2 * n_max)))

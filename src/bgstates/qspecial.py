@@ -23,6 +23,7 @@ gives the bracket of the q-measure (:mod:`.measure`).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,6 +70,27 @@ class SeriesControl:
 
 
 DEFAULT_CONTROL = SeriesControl()
+
+
+def _sum_series(terms, control: SeriesControl, what: str, detail: str):
+    """Sum the nonnegative ``terms`` (floats, or arrays over nodes) in order.
+
+    Stops once two consecutive terms are at most ``control.rel_tol`` times the
+    partial sum on every node; raises :class:`SeriesConvergenceError` naming
+    ``what`` when ``control.max_terms`` terms do not get there.
+    """
+    total = None
+    below = 0
+    for term in itertools.islice(terms, control.max_terms):
+        total = term if total is None else total + term
+        if np.all(term <= control.rel_tol * total):
+            below += 1
+            if below >= 2:
+                return total
+        else:
+            below = 0
+    raise SeriesConvergenceError(what, detail)
+
 
 # largest relative roundoff floor a cancelling dd series result may carry
 # (bessel_k, q_measure); past it they raise instead of returning the value
@@ -350,22 +372,14 @@ def _bessel_i_series(m, z, q, control: SeriesControl = DEFAULT_CONTROL):
     if m == int(m):
         m = int(m)
     with np.errstate(divide="ignore"):
-        term = np.where(z > 0, z ** m, 1.0 if m == 0 else 0.0) / (
+        first = np.where(z > 0, z ** m, 1.0 if m == 0 else 0.0) / (
             math.factorial(m) if classical else q_factorial(m, qv))
-    total = term.copy()
     z2 = z * z
-    below = 0
-    for n in range(1, control.max_terms):
-        denom = (n * (m + n)) if classical else q_number(n, qv) * q_number(m + n, qv)
-        term = term * z2 / denom
-        total += term
-        if np.all(term <= control.rel_tol * total):
-            below += 1
-            if below >= 2:
-                return total
-        else:
-            below = 0
-    raise SeriesConvergenceError("bessel_i series", f"m={m}")
+    terms = itertools.accumulate(
+        itertools.count(1), lambda term, n: term * z2 / (
+            (n * (m + n)) if classical else q_number(n, qv) * q_number(m + n, qv)),
+        initial=first)
+    return _sum_series(terms, control, "bessel_i series", f"m={m}")
 
 
 def bessel_i_q(m: int, two_z: float, q, control: SeriesControl = DEFAULT_CONTROL) -> float:

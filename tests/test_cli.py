@@ -300,6 +300,39 @@ class TestExitCodes:
         assert str(target) in err
         assert not target.parent.exists()
 
+    # one small valid argv per subcommand, each given a key it does not use
+    UNUSED = [
+        ["state-single", "q=0.9", "alpha=0.8", "k=1", "N=20", "aplha=0.5"],
+        ["state-bipartite", "q=0.9", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "N=20",
+         "detla=0.6"],
+        ["verify-moments", "mode=classical", "k=1", "nmax=1", "q=0.9"],
+        ["sweep-q", "from=0.99", "to=0.7", "steps=2", "a1=0.3", "a2=0.5", "k1=1", "k2=1",
+         "N=20", "stesp=40"],
+        ["g-oracle", "q=0.7", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "nmax=3", "nmx=5"],
+    ]
+
+    @pytest.mark.parametrize("argv", UNUSED, ids=[argv[0] for argv in UNUSED])
+    def test_unused_key_is_2(self, argv, capsys):
+        code = run_cli(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == (f"invalid configuration: {argv[0]} does not use the key(s) "
+                       f"{argv[-1].partition('=')[0]}=\n")
+        assert out == ""
+        # without it the same argv runs, and run() leaves the caller's params as given
+        cfg = cli._parse_argv(argv[:-1])
+        params = dict(cfg.params)
+        cli.run(cfg)
+        assert cfg.params == params and type(cfg.params) is dict
+
+    @pytest.mark.parametrize("argv", [["state-single", "q=1", "alpha=0.8", "k=1", "N=20"],
+                                      ["state-bipartite", "q=1", "a1=0.3", "a2=0.5", "k1=1",
+                                       "k2=1", "N=20"]])
+    def test_q_one_points_to_classical(self, argv, capsys):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == ("invalid configuration: q=1 is the undeformed "
+                                           "algebra; pass q=classical\n")
+
 
 def test_cli_runs_without_scipy(tmp_path):
     # scipy is a test-only dependency: a CLI process must never load it

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from bgstates import _dd
+from bgstates import costate as cs
 from bgstates import measure as me
 from bgstates import qspecial as qs
 from bgstates.errors import DomainError, SeriesConvergenceError
 from bgstates.qspecial import CLASSICAL, DEFAULT_CONTROL, QParam
+from bgstates.repalg import DeformationMap
 
 
 class TestClassicalMeasure:
@@ -174,7 +176,7 @@ def _per_panel_q_moments(n_max, k, qp):
     quad = me.QuadratureSpec()
     x, w = me._gl_grid(me._panel_edges(quad.lower, 6.0, quad.panel_width),
                        quad.nodes_per_panel)
-    base, noise = me._base_integrand_q(x, k, nu, qp, -1, DEFAULT_CONTROL)
+    base, noise = me._base_integrand_q(x, nu, qp, -1, DEFAULT_CONTROL)
     lhs = np.array([float(np.dot(w, base * x ** (2 * n))) for n in range(n_max + 1)])
     noise_tally = float(np.dot(np.abs(w), noise * x ** (2 * n_max)))
     node_count = len(x)
@@ -182,7 +184,7 @@ def _per_panel_q_moments(n_max, k, qp):
     r, quiet, prev_contrib = 6.0, 0, math.inf
     while r < 40.0:
         x, w = me._gl_grid(np.array([r, r + 2.0]), quad.nodes_per_panel)
-        base, noise = me._base_integrand_q(x, k, nu, qp, -1, DEFAULT_CONTROL)
+        base, noise = me._base_integrand_q(x, nu, qp, -1, DEFAULT_CONTROL)
         node_count += len(x)
         contrib = float(np.dot(w, base * x ** (2 * n_max)))
         panel_noise = float(np.dot(np.abs(w), noise * x ** (2 * n_max)))
@@ -236,7 +238,7 @@ class TestBatchedPanels:
         row, row_noise = me._q_bracket_dd(x[None, :], 1, 0.9, -1, DEFAULT_CONTROL)
         assert np.array_equal(flat[0], row[0][0]) and np.array_equal(flat[1], row[1][0])
         assert np.array_equal(flat_noise, row_noise[0])
-        base, _ = me._base_integrand_q(x, 1.0, 1, qp, -1, DEFAULT_CONTROL)
+        base, _ = me._base_integrand_q(x, 1, qp, -1, DEFAULT_CONTROL)
         report = me.moment_check(2, 1.0, qp, quad=quad)
         assert report.node_count == len(x)
         assert report.tail_estimate == 0.0
@@ -286,18 +288,34 @@ class TestRaggedGroups:
             assert np.array_equal(value[1][lo:hi], one[1])
             assert np.array_equal(noise[lo:hi], one_noise)
 
-    def test_integrand_pieces_match_per_piece_calls(self):
-        # I_nu and N stop jointly per piece, so the merged integrand call
-        # evaluates them per piece and only the bracket across pieces
-        grid, panels = self._grid_and_panels()
-        qp = QParam(0.9)
-        flat = np.concatenate([grid, panels.ravel()])
-        base, noise = me._base_integrand_q(flat, 1.5, 2, qp, -1, DEFAULT_CONTROL,
-                                           [grid.shape, panels.shape])
-        g_base, g_noise = me._base_integrand_q(grid, 1.5, 2, qp, -1, DEFAULT_CONTROL)
-        p_base, p_noise = me._base_integrand_q(panels, 1.5, 2, qp, -1, DEFAULT_CONTROL)
-        assert np.array_equal(base, np.concatenate([g_base, p_base.ravel()]))
-        assert np.array_equal(noise, np.concatenate([g_noise, p_noise.ravel()]))
+
+class TestIntegrandIdentity:
+    """The integrands are 2 rho g N^2 with the Bessel factor of g cancelled
+    against the normalization sum: rho^{nu+1} times the bracket (q) and
+    4 rho^{nu+1} K_nu (classical).  Checked against the public measures and
+    costate.normalization_series."""
+
+    RHO = np.array([0.1, 1.0, 3.0, 6.0])
+
+    @pytest.mark.parametrize("q", [0.83, 0.95])
+    @pytest.mark.parametrize("nu", [0, 1, 3])
+    def test_q_integrand(self, nu, q):
+        qp, k = QParam(q), (nu + 1) / 2.0
+        base, _ = me._base_integrand_q(self.RHO, nu, qp, -1, DEFAULT_CONTROL)
+        norm = cs.normalization_series(self.RHO, k, DeformationMap.q_deformed(qp))
+        scale = qs.q_factorial(nu, qp) / math.gamma(2 * k)
+        for rho, got, s in zip(self.RHO, base, norm):
+            want = 2 * rho * me.q_measure(rho, nu, q) * scale / s
+            assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("nu", [0, 1, 3])
+    def test_classical_integrand(self, nu):
+        k = (nu + 1) / 2.0
+        base, _ = me._base_integrand_classical(self.RHO, nu, DEFAULT_CONTROL)
+        norm = cs.normalization_series(self.RHO, k, DeformationMap.classical())
+        for rho, got, s in zip(self.RHO, base, norm):
+            want = 2 * rho * me.classical_measure(rho, nu) / s
+            assert got == pytest.approx(want, rel=1e-13)
 
 
 def _scalar_qnum_table(q, count):
