@@ -19,10 +19,9 @@ Layers:
 
 from .errors import (BGStatesError, DomainError, PoleError,
                      SeriesConvergenceError, ShapeError, TruncationError)
-from .qspecial import (CLASSICAL, DEFAULT_CONTROL, QParam, SeriesControl,
-                       bessel_i_q, bessel_k, q_binomial, q_digamma,
-                       q_factorial, q_factorial_cont, q_gamma, q_number,
-                       q_pochhammer)
+from .qspecial import (CLASSICAL, QParam, bessel_i_q, bessel_k, q_binomial,
+                       q_digamma, q_factorial, q_factorial_cont, q_gamma,
+                       q_number, q_pochhammer)
 from .repalg import (BipartiteOperator, DeformationMap, LadderOperator,
                      apply_coproduct, apply_ladder)
 from .costate import (LadderState, build_by_operator_series, build_f_coherent,
@@ -32,7 +31,7 @@ from .bipartite import (BipartiteMatrix, BipartiteParams, BoundarySequence,
                         crossing_transform, eigen_residual, eigen_residual_parts,
                         fidelity, g_ansatz_eval, g_closed_geometric, norm_series,
                         schmidt_entropy, solve_g_recurrence)
-from .measure import (MomentRecord, MomentReport, QuadratureSpec,
-                      classical_measure, moment_check, q_measure)
+from .measure import (MomentRecord, MomentReport, classical_measure, moment_check,
+                      q_measure)
 
 __version__ = "0.1.0"

@@ -31,9 +31,9 @@ import numpy as np
 
 from .costate import build_f_coherent, single_node_profile
 from .errors import DomainError, ShapeError, TruncationError
-from .qspecial import (CLASSICAL, DEFAULT_CONTROL, QParam, SeriesControl,
-                       _bessel_i_series, _sum_series, q_factorial, q_number,
-                       q_binomial, q_pochhammer)
+from . import qspecial
+from .qspecial import (CLASSICAL, QParam, _bessel_i_series, _sum_series, q_factorial,
+                       q_number, q_binomial, q_pochhammer)
 from .repalg import BipartiteOperator, DeformationMap, apply_coproduct, check_bargmann
 
 __all__ = [
@@ -280,8 +280,7 @@ def _edge_tail_estimate(c_sq: np.ndarray) -> float:
 
 
 def build_q_bipartite(params: BipartiteParams, boundary: BoundarySequence,
-                      N1: int, N2: int,
-                      control: SeriesControl = DEFAULT_CONTROL) -> BipartiteMatrix:
+                      N1: int, N2: int) -> BipartiteMatrix:
     """Assemble and normalize the q-deformed bipartite eigenstate.
 
     Geometric boundaries use the closed-form g; custom boundaries propagate
@@ -292,7 +291,7 @@ def build_q_bipartite(params: BipartiteParams, boundary: BoundarySequence,
         raise DomainError("use classical_bipartite for the undeformed case")
     if params.q.value > 1.0:
         tparams, tboundary = crossing_transform(params, boundary)
-        mirror = build_q_bipartite(tparams, tboundary, N2, N1, control)
+        mirror = build_q_bipartite(tparams, tboundary, N2, N1)
         return BipartiteMatrix(coeffs=mirror.coeffs.T.copy(), params=params,
                                boundary=boundary, normalized=True,
                                truncation_loss=mirror.truncation_loss,
@@ -336,8 +335,7 @@ def build_q_bipartite(params: BipartiteParams, boundary: BoundarySequence,
                            norm_before_truncation=total)
 
 
-def norm_series(params: BipartiteParams, delta: float,
-                control: SeriesControl = DEFAULT_CONTROL) -> float:
+def norm_series(params: BipartiteParams, delta: float) -> float:
     """The squared inverse norm of the unnormalized geometric-boundary state
     as a single-index series:
 
@@ -364,13 +362,12 @@ def norm_series(params: BipartiteParams, delta: float,
                 # alpha2 = 0 limit: z^{-nu} I^{(q)}_nu(2 q^n z) -> q^{n nu} / [nu]_q!
                 bessel_part = q ** (n * nu2) / q_factorial(nu2, qp)
             else:
-                bessel_part = z2 ** -nu2 * float(
-                    _bessel_i_series(nu2, q ** n * z2, qp, control))
+                bessel_part = z2 ** -nu2 * float(_bessel_i_series(nu2, q ** n * z2, qp))
             yield q ** n * bessel_part * abs(poch) ** 2 * w
             poch *= 1.0 - delta * eta * q ** (2 * n)
             w *= alpha_sq / (q_number(n + 1, qp) * q_number(n + 2 * k1, qp))
 
-    return _sum_series(terms(), control, "norm series", f"max_terms={control.max_terms}")
+    return _sum_series(terms(), "norm series", f"max_terms={qspecial.MAX_TERMS}")
 
 
 def crossing_transform(params: BipartiteParams, boundary: BoundarySequence):

@@ -61,7 +61,6 @@ class RunConfig:
     params: dict
     out: Optional[str] = None
     fmt: str = "json"
-    seed: int = 0
 
 
 def _parse_argv(argv) -> RunConfig:
@@ -84,8 +83,7 @@ def _parse_argv(argv) -> RunConfig:
     fmt = params.pop("format", "json")
     if fmt not in ("json", "csv"):
         raise DomainError(f"format must be json or csv, got {fmt!r}")
-    seed = _parse("seed", params.pop("seed", "0"), int)
-    return RunConfig(command=command, params=params, out=out, fmt=fmt, seed=seed)
+    return RunConfig(command=command, params=params, out=out, fmt=fmt)
 
 
 def _need(params: dict, key: str) -> str:
@@ -118,7 +116,18 @@ def _as_q(params: dict) -> QParam:
     q = _num(params, "q")
     if q == 1.0:
         raise DomainError("q=1 is the undeformed algebra; pass q=classical")
+    if not q > 0.0:
+        raise DomainError(f"q= must be positive, got {q!r}")
     return QParam(q) if q < 1.0 else QParam.for_crossing(q)
+
+
+def _series_q(params: dict, key: str, hint: str = "") -> QParam:
+    """The deformed q of ``key``, which must satisfy 0 < q < 1; anything else
+    is an invalid configuration that names ``key``."""
+    q = _num(params, key)
+    if not 0.0 < q < 1.0:
+        raise DomainError(f"{key}= must satisfy 0 < q < 1, got {q!r}{hint}")
+    return QParam(q)
 
 
 class _ReadKeys(dict):
@@ -220,7 +229,8 @@ def _run_state_bipartite(cfg: RunConfig) -> dict:
         payload["norm_rel_err"] = _jf(abs(ns - raw) / abs(raw))
     if "perturb" in cfg.params:
         eps = _num(cfg.params, "perturb")
-        rng = np.random.default_rng(cfg.seed)
+        seed = _num(cfg.params, "seed", int, "0")
+        rng = np.random.default_rng(seed)
         noise = rng.standard_normal(M.coeffs.shape) + 1j * rng.standard_normal(M.coeffs.shape)
         noisy = M.coeffs + eps * noise / np.linalg.norm(noise)
         noisy /= np.linalg.norm(noisy)
@@ -228,7 +238,7 @@ def _run_state_bipartite(cfg: RunConfig) -> dict:
                                 normalized=True)
         payload["perturbed_residual"] = _jf(bp.eigen_residual(M2))
         payload["perturb"] = eps
-        payload["seed"] = cfg.seed
+        payload["seed"] = seed
     return payload
 
 
@@ -240,7 +250,8 @@ def _run_verify_moments(cfg: RunConfig) -> dict:
     if mode == "classical":
         report = me.moment_check(nmax, k, "classical")
     elif mode == "q":
-        report = me.moment_check(nmax, k, QParam(_num(p, "q")))
+        report = me.moment_check(
+            nmax, k, _series_q(p, "q", "; for q = 1 use mode=classical"))
     else:
         raise DomainError(f"mode must be classical or q, got {mode!r}")
     return {
@@ -259,8 +270,8 @@ def _run_verify_moments(cfg: RunConfig) -> dict:
 
 def _run_sweep_q(cfg: RunConfig) -> dict:
     p = cfg.params
-    q_from = _num(p, "from")
-    q_to = _num(p, "to")
+    q_from = _series_q(p, "from").value
+    q_to = _series_q(p, "to").value
     steps = _num(p, "steps", int, "12")
     if steps < 1:
         raise DomainError(f"steps= must be >= 1, got {steps}")
@@ -298,7 +309,7 @@ def _run_sweep_q(cfg: RunConfig) -> dict:
 
 def _run_g_oracle(cfg: RunConfig) -> dict:
     p = cfg.params
-    q = QParam(_num(p, "q"))
+    q = _series_q(p, "q")
     a1 = _num(p, "a1", complex)
     a2 = _num(p, "a2", complex)
     k1 = _num(p, "k1")
@@ -363,34 +374,25 @@ def _to_csv(payload: dict) -> str:
                     cells.append(str(v))
             buf.write(",".join(cells) + "\n")
         return buf.getvalue()
-    if "coefficients" in payload:
-        # state payloads: the coefficient table is the data; JSON carries the
-        # full metadata
-        coeffs = payload["coefficients"]
-        if coeffs and isinstance(coeffs[0][0], list):     # bipartite matrix
-            buf.write("n1,n2,re,im\n")
-            for n1, row in enumerate(coeffs):
-                for n2, (re, im) in enumerate(row):
-                    buf.write(f"{n1},{n2},{_fmt(re)},{_fmt(im)}\n")
-        else:
-            buf.write("n,re,im\n")
-            for n, (re, im) in enumerate(coeffs):
-                buf.write(f"{n},{_fmt(re)},{_fmt(im)}\n")
-        return buf.getvalue()
-    # scalar payloads: two-column key,value dump in fixed insertion order
-    buf.write("key,value\n")
-    for key, val in payload.items():
-        if isinstance(val, (dict, list)):
-            continue
-        buf.write(f"{key},{_fmt(val) if isinstance(val, float) else val}\n")
+    # state payloads: the coefficient table is the data; JSON carries the
+    # full metadata
+    coeffs = payload["coefficients"]
+    if isinstance(coeffs[0][0], list):     # bipartite matrix
+        buf.write("n1,n2,re,im\n")
+        for n1, row in enumerate(coeffs):
+            for n2, (re, im) in enumerate(row):
+                buf.write(f"{n1},{n2},{_fmt(re)},{_fmt(im)}\n")
+    else:
+        buf.write("n,re,im\n")
+        for n, (re, im) in enumerate(coeffs):
+            buf.write(f"{n},{_fmt(re)},{_fmt(im)}\n")
     return buf.getvalue()
 
 
 def _emit(payload: dict, cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
-        text = json.dumps(payload, indent=2)
-    else:
-        text = _to_csv(payload)
+    text = json.dumps(payload, indent=2) if cfg.fmt == "json" else _to_csv(payload)
+    if not text.endswith("\n"):
+        text += "\n"
     if cfg.out:
         try:
             fh = open(cfg.out, "w")
@@ -398,12 +400,8 @@ def _emit(payload: dict, cfg: RunConfig) -> None:
             raise DomainError(f"cannot write out={cfg.out}: {exc.strerror}") from exc
         with fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def load_state_json(path: str):

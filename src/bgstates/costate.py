@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .qspecial import (CLASSICAL, DEFAULT_CONTROL, QParam, SeriesControl,
-                       _bessel_i_series, _sum_series, q_factorial)
+from .qspecial import CLASSICAL, QParam, _bessel_i_series, _sum_series, q_factorial
 from .repalg import DeformationMap, check_bargmann, lowering_elements
 
 __all__ = [
@@ -69,8 +68,7 @@ class LadderState:
         return float(np.linalg.norm(self.coeffs))
 
 
-def normalization_series(rho, k: float, deformation: DeformationMap,
-                         control: SeriesControl = DEFAULT_CONTROL):
+def normalization_series(rho, k: float, deformation: DeformationMap):
     """The normalization sum  S(rho^2) = sum_n rho^{2n} / (([f(n+k)]!)^2 n! Gamma(n+2k)).
 
     This is N_f^{-2} up to convergence of the infinite sum.  Vectorised over
@@ -85,7 +83,7 @@ def normalization_series(rho, k: float, deformation: DeformationMap,
         itertools.count(), lambda term, n: term * rho2 / (
             (n + 1) * (n + 2 * k) * deformation.value(n + 1 + k, k) ** 2),
         initial=np.full_like(rho, 1.0 / math.gamma(2 * k)))
-    return _sum_series(terms, control, "normalization series", f"k={k}")
+    return _sum_series(terms, "normalization series", f"k={k}")
 
 
 def _check_tail(coeffs: np.ndarray, alpha: complex, e_next: float, total: float):
@@ -115,7 +113,7 @@ def _finish(raw: np.ndarray, k, alpha, deformation, e_next) -> LadderState:
     )
 
 
-def _crosscheck_bessel_norm(state: LadderState, control: SeriesControl):
+def _crosscheck_bessel_norm(state: LadderState):
     """Normalization redundancy: partial sum vs Bessel closed form."""
     alpha, k = state.alpha, state.k
     if alpha == 0:
@@ -127,10 +125,10 @@ def _crosscheck_bessel_norm(state: LadderState, control: SeriesControl):
     if float(nu).is_integer():
         if dmap.kind == "classical":
             closed = math.gamma(2 * k) * rho ** -nu * float(
-                _bessel_i_series(int(nu), rho, CLASSICAL, control))
+                _bessel_i_series(int(nu), rho, CLASSICAL))
         elif dmap.kind == "q":
             closed = q_factorial(int(nu), dmap.q) * rho ** -nu * float(
-                _bessel_i_series(int(nu), rho, dmap.q, control))
+                _bessel_i_series(int(nu), rho, dmap.q))
     if closed is not None:
         if abs(closed - state.norm_before_truncation) > 1e-8 * abs(closed):
             raise ArithmeticError(
@@ -152,8 +150,7 @@ def single_node_profile(alpha: complex, k: float, f: DeformationMap, N: int) -> 
     return c
 
 
-def build_f_coherent(alpha: complex, k: float, f: DeformationMap, N: int,
-                     control: SeriesControl = DEFAULT_CONTROL) -> LadderState:
+def build_f_coherent(alpha: complex, k: float, f: DeformationMap, N: int) -> LadderState:
     """K- eigenstate for the deformation map f, by the coefficient recurrence.
 
     Raises TruncationError unless the estimated dropped tail mass is below
@@ -161,12 +158,11 @@ def build_f_coherent(alpha: complex, k: float, f: DeformationMap, N: int,
     """
     c = single_node_profile(alpha, k, f, N)
     state = _finish(c, k, alpha, f, lowering_elements(f, k, N + 2)[N + 1])
-    _crosscheck_bessel_norm(state, control)
+    _crosscheck_bessel_norm(state)
     return state
 
 
-def build_q_coherent(alpha: complex, k: float, q, N: int,
-                     control: SeriesControl = DEFAULT_CONTROL) -> LadderState:
+def build_q_coherent(alpha: complex, k: float, q, N: int) -> LadderState:
     """q-deformed state with c_n proportional to alpha^n / sqrt([n]_q! [n+2k-1]_q!).
 
     This is :func:`build_f_coherent` with the Curtright-Zachos map, whose
@@ -175,11 +171,11 @@ def build_q_coherent(alpha: complex, k: float, q, N: int,
     """
     qp = q if isinstance(q, QParam) else QParam(q)
     dmap = DeformationMap.classical() if qp.is_classical else DeformationMap.q_deformed(qp)
-    return build_f_coherent(alpha, k, dmap, N, control)
+    return build_f_coherent(alpha, k, dmap, N)
 
 
-def build_by_operator_series(alpha: complex, k: float, f: DeformationMap, N: int,
-                             control: SeriesControl = DEFAULT_CONTROL) -> LadderState:
+def build_by_operator_series(alpha: complex, k: float, f: DeformationMap,
+                             N: int) -> LadderState:
     """The operator-exponential construction
 
         c_0 exp(alpha f(K0)^{-2} K+ (K0+k)^{-1}) |0,k>,

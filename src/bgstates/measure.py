@@ -26,10 +26,11 @@ regression tests pin this down numerically.
 
 Everything cancels by roughly exp(4 rho) at large rho, so the bracket is
 carried in compensated double-double arithmetic with an explicit roundoff
-floor; quadrature cutoffs R are chosen where the (estimated) tail and the
-noise floor are both below tolerance, and for the classical measure the tail
-beyond R is restored from the standard large-argument form of K_nu (the
-first omitted correction is reported as ``tail_bound_residual``).
+floor.  The q-mode quadrature cutoff R grows panel by panel until the
+estimated tail or the noise floor stops it; the classical grid ends at
+R = 12 and the tail beyond it is restored from the standard large-argument
+form of K_nu (the first omitted correction is reported as
+``tail_bound_residual``).
 """
 
 from __future__ import annotations
@@ -41,29 +42,27 @@ from typing import Optional
 
 import numpy as np
 
-from . import _dd
+from . import _dd, qspecial
 from .errors import DomainError, SeriesConvergenceError
-from .qspecial import (CLASSICAL, DEFAULT_CONTROL, NOISE_BUDGET, QParam,
-                       SeriesControl, _bessel_i_series, _bessel_k_dd, _log_series_dd,
-                       bessel_k, q_factorial)
+from .qspecial import (CLASSICAL, NOISE_BUDGET, QParam, _bessel_i_series, _bessel_k_dd,
+                       _log_series_dd, bessel_k, q_factorial)
+from .repalg import check_bargmann
 
 __all__ = [
     "MomentRecord",
     "MomentReport",
-    "QuadratureSpec",
     "classical_measure",
     "q_measure",
     "moment_check",
 ]
 
 
-def classical_measure(rho: float, nu: int,
-                      control: SeriesControl = DEFAULT_CONTROL) -> float:
+def classical_measure(rho: float, nu: int) -> float:
     """g(rho^2) = 2 I_nu(2 rho) K_nu(2 rho), both factors by series."""
     if not rho > 0:
         raise DomainError("classical_measure requires rho > 0")
-    i_val = float(_bessel_i_series(nu, rho, CLASSICAL, control))
-    return 2.0 * i_val * bessel_k(nu, 2.0 * rho, control)
+    i_val = float(_bessel_i_series(nu, rho, CLASSICAL))
+    return 2.0 * i_val * bessel_k(nu, 2.0 * rho)
 
 
 # --------------------------------------------------------------------------
@@ -75,7 +74,7 @@ _QNUM_CACHE: dict = {}    # q -> (dd q, dd q - 1/q, list of dd [m]_q, m = 0..len
 _CACHE_LOCK = threading.Lock()  # table extension is append-based, guard it
 
 
-def _psi_q2_table(q: float, count: int, control: SeriesControl):
+def _psi_q2_table(q: float, count: int):
     """dd values of psi_{q^2}(m) for m = 1..count, extended on demand.
 
     psi_Q(1) is summed once (vectorised dd blocks); successive integer
@@ -94,7 +93,7 @@ def _psi_q2_table(q: float, count: int, control: SeriesControl):
             block = min(8192, 1 << max(0, math.ceil(math.log2(90.0 / abs(ln_big_q[0])))))
             n0 = 1
             converged = False
-            while n0 < control.max_terms:
+            while n0 < qspecial.MAX_TERMS:
                 n = np.arange(n0, n0 + block, dtype=float)
                 p = _dd.exp(_dd.mul_d(ln_big_q, n))          # Q^n
                 terms = _dd.div(p, _dd.sub(_dd.dd(np.ones_like(n)), p))
@@ -144,8 +143,7 @@ def _qnum_dd_table(q: float, count: int):
         return lst
 
 
-def _q_bracket_dd(rho, nu: int, q: float, log_term_offset: int,
-                  control: SeriesControl, sizes=None):
+def _q_bracket_dd(rho, nu: int, q: float, log_term_offset: int, sizes=None):
     """The bracketed factor of the q-measure, vectorised over rho, in dd.
 
     Returns (value_dd, noise_floor), both shaped like rho: the shared
@@ -167,13 +165,12 @@ def _q_bracket_dd(rho, nu: int, q: float, log_term_offset: int,
     c2 = _dd.div(_dd.sqr(_dd.sub(one, q_sq)), _dd.mul(q_sq, _dd.sqr(lnq)))
 
     def tables(count):
-        return _qnum_dd_table(q, count), _psi_q2_table(q, count, control)
+        return _qnum_dd_table(q, count), _psi_q2_table(q, count)
 
-    return _log_series_dd(rho, nu, tables, c1, c2, lnq, log_term_offset, control, sizes)
+    return _log_series_dd(rho, nu, tables, c1, c2, lnq, log_term_offset, sizes)
 
 
-def q_measure(rho: float, nu: int, q, log_term_offset: int = -1,
-              control: SeriesControl = DEFAULT_CONTROL) -> float:
+def q_measure(rho: float, nu: int, q, log_term_offset: int = -1) -> float:
     """The q-deformed completeness measure g_q(rho^2), rho > 0, 0 < q < 1.
 
     ``log_term_offset`` is the constant c in the (2l + nu + c) ln(q)/2 term
@@ -191,8 +188,8 @@ def q_measure(rho: float, nu: int, q, log_term_offset: int = -1,
     qv = q.value if isinstance(q, QParam) else float(q)
     if not 0.0 < qv < 1.0:
         raise DomainError(f"q_measure requires 0 < q < 1, got {qv!r}")
-    bracket, noise = _q_bracket_dd(rho, int(nu), qv, log_term_offset, control)
-    i_val = float(_bessel_i_series(int(nu), rho, QParam(qv), control))
+    bracket, noise = _q_bracket_dd(rho, int(nu), qv, log_term_offset)
+    i_val = float(_bessel_i_series(int(nu), rho, QParam(qv)))
     out = 0.5 * i_val * float(_dd.to_float(bracket))
     if not float(noise) * 0.5 * i_val < NOISE_BUDGET * max(abs(out), 1e-300):
         raise SeriesConvergenceError("q_measure",
@@ -204,26 +201,12 @@ def q_measure(rho: float, nu: int, q, log_term_offset: int = -1,
 # moment quadrature
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Panel layout for the radial moment integrals.
-
-    Panels are geometric from ``lower`` up to 1 (resolving the integrable
-    rho -> 0 behavior) and uniform of width ``panel_width`` beyond;
-    ``upper=None`` picks the mode default (classical: 12.0 plus an analytic
-    tail; q: grown adaptively until tail and noise floors are met).
-    """
-
-    lower: float = 1e-8
-    upper: Optional[float] = None
-    nodes_per_panel: int = 16
-    panel_width: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.lower < 1:
-            raise DomainError("QuadratureSpec.lower must be in (0, 1)")
-        if self.nodes_per_panel < 2:
-            raise DomainError("QuadratureSpec.nodes_per_panel must be >= 2")
+# panel layout of the moment quadratures: panels geometric from _LOWER up to
+# 1 (resolving the integrable rho -> 0 behavior) and _PANEL_WIDTH wide
+# beyond, _NODES Gauss-Legendre nodes each
+_LOWER = 1e-8
+_PANEL_WIDTH = 0.5
+_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -257,14 +240,14 @@ class MomentReport:
 _PANEL_BATCH = 8
 
 
-def _panel_edges(lower: float, upper: float, width: float) -> np.ndarray:
-    edges = [lower]
-    x = lower
+def _panel_edges(upper: float) -> np.ndarray:
+    edges = [_LOWER]
+    x = _LOWER
     while x < min(1.0, upper):
         x = min(x * 2.0, min(1.0, upper))
         edges.append(x)
     while edges[-1] < upper - 1e-12:
-        edges.append(min(edges[-1] + width, upper))
+        edges.append(min(edges[-1] + _PANEL_WIDTH, upper))
     return np.asarray(edges)
 
 
@@ -313,34 +296,35 @@ def _k_asymptotic(nu: int, two_rho: np.ndarray, terms: int = 6):
     return pref * series, pref * a_next
 
 
-def _base_integrand_classical(rho: np.ndarray, nu: int, control: SeriesControl):
+def _base_integrand_classical(rho: np.ndarray, nu: int):
     """2 rho g(rho^2) N(rho^2)^2 = 4 rho^{nu+1} K_nu(2 rho) on the grid, with
     its noise floor."""
-    k_dd, k_noise = _bessel_k_dd(nu, 2.0 * rho, control)
+    k_dd, k_noise = _bessel_k_dd(nu, 2.0 * rho)
     scale = 4.0 * rho ** (nu + 1)
     return scale * _dd.to_float(k_dd), scale * k_noise
 
 
 def _base_integrand_q(rho: np.ndarray, nu: int, qp: QParam, log_term_offset: int,
-                      control: SeriesControl, sizes=None):
+                      sizes=None):
     """2 rho g_q(rho^2) N(rho^2)^2 = rho^{nu+1} times the bracket on the grid,
     with its noise floor; ``sizes`` are the bracket's stopping groups (see
     :func:`qspecial._log_series_dd`)."""
-    bracket, noise = _q_bracket_dd(rho, nu, qp.value, log_term_offset, control, sizes)
+    bracket, noise = _q_bracket_dd(rho, nu, qp.value, log_term_offset, sizes)
     scale = rho ** (nu + 1)
     return scale * _dd.to_float(bracket), scale * noise
 
 
-def moment_check(n_max: int, k: float, mode, quad: Optional[QuadratureSpec] = None,
-                 log_term_offset: int = -1,
-                 control: SeriesControl = DEFAULT_CONTROL) -> MomentReport:
+def moment_check(n_max: int, k: float, mode, log_term_offset: int = -1) -> MomentReport:
     """Verify the completeness moment relations for n = 0..n_max.
 
     ``mode`` is the string "classical" or a deformed QParam (or plain float
-    q).  Returns a MomentReport with per-n relative errors and the quadrature
-    metadata; nothing is asserted here, callers decide what tolerance to
-    demand.
+    q).  The classical grid ends at rho = 12 and the tail past it is restored
+    analytically; the q-mode cutoff grows past rho = 6 until the tail or the
+    noise floor stops it.  Returns a MomentReport with per-n relative errors
+    and the quadrature metadata; nothing is asserted here, callers decide
+    what tolerance to demand.
     """
+    k = check_bargmann(k)
     if n_max < 0 or n_max > 8:
         raise DomainError("moment_check supports 0 <= n_max <= 8")
     nu_f = 2.0 * k - 1.0
@@ -348,7 +332,6 @@ def moment_check(n_max: int, k: float, mode, quad: Optional[QuadratureSpec] = No
         raise DomainError("moment_check requires integer nu = 2k-1 "
                           "(Bessel orders of the measures)")
     nu = int(nu_f)
-    quad = quad or QuadratureSpec()
     classical = (mode == "classical") or (isinstance(mode, QParam) and mode.is_classical)
     if classical:
         qp = None
@@ -356,13 +339,12 @@ def moment_check(n_max: int, k: float, mode, quad: Optional[QuadratureSpec] = No
         qp = mode if isinstance(mode, QParam) else QParam(float(mode))
 
     powers = np.arange(n_max + 1)
-    rule = np.polynomial.legendre.leggauss(quad.nodes_per_panel)
+    rule = np.polynomial.legendre.leggauss(_NODES)
 
     if classical:
-        upper = quad.upper if quad.upper is not None else 12.0
-        edges = _panel_edges(quad.lower, upper, quad.panel_width)
-        x, w = _gl_grid(edges, rule)
-        base, noise = _base_integrand_classical(x, nu, control)
+        upper = 12.0
+        x, w = _gl_grid(_panel_edges(upper), rule)
+        base, noise = _base_integrand_classical(x, nu)
         lhs = np.array([float(np.dot(w, base * x ** (2 * n))) for n in powers])
         # restore the tail with the large-argument K form on [R, R+40]
         tail_edges = np.arange(upper, upper + 40.0 + 1e-9, 2.0)
@@ -383,16 +365,15 @@ def moment_check(n_max: int, k: float, mode, quad: Optional[QuadratureSpec] = No
         # grow the cutoff until the n_max panel contribution is negligible or
         # the compensated-arithmetic noise floor is reached
         lhs = np.zeros(n_max + 1)
-        upper = quad.upper
-        r_lo, r_hi = quad.lower, 6.0 if upper is None else upper
-        x, w = _gl_grid(_panel_edges(r_lo, r_hi, quad.panel_width), rule)
+        r = 6.0
+        x, w = _gl_grid(_panel_edges(r), rule)
         # the adaptive loop always reaches the first outer batch: evaluate it
         # with the grid in one integrand call, and later batches on demand
-        batches = _q_outer_batches(r_hi, rule) if upper is None else iter(())
-        first = next(batches, None)
-        rows = () if first is None else first[0]
+        batches = _q_outer_batches(r, rule)
+        first = next(batches)
+        rows = first[0]
         base, noise = _base_integrand_q(np.concatenate([x, *rows]), nu, qp, log_term_offset,
-                                        control, [len(x)] + [len(row) for row in rows])
+                                        [len(x)] + [len(row) for row in rows])
         base, first_base = base[:len(x)], base[len(x):]
         noise, first_noise = noise[:len(x)], noise[len(x):]
         for n in powers:
@@ -400,44 +381,39 @@ def moment_check(n_max: int, k: float, mode, quad: Optional[QuadratureSpec] = No
         noise_tally = float(np.dot(np.abs(w), noise * x ** (2 * n_max)))
         node_count = len(x)
         tail_estimate = math.inf
-        if upper is None:
-            r = r_hi
-            quiet = 0
-            prev_contrib = math.inf
-            shape = first[0].shape
-            panels = _q_outer_panels(
-                (*first, first_base.reshape(shape), first_noise.reshape(shape)), batches,
-                lambda x: _base_integrand_q(x, nu, qp, log_term_offset, control))
-            for x, w, base, noise in panels:
-                node_count += len(x)
-                contrib = float(np.dot(w, base * x ** (2 * n_max)))
-                panel_noise = float(np.dot(np.abs(w), noise * x ** (2 * n_max)))
-                if abs(contrib) <= panel_noise:
-                    # noise floor: integrating further adds nothing credible
-                    tail_estimate = abs(contrib) + panel_noise
+        quiet = 0
+        prev_contrib = math.inf
+        panels = _q_outer_panels(
+            (*first, first_base.reshape(rows.shape), first_noise.reshape(rows.shape)),
+            batches, lambda x: _base_integrand_q(x, nu, qp, log_term_offset))
+        for x, w, base, noise in panels:
+            node_count += len(x)
+            contrib = float(np.dot(w, base * x ** (2 * n_max)))
+            panel_noise = float(np.dot(np.abs(w), noise * x ** (2 * n_max)))
+            if abs(contrib) <= panel_noise:
+                # noise floor: integrating further adds nothing credible
+                tail_estimate = abs(contrib) + panel_noise
+                break
+            if abs(contrib) > abs(prev_contrib):
+                # the residue-series measure resolves the identity only
+                # asymptotically: past its decaying window the bracket
+                # turns oscillatory with a growing envelope (early for
+                # small q).  Stop at the dip and report it as the tail.
+                tail_estimate = abs(contrib) + abs(prev_contrib)
+                break
+            for n in powers:
+                lhs[n] += float(np.dot(w, base * x ** (2 * n)))
+            noise_tally += panel_noise
+            prev_contrib = contrib
+            r += 2.0
+            if abs(contrib) < 1e-7 * abs(lhs[n_max]):
+                quiet += 1
+                if quiet >= 2:
+                    tail_estimate = 2.0 * abs(contrib)
                     break
-                if abs(contrib) > abs(prev_contrib):
-                    # the residue-series measure resolves the identity only
-                    # asymptotically: past its decaying window the bracket
-                    # turns oscillatory with a growing envelope (early for
-                    # small q).  Stop at the dip and report it as the tail.
-                    tail_estimate = abs(contrib) + abs(prev_contrib)
-                    break
-                for n in powers:
-                    lhs[n] += float(np.dot(w, base * x ** (2 * n)))
-                noise_tally += panel_noise
-                prev_contrib = contrib
-                r += 2.0
-                if abs(contrib) < 1e-7 * abs(lhs[n_max]):
-                    quiet += 1
-                    if quiet >= 2:
-                        tail_estimate = 2.0 * abs(contrib)
-                        break
-                else:
-                    quiet = 0
-            upper = r
-        else:
-            tail_estimate = 0.0
+            else:
+                quiet = 0
+        upper = r
         tail_bound_residual = noise_tally / max(abs(lhs[n_max]), 1e-300)
         rhs = np.array([q_factorial(int(n), qp) * q_factorial(int(n) + nu, qp)
                         for n in powers])
@@ -447,7 +423,7 @@ def moment_check(n_max: int, k: float, mode, quad: Optional[QuadratureSpec] = No
                             float(abs(lhs[n] - rhs[n]) / abs(rhs[n])))
                for n in powers]
     return MomentReport(mode="classical" if classical else "q", k=float(k), q=qv,
-                        records=records, lower_cutoff=quad.lower,
+                        records=records, lower_cutoff=_LOWER,
                         upper_cutoff=float(upper), node_count=int(node_count),
                         tail_estimate=float(tail_estimate),
                         tail_bound_residual=float(tail_bound_residual))

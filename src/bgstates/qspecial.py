@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +34,6 @@ from .errors import DomainError, PoleError, SeriesConvergenceError
 __all__ = [
     "QParam",
     "CLASSICAL",
-    "SeriesControl",
-    "DEFAULT_CONTROL",
     "q_number",
     "q_factorial",
     "q_factorial_cont",
@@ -50,40 +47,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Stopping policy for infinite series and products.
-
-    Evaluation stops once two consecutive terms fall below ``rel_tol`` times
-    the partial sum; hitting ``max_terms`` first raises
-    :class:`SeriesConvergenceError`.
-    """
-
-    rel_tol: float = 1e-16
-    max_terms: int = 4_000_000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError("SeriesControl.rel_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("SeriesControl.max_terms must be >= 1")
+# stopping policy of the infinite series and products, read at call time:
+# terms (or factors, or tail bounds) below REL_TOL end a series, and
+# MAX_TERMS bounds its length before SeriesConvergenceError is raised
+REL_TOL = 1e-16
+MAX_TERMS = 4_000_000
 
 
-DEFAULT_CONTROL = SeriesControl()
-
-
-def _sum_series(terms, control: SeriesControl, what: str, detail: str):
+def _sum_series(terms, what: str, detail: str):
     """Sum the nonnegative ``terms`` (floats, or arrays over nodes) in order.
 
-    Stops once two consecutive terms are at most ``control.rel_tol`` times the
+    Stops once two consecutive terms are at most ``REL_TOL`` times the
     partial sum on every node; raises :class:`SeriesConvergenceError` naming
-    ``what`` when ``control.max_terms`` terms do not get there.
+    ``what`` when ``MAX_TERMS`` terms do not get there.
     """
     total = None
     below = 0
-    for term in itertools.islice(terms, control.max_terms):
+    for term in itertools.islice(terms, MAX_TERMS):
         total = term if total is None else total + term
-        if np.all(term <= control.rel_tol * total):
+        if np.all(term <= REL_TOL * total):
             below += 1
             if below >= 2:
                 return total
@@ -208,7 +190,7 @@ def q_factorial(n: float, q) -> float:
 _CONT_VALIDATED: set[float] = set()
 
 
-def q_factorial_cont(z: float, q, control: SeriesControl = DEFAULT_CONTROL) -> float:
+def q_factorial_cont(z: float, q) -> float:
     """Analytic continuation of the symmetric q-factorial.
 
     Convention: [z]_q! = q^{-z(z-1)/2} Gamma_{q^2}(z+1).  On first use with a
@@ -222,7 +204,7 @@ def q_factorial_cont(z: float, q, control: SeriesControl = DEFAULT_CONTROL) -> f
         raise DomainError(f"q_factorial_cont requires z > -1, got {z!r}")
 
     def cont(zz: float) -> float:
-        return qv ** (-zz * (zz - 1.0) / 2.0) * q_gamma(zz + 1.0, qv * qv, control)
+        return qv ** (-zz * (zz - 1.0) / 2.0) * q_gamma(zz + 1.0, qv * qv)
 
     if qv not in _CONT_VALIDATED:
         for n in range(21):
@@ -236,7 +218,7 @@ def q_factorial_cont(z: float, q, control: SeriesControl = DEFAULT_CONTROL) -> f
     return cont(float(z))
 
 
-def q_pochhammer(a: float, q, n=None, control: SeriesControl = DEFAULT_CONTROL) -> float:
+def q_pochhammer(a: float, q, n=None) -> float:
     """(a; q)_n = prod_{j=1..n} (1 - a q^{j-1}); n=None or math.inf for the
     convergent infinite product (requires 0 < q < 1)."""
     if n is None or n == math.inf:
@@ -244,17 +226,17 @@ def q_pochhammer(a: float, q, n=None, control: SeriesControl = DEFAULT_CONTROL) 
         out = 1.0
         factor = float(a)
         below = 0
-        for _ in range(control.max_terms):
+        for _ in range(MAX_TERMS):
             out *= 1.0 - factor
             factor *= qv
-            if abs(factor) < control.rel_tol:
+            if abs(factor) < REL_TOL:
                 below += 1
                 if below >= 2:
                     return out
             else:
                 below = 0
         raise SeriesConvergenceError("q_pochhammer infinite product",
-                                     f"a={a}, q={qv}, max_terms={control.max_terms}")
+                                     f"a={a}, q={qv}, max_terms={MAX_TERMS}")
     if n != int(n) or n < 0:
         raise DomainError(f"q_pochhammer requires nonnegative integer n, got {n!r}")
     if isinstance(q, QParam):
@@ -290,7 +272,7 @@ def q_binomial(n: int, k: int, base: float) -> float:
     return out
 
 
-def q_gamma(z: float, q, control: SeriesControl = DEFAULT_CONTROL) -> float:
+def q_gamma(z: float, q) -> float:
     """Gamma_q(z) = (1-q)^{1-z} (q; q)_inf / (q^z; q)_inf for 0 < q < 1.
 
     The two infinite products are accumulated factor-by-factor as a single
@@ -310,7 +292,7 @@ def q_gamma(z: float, q, control: SeriesControl = DEFAULT_CONTROL) -> float:
     sign = 1.0
     block = 8192
     j0 = 0
-    while j0 < control.max_terms:
+    while j0 < MAX_TERMS:
         jj = np.arange(j0, j0 + block, dtype=float)
         f_num = -np.expm1((1.0 + jj) * lnq)   # 1 - q^{1+j}
         f_den = -np.expm1((z + jj) * lnq)     # 1 - q^{z+j}
@@ -321,12 +303,12 @@ def q_gamma(z: float, q, control: SeriesControl = DEFAULT_CONTROL) -> float:
         log_ratio += math.fsum(np.log(np.abs(ratio)).tolist())
         j0 += block
         # |ln| of the dropped tail is below |q - q^z| q^{j0} / (1-q)
-        if abs(qv - qv ** z) * math.exp(j0 * lnq) / (1.0 - qv) < control.rel_tol:
+        if abs(qv - qv ** z) * math.exp(j0 * lnq) / (1.0 - qv) < REL_TOL:
             return (1.0 - qv) ** (1.0 - z) * sign * math.exp(log_ratio)
     raise SeriesConvergenceError("q_gamma product", f"z={z}, q={qv}")
 
 
-def q_digamma(z: float, q, control: SeriesControl = DEFAULT_CONTROL) -> float:
+def q_digamma(z: float, q) -> float:
     """psi_q(z) = d/dz ln Gamma_q(z), via the series
 
         psi_q(z) = -ln(1-q) + ln(q) * sum_{n>=1} q^{nz} / (1 - q^n).
@@ -341,13 +323,13 @@ def q_digamma(z: float, q, control: SeriesControl = DEFAULT_CONTROL) -> float:
     total = 0.0
     block = 4096
     n0 = 1
-    for _ in range(control.max_terms // block + 1):
+    for _ in range(MAX_TERMS // block + 1):
         n = np.arange(n0, n0 + block, dtype=float)
         qnz = np.exp(n * (z * lnq))
         terms = qnz / (1.0 - np.exp(n * lnq))
         total += float(math.fsum(terms.tolist()))
-        if terms[-1] < control.rel_tol * max(abs(total), 1e-300) and \
-           terms[-2] < control.rel_tol * max(abs(total), 1e-300):
+        if terms[-1] < REL_TOL * max(abs(total), 1e-300) and \
+           terms[-2] < REL_TOL * max(abs(total), 1e-300):
             return -math.log1p(-qv) + lnq * total
         n0 += block
     raise SeriesConvergenceError("q_digamma", f"z={z}, q={qv}")
@@ -357,7 +339,7 @@ def q_digamma(z: float, q, control: SeriesControl = DEFAULT_CONTROL) -> float:
 # modified Bessel functions
 # --------------------------------------------------------------------------
 
-def _bessel_i_series(m, z, q, control: SeriesControl = DEFAULT_CONTROL):
+def _bessel_i_series(m, z, q):
     """sum_n z^{m+2n} / ([n]! [m+n]!)  (classical factorials for the classical
     tag).  Vectorised over z (>= 0); all terms positive.  The deformed series
     takes any real order m >= 0 ([m]_q! by continuation), the classical one
@@ -379,10 +361,10 @@ def _bessel_i_series(m, z, q, control: SeriesControl = DEFAULT_CONTROL):
         itertools.count(1), lambda term, n: term * z2 / (
             (n * (m + n)) if classical else q_number(n, qv) * q_number(m + n, qv)),
         initial=first)
-    return _sum_series(terms, control, "bessel_i series", f"m={m}")
+    return _sum_series(terms, "bessel_i series", f"m={m}")
 
 
-def bessel_i_q(m: int, two_z: float, q, control: SeriesControl = DEFAULT_CONTROL) -> float:
+def bessel_i_q(m: int, two_z: float, q) -> float:
     """Modified Bessel function of the first kind, I_m(2z), or its q-deformed
     analog  I_m^{(q)}(2z) = sum_n z^{m+2n}/([n]_q! [m+n]_q!).
 
@@ -390,11 +372,11 @@ def bessel_i_q(m: int, two_z: float, q, control: SeriesControl = DEFAULT_CONTROL
     """
     if two_z < 0:
         raise DomainError(f"bessel_i_q requires 2z >= 0, got {two_z!r}")
-    return float(_bessel_i_series(m, two_z / 2.0, q, control))
+    return float(_bessel_i_series(m, two_z / 2.0, q))
 
 
 def _log_series_dd(rho, nu: int, tables, c1, c2, lnq, log_term_offset: int,
-                   control: SeriesControl, sizes=None, exact_divisors: bool = False):
+                   sizes=None, exact_divisors: bool = False):
     """The ascending log series of K_nu and of the q-measure bracket, in dd.
 
     Vectorised over rho > 0; returns ``(value_dd, noise)``, both shaped like
@@ -476,7 +458,7 @@ def _log_series_dd(rho, nu: int, tables, c1, c2, lnq, log_term_offset: int,
         wmag = lnrho_w + abs(_dd.to_float(w)) + 1.0
         np.maximum(max_w, np.abs(t[0]) * wmag, out=max_w)
         l += 1
-        if l >= control.max_terms:
+        if l >= MAX_TERMS:
             raise SeriesConvergenceError("ascending log series", f"nu={nu}")
         if exact_divisors:
             t = _dd.div_d(_dd.mul(t, rho2), float(l * (l + nu)))
@@ -516,7 +498,7 @@ def _integer_tables(count: int):
     return [_dd.dd(float(m)) for m in range(count)], psi
 
 
-def _bessel_k_dd(nu: int, two_rho, control: SeriesControl = DEFAULT_CONTROL):
+def _bessel_k_dd(nu: int, two_rho):
     """K_nu(2 rho) and its noise floor: :func:`_log_series_dd` at q = 1,
 
         K_nu(2r) = 1/2 sum_{l<nu} (-1)^l (nu-l-1)!/l! r^{2l-nu}
@@ -533,10 +515,10 @@ def _bessel_k_dd(nu: int, two_rho, control: SeriesControl = DEFAULT_CONTROL):
     if np.any(rho <= 0.0):
         raise DomainError("bessel_k requires rho > 0")
     return _log_series_dd(rho, int(nu), _integer_tables, _dd.dd(0.5), _dd.dd(1.0),
-                          _dd.dd(0.0), 0, control, exact_divisors=True)
+                          _dd.dd(0.0), 0, exact_divisors=True)
 
 
-def bessel_k(nu: int, two_rho: float, control: SeriesControl = DEFAULT_CONTROL) -> float:
+def bessel_k(nu: int, two_rho: float) -> float:
     """Modified Bessel function of the second kind K_nu(2 rho), rho > 0.
 
     Evaluated from the two-part ascending series (finite sum plus log series).
@@ -544,7 +526,7 @@ def bessel_k(nu: int, two_rho: float, control: SeriesControl = DEFAULT_CONTROL) 
     leaves a roundoff floor above NOISE_BUDGET of the value (2 rho beyond
     roughly 24).
     """
-    value, noise = _bessel_k_dd(nu, two_rho, control)
+    value, noise = _bessel_k_dd(nu, two_rho)
     out = float(_dd.to_float(value))
     if not float(noise) < NOISE_BUDGET * abs(out):
         raise SeriesConvergenceError(

@@ -173,7 +173,7 @@ NON_FINITE = [
     (_SINGLE[:3] + _SINGLE[4:], "k=inf"),
     (_SINGLE[:1] + _SINGLE[2:], "q=-inf"),
     (_SINGLE[:-1], "N=2.5"),
-    (_SINGLE, "seed=nan"),
+    (_PAIR + ["perturb=0.01"], "seed=nan"),
     (["verify-moments", "mode=q", "k=1", "nmax=1"], "q=nan"),
     (["sweep-q", "from=0.99", "to=0.7", "steps=3", "a1=0.3", "a2=0.5", "k1=1", "k2=1",
       "N=20"], "delta=q^nan"),
@@ -300,18 +300,22 @@ class TestExitCodes:
         assert str(target) in err
         assert not target.parent.exists()
 
-    # one small valid argv per subcommand, each given a key it does not use
-    UNUSED = [
-        ["state-single", "q=0.9", "alpha=0.8", "k=1", "N=20", "aplha=0.5"],
-        ["state-bipartite", "q=0.9", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "N=20",
-         "detla=0.6"],
-        ["verify-moments", "mode=classical", "k=1", "nmax=1", "q=0.9"],
-        ["sweep-q", "from=0.99", "to=0.7", "steps=2", "a1=0.3", "a2=0.5", "k1=1", "k2=1",
-         "N=20", "stesp=40"],
-        ["g-oracle", "q=0.7", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "nmax=3", "nmx=5"],
-    ]
+    # one small valid argv per subcommand, each given a key it does not use;
+    # seed= is read only next to perturb=
+    UNUSED = {
+        "state-single": ["state-single", "q=0.9", "alpha=0.8", "k=1", "N=20", "aplha=0.5"],
+        "state-bipartite": ["state-bipartite", "q=0.9", "a1=0.3", "a2=0.5", "k1=1", "k2=1",
+                            "N=20", "detla=0.6"],
+        "verify-moments": ["verify-moments", "mode=classical", "k=1", "nmax=1", "q=0.9"],
+        "sweep-q": ["sweep-q", "from=0.99", "to=0.7", "steps=2", "a1=0.3", "a2=0.5", "k1=1",
+                    "k2=1", "N=20", "stesp=40"],
+        "g-oracle": ["g-oracle", "q=0.7", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "nmax=3",
+                     "nmx=5"],
+        "state-single-seed": ["state-single", "q=0.9", "alpha=0.8", "k=1", "N=10", "seed=7"],
+        "state-bipartite-seed": _PAIR + ["seed=7"],
+    }
 
-    @pytest.mark.parametrize("argv", UNUSED, ids=[argv[0] for argv in UNUSED])
+    @pytest.mark.parametrize("argv", UNUSED.values(), ids=UNUSED.keys())
     def test_unused_key_is_2(self, argv, capsys):
         code = run_cli(argv)
         out, err = capsys.readouterr()
@@ -332,6 +336,40 @@ class TestExitCodes:
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == ("invalid configuration: q=1 is the undeformed "
                                            "algebra; pass q=classical\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify-moments", "mode=q", "q=1", "k=1", "nmax=1"],
+         "q= must satisfy 0 < q < 1, got 1.0; for q = 1 use mode=classical"),
+        (["g-oracle", "q=1", "a1=0.3", "a2=0.5", "k1=1", "k2=1"],
+         "q= must satisfy 0 < q < 1, got 1.0"),
+        (["g-oracle", "q=1.2", "a1=0.3", "a2=0.5", "k1=1", "k2=1"],
+         "q= must satisfy 0 < q < 1, got 1.2"),
+        (["sweep-q", "from=1", "to=0.7", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "N=20"],
+         "from= must satisfy 0 < q < 1, got 1.0"),
+        (["sweep-q", "from=0.99", "to=1.5", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "N=20"],
+         "to= must satisfy 0 < q < 1, got 1.5"),
+        (["state-single", "q=0", "alpha=0.8", "k=1", "N=20"], "q= must be positive, got 0.0"),
+        (_PAIR[:1] + ["q=-0.5"] + _PAIR[2:], "q= must be positive, got -0.5"),
+    ], ids=["verify-moments", "g-oracle-1", "g-oracle-1.2", "sweep-q-from", "sweep-q-to",
+            "state-single", "state-bipartite"])
+    def test_q_outside_unit_interval_names_its_key(self, argv, message, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before q was checked")
+
+        for name in ("classical_bipartite", "build_q_bipartite", "solve_g_recurrence"):
+            monkeypatch.setattr(bp, name, no_work)
+        monkeypatch.setattr(cli.me, "moment_check", no_work)
+        monkeypatch.setattr(cli.cs, "build_q_coherent", no_work)
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+
+    def test_below_bargmann_bound_is_2(self, capsys):
+        # k = 0 gives nu = -1, which has no measure; unchecked, this argv never ends
+        assert run_cli(["verify-moments", "mode=q", "q=0.9", "k=0", "nmax=1"]) == 2
+        out, err = capsys.readouterr()
+        assert err == ("invalid configuration: Bargmann index must satisfy k >= 1/2, "
+                       "got 0.0\n")
+        assert out == ""
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -10,7 +10,7 @@ from bgstates import costate as cs
 from bgstates import measure as me
 from bgstates import qspecial as qs
 from bgstates.errors import DomainError, SeriesConvergenceError
-from bgstates.qspecial import CLASSICAL, DEFAULT_CONTROL, QParam
+from bgstates.qspecial import CLASSICAL, QParam
 from bgstates.repalg import DeformationMap
 
 
@@ -156,35 +156,29 @@ class TestValidation:
         with pytest.raises(DomainError):
             me.moment_check(2, 0.75, "classical")
 
-    def test_quadrature_spec_validation(self):
-        with pytest.raises(DomainError):
-            me.QuadratureSpec(lower=0.0)
-        with pytest.raises(DomainError):
-            me.QuadratureSpec(nodes_per_panel=1)
-
-    def test_explicit_upper_cutoff(self):
-        report = me.moment_check(0, 1.0, QParam(0.9),
-                                 quad=me.QuadratureSpec(upper=14.0))
-        assert report.upper_cutoff == 14.0
-        assert report.records[0].rel_err < 1e-3
+    @pytest.mark.parametrize("mode", ["classical", QParam(0.5), QParam(0.9)])
+    @pytest.mark.parametrize("k", [0.0, -0.5, -1.0])
+    def test_below_bargmann_bound_rejected(self, k, mode):
+        # nu = 2k - 1 < 0 has no measure here; without the check q = 0.9 at
+        # k = 0 never ends and q = 0.5 at k = -1 fails inside the log series
+        with pytest.raises(DomainError, match=r"k >= 1/2"):
+            me.moment_check(1, k, mode)
 
 
 def _per_panel_q_moments(n_max, k, qp):
     """The adaptive q-mode quadrature with one integrand call per panel: the
     reference the batched loop in moment_check must reproduce exactly."""
     nu = int(2 * k - 1)
-    quad = me.QuadratureSpec()
-    x, w = me._gl_grid(me._panel_edges(quad.lower, 6.0, quad.panel_width),
-                       quad.nodes_per_panel)
-    base, noise = me._base_integrand_q(x, nu, qp, -1, DEFAULT_CONTROL)
+    x, w = me._gl_grid(me._panel_edges(6.0), me._NODES)
+    base, noise = me._base_integrand_q(x, nu, qp, -1)
     lhs = np.array([float(np.dot(w, base * x ** (2 * n))) for n in range(n_max + 1)])
     noise_tally = float(np.dot(np.abs(w), noise * x ** (2 * n_max)))
     node_count = len(x)
     tail_estimate = math.inf
     r, quiet, prev_contrib = 6.0, 0, math.inf
     while r < 40.0:
-        x, w = me._gl_grid(np.array([r, r + 2.0]), quad.nodes_per_panel)
-        base, noise = me._base_integrand_q(x, nu, qp, -1, DEFAULT_CONTROL)
+        x, w = me._gl_grid(np.array([r, r + 2.0]), me._NODES)
+        base, noise = me._base_integrand_q(x, nu, qp, -1)
         node_count += len(x)
         contrib = float(np.dot(w, base * x ** (2 * n_max)))
         panel_noise = float(np.dot(np.abs(w), noise * x ** (2 * n_max)))
@@ -220,30 +214,21 @@ class TestBatchedPanels:
     def test_bracket_rows_match_per_panel_calls(self, start, nu, q):
         x, _ = me._gl_grid(np.arange(start, start + 17.0, 2.0), 16)
         panels = x.reshape(8, 16)
-        batch, noise = me._q_bracket_dd(panels, nu, q, -1, DEFAULT_CONTROL)
+        batch, noise = me._q_bracket_dd(panels, nu, q, -1)
         for j, row in enumerate(panels):
-            one, one_noise = me._q_bracket_dd(row, nu, q, -1, DEFAULT_CONTROL)
+            one, one_noise = me._q_bracket_dd(row, nu, q, -1)
             assert np.array_equal(batch[0][j], one[0])
             assert np.array_equal(batch[1][j], one[1])
             assert np.array_equal(noise[j], one_noise)
 
     def test_fixed_cutoff_grid_is_one_group(self):
-        # with an explicit upper cutoff no adaptive loop runs: the whole
-        # [lower, 14] grid is one integrand call, and its bracket one group
-        quad = me.QuadratureSpec(upper=14.0)
-        qp = QParam(0.9)
-        x, w = me._gl_grid(me._panel_edges(quad.lower, 14.0, quad.panel_width),
-                           quad.nodes_per_panel)
-        flat, flat_noise = me._q_bracket_dd(x, 1, 0.9, -1, DEFAULT_CONTROL)
-        row, row_noise = me._q_bracket_dd(x[None, :], 1, 0.9, -1, DEFAULT_CONTROL)
+        # a flat rho is one stopping group: the whole [lower, 14] grid comes
+        # out bit for bit as the same grid passed as a single row
+        x, _ = me._gl_grid(me._panel_edges(14.0), me._NODES)
+        flat, flat_noise = me._q_bracket_dd(x, 1, 0.9, -1)
+        row, row_noise = me._q_bracket_dd(x[None, :], 1, 0.9, -1)
         assert np.array_equal(flat[0], row[0][0]) and np.array_equal(flat[1], row[1][0])
         assert np.array_equal(flat_noise, row_noise[0])
-        base, _ = me._base_integrand_q(x, 1, qp, -1, DEFAULT_CONTROL)
-        report = me.moment_check(2, 1.0, qp, quad=quad)
-        assert report.node_count == len(x)
-        assert report.tail_estimate == 0.0
-        for rec in report.records:
-            assert rec.lhs == float(np.dot(w, base * x ** (2 * rec.n)))
 
     @pytest.mark.parametrize("k,q", [(1.0, 0.5), (1.0, 0.95), (0.5, 0.999),
                                      (2.0, 0.87403), (1.0, 0.82014)])
@@ -267,10 +252,9 @@ class TestRaggedGroups:
 
     @staticmethod
     def _grid_and_panels():
-        quad = me.QuadratureSpec()
-        grid, _ = me._gl_grid(me._panel_edges(quad.lower, 6.0, quad.panel_width), 16)
-        panels, _ = me._gl_grid(np.arange(6.0, 23.0, 2.0), 16)
-        return grid, panels.reshape(8, 16)
+        grid, _ = me._gl_grid(me._panel_edges(6.0), me._NODES)
+        panels, _ = me._gl_grid(np.arange(6.0, 23.0, 2.0), me._NODES)
+        return grid, panels.reshape(8, me._NODES)
 
     @pytest.mark.parametrize("q", [0.83, 0.9, 0.96])
     @pytest.mark.parametrize("nu", [0, 1, 3])
@@ -278,12 +262,12 @@ class TestRaggedGroups:
         grid, panels = self._grid_and_panels()
         assert len(grid) == 592
         flat = np.concatenate([grid, panels.ravel()])
-        value, noise = me._q_bracket_dd(flat, nu, q, -1, DEFAULT_CONTROL,
+        value, noise = me._q_bracket_dd(flat, nu, q, -1,
                                         sizes=[592] + [16] * 8)
         groups = [grid, *panels]
         bounds = np.cumsum([0] + [len(g) for g in groups])
         for group, lo, hi in zip(groups, bounds[:-1], bounds[1:]):
-            one, one_noise = me._q_bracket_dd(group, nu, q, -1, DEFAULT_CONTROL)
+            one, one_noise = me._q_bracket_dd(group, nu, q, -1)
             assert np.array_equal(value[0][lo:hi], one[0])
             assert np.array_equal(value[1][lo:hi], one[1])
             assert np.array_equal(noise[lo:hi], one_noise)
@@ -301,7 +285,7 @@ class TestIntegrandIdentity:
     @pytest.mark.parametrize("nu", [0, 1, 3])
     def test_q_integrand(self, nu, q):
         qp, k = QParam(q), (nu + 1) / 2.0
-        base, _ = me._base_integrand_q(self.RHO, nu, qp, -1, DEFAULT_CONTROL)
+        base, _ = me._base_integrand_q(self.RHO, nu, qp, -1)
         norm = cs.normalization_series(self.RHO, k, DeformationMap.q_deformed(qp))
         scale = qs.q_factorial(nu, qp) / math.gamma(2 * k)
         for rho, got, s in zip(self.RHO, base, norm):
@@ -311,7 +295,7 @@ class TestIntegrandIdentity:
     @pytest.mark.parametrize("nu", [0, 1, 3])
     def test_classical_integrand(self, nu):
         k = (nu + 1) / 2.0
-        base, _ = me._base_integrand_classical(self.RHO, nu, DEFAULT_CONTROL)
+        base, _ = me._base_integrand_classical(self.RHO, nu)
         norm = cs.normalization_series(self.RHO, k, DeformationMap.classical())
         for rho, got, s in zip(self.RHO, base, norm):
             want = 2 * rho * me.classical_measure(rho, nu) / s
@@ -363,7 +347,16 @@ class TestVectorisedTables:
     @pytest.mark.parametrize("q", [0.5, 0.83, 0.96, 0.999])
     @pytest.mark.parametrize("stages", [(300,), (70, 300)])
     def test_psi_table_matches_scalar_recurrence(self, stages, q):
-        psi1 = me._psi_q2_table(q, 1, DEFAULT_CONTROL)[0]
+        psi1 = me._psi_q2_table(q, 1)[0]
         for count in stages:
-            table = me._psi_q2_table(q, count, DEFAULT_CONTROL)
+            table = me._psi_q2_table(q, count)
         assert table == _scalar_psi_extension(psi1, q, 300)
+
+    @pytest.mark.parametrize("q", [0.5, 0.83, 0.95, 0.999])
+    def test_psi_table_matches_q_digamma(self, q):
+        # independent oracle: qspecial.q_digamma sums the series of every
+        # psi_{q^2}(m) afresh in float blocks, where the table sums psi(1)
+        # in dd and steps by the recurrence
+        table = me._psi_q2_table(q, 80)
+        for m, (hi, lo) in enumerate(table, start=1):
+            assert hi + lo == pytest.approx(qs.q_digamma(m, q * q), rel=1e-13)
