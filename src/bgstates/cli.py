@@ -15,7 +15,8 @@ Common keys: out=FILE (default stdout), format=json|csv (default json).
 Floats are serialized with 17 significant digits, lowercase scientific;
 complex numbers as [re, im] pairs.  Exit codes: 0 success, 2 invalid
 configuration (the diagnostic names the violated precondition), 3 numerical
-failure (the diagnostic names the failing series).
+failure (the diagnostic names the failing series).  A state or g block of
+more than MAX_COEFFICIENTS coefficients is an invalid configuration.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import io
+import itertools
 import json
 import sys
 from typing import Optional
@@ -40,6 +42,10 @@ __all__ = ["main", "RunConfig", "run", "load_state_json"]
 
 _COMMANDS = ("state-single", "state-bipartite", "verify-moments", "sweep-q", "g-oracle")
 
+# most coefficients one state or g-oracle block may hold (a state of that size
+# is about 40 MB of JSON): a larger N or nmax is rejected before any work
+MAX_COEFFICIENTS = 1 << 20
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.16e}"
@@ -53,6 +59,11 @@ def _jf(x) -> float:
 def _jc(z) -> list:
     z = complex(z)
     return [z.real, z.imag]
+
+
+def _jc_array(a: np.ndarray) -> list:
+    """A complex array as nested lists of [re, im] pairs, as :func:`_jc` gives them."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 @dataclasses.dataclass
@@ -121,6 +132,15 @@ def _as_q(params: dict) -> QParam:
     return QParam(q) if q < 1.0 else QParam.for_crossing(q)
 
 
+def _check_budget(n1: int, n2: int, keys: str):
+    """Reject an (n1+1) x (n2+1) block past MAX_COEFFICIENTS, naming the
+    truncation ``keys``; a truncation below 1 is left to the library to name."""
+    entries = (max(n1, 0) + 1) * (max(n2, 0) + 1)
+    if entries > MAX_COEFFICIENTS:
+        raise DomainError(f"{keys}: a block of {entries} coefficients exceeds the "
+                          f"budget of {MAX_COEFFICIENTS}")
+
+
 def _series_q(params: dict, key: str, hint: str = "") -> QParam:
     """The deformed q of ``key``, which must satisfy 0 < q < 1; anything else
     is an invalid configuration that names ``key``."""
@@ -157,9 +177,13 @@ class _ReadKeys(dict):
 def _run_state_single(cfg: RunConfig) -> dict:
     p = cfg.params
     q = _as_q(p)
+    if not q.is_classical and q.value > 1.0:
+        raise DomainError(f"q= must satisfy 0 < q < 1, got {q.value!r}; the symmetric "
+                          "q-number makes the state at q the state at 1/q")
     alpha = _num(p, "alpha", complex)
     k = _num(p, "k")
     n = _num(p, "N", int)
+    _check_budget(n, 0, f"N={n}")
     state = cs.build_q_coherent(alpha, k, q, n)
     km = LadderOperator("K-", state.deformation, k, n)
     lowered = apply_ladder(km, state).coeffs
@@ -171,7 +195,7 @@ def _run_state_single(cfg: RunConfig) -> dict:
         "command": "state-single",
         "params": {"q": None if q.is_classical else q.value,
                    "alpha": _jc(alpha), "k": k, "N": n},
-        "coefficients": [_jc(c) for c in state.coeffs],
+        "coefficients": _jc_array(state.coeffs),
         "residual": _jf(residual),
         "norm_before_truncation": _jf(state.norm_before_truncation),
     }
@@ -195,7 +219,7 @@ def _state_bipartite_payload(M, params_block: dict) -> dict:
     return {
         "command": "state-bipartite",
         "params": params_block,
-        "coefficients": [[_jc(z) for z in row] for row in np.asarray(M.coeffs)],
+        "coefficients": _jc_array(np.asarray(M.coeffs)),
         "schmidt": {
             "singular_values": [_jf(s) for s in spec.singular_values],
             "entropy": _jf(spec.entropy),
@@ -208,6 +232,7 @@ def _state_bipartite_payload(M, params_block: dict) -> dict:
 
 def _run_state_bipartite(cfg: RunConfig) -> dict:
     q, a1, a2, k1, k2, n1, n2, delta = _bipartite_from_params(cfg.params)
+    _check_budget(n1, n2, f"N={n1}, N2={n2}")
     if q.is_classical:
         M = bp.classical_bipartite(a1, a2, k1, k2, n1, n2)
     else:
@@ -283,6 +308,7 @@ def _run_sweep_q(cfg: RunConfig) -> dict:
     delta_spec = p.get("delta", "1")
     delta_power = delta_spec.startswith("q^")
     delta_num = _parse("delta", delta_spec[2:] if delta_power else delta_spec)
+    _check_budget(n, n, f"N={n}")
     classical = bp.classical_bipartite(a1, a2, k1, k2, n, n)
     rows = []
     for q in np.linspace(q_from, q_to, steps):
@@ -318,6 +344,7 @@ def _run_g_oracle(cfg: RunConfig) -> dict:
     nmax = _num(p, "nmax", int, "12")
     if nmax < 0:
         raise DomainError(f"g-oracle requires nmax >= 0, got {nmax}")
+    _check_budget(nmax, nmax, f"nmax={nmax}")
     params = bp.BipartiteParams(a1, a2, k1, k2, q)
     boundary = bp.BoundarySequence.geometric(delta)
     g = bp.solve_g_recurrence(boundary, params, nmax, nmax)
@@ -389,8 +416,42 @@ def _to_csv(payload: dict) -> str:
     return buf.getvalue()
 
 
+# json.dumps spells the non-finite floats so
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_pairs(pairs: list, level: int) -> str:
+    """``json.dumps(pairs, indent=2)`` nested ``level`` deep in a document,
+    for a list of [re, im] float pairs or a list of such lists.  It formats
+    floats as json does, with ``float.__repr__``, but joins precomputed
+    indentation instead of running json's pure-Python indenting encoder."""
+    if not pairs:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(pairs[0][0], list):
+        body = ("," + pad).join([_json_pairs(row, level + 1) for row in pairs])
+    else:
+        inner = pad + "  "
+        floats = map(float.__repr__, itertools.chain.from_iterable(pairs))
+        body = ("," + pad).join([f"[{inner}%s,{inner}%s{pad}]"] * len(pairs)) % tuple(
+            [_JSON_CONSTANTS.get(text, text) for text in floats])
+    return "[" + pad + body + pad[:-2] + "]"
+
+
+def _to_json(payload: dict) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte, with a
+    ``coefficients`` block written by :func:`_json_pairs`; a payload without
+    one (verify-moments, sweep-q, g-oracle) is json.dumps itself."""
+    if "coefficients" not in payload:
+        return json.dumps(payload, indent=2)
+    return "{\n" + ",\n".join(
+        f"  {json.dumps(key)}: " + (_json_pairs(value, 1) if key == "coefficients" else
+                                     json.dumps(value, indent=2).replace("\n", "\n  "))
+        for key, value in payload.items()) + "\n}"
+
+
 def _emit(payload: dict, cfg: RunConfig) -> None:
-    text = json.dumps(payload, indent=2) if cfg.fmt == "json" else _to_csv(payload)
+    text = _to_json(payload) if cfg.fmt == "json" else _to_csv(payload)
     if not text.endswith("\n"):
         text += "\n"
     if cfg.out:

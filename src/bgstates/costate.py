@@ -143,11 +143,10 @@ def single_node_profile(alpha: complex, k: float, f: DeformationMap, N: int) -> 
     if N < 1:
         raise DomainError(f"truncation N must be >= 1, got {N}")
     e = lowering_elements(f, k, N + 1)
-    c = np.zeros(N + 1, dtype=complex)
-    c[0] = 1.0
-    for n in range(N):
-        c[n + 1] = alpha / e[n + 1] * c[n]
-    return c
+    # alpha/e[n] as scalars: numpy's complex-by-real array division rounds
+    # differently from Python's
+    ratios = np.array([1.0] + [alpha / x for x in e[1:].tolist()], dtype=complex)
+    return np.cumprod(ratios)
 
 
 def build_f_coherent(alpha: complex, k: float, f: DeformationMap, N: int) -> LadderState:

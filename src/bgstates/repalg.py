@@ -27,6 +27,8 @@ honest on interior components.
 from __future__ import annotations
 
 import dataclasses
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -44,6 +46,11 @@ __all__ = [
     "apply_coproduct",
     "lowering_elements",
 ]
+
+# q**x leaves double range once |x ln q| passes this
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+# levels of a q table evaluated per comprehension
+_TABLE_CHUNK = 4096
 
 
 def check_bargmann(k: float) -> float:
@@ -116,14 +123,39 @@ def lowering_elements(deformation: DeformationMap, k: float, count: int) -> np.n
     n-1 to n); e[0] = 0.
     """
     k = check_bargmann(k)
-    e = np.zeros(count)
     if deformation.kind == "q":
-        q = deformation.q
-        for n in range(1, count):
-            e[n] = np.sqrt(q_number(n, q) * q_number(n + 2 * k - 1, q))
+        return _q_lowering_elements(deformation.q.value, k, count)
+    e = np.zeros(count)
+    if deformation.kind == "classical":
+        n = np.arange(1, count)
+        e[1:] = np.sqrt(n * (n + 2 * k - 1))
     else:
         for n in range(1, count):
             e[n] = deformation.value(n + k, k) * np.sqrt(n * (n + 2 * k - 1))
+    return e
+
+
+def _q_lowering_elements(q: float, k: float, count: int) -> np.ndarray:
+    """e[n] = sqrt([n]_q [n+2k-1]_q) with the arithmetic of :func:`q_number`
+    (Python float powers: numpy's round differently), raising its DomainError
+    for the first q-number, in the order [1], [2k], [2], [2k+1], ..., that
+    overflows.  The table stops at the level where q**-n (or q**n for q > 1)
+    leaves double range and is filled _TABLE_CHUNK levels at a time, so an
+    absurd ``count`` costs at most 8 bytes per level below that one."""
+    scale = q - 1.0 / q
+    e = np.zeros(min(count, int(_LOG_DBL_MAX / abs(math.log(q))) + 2))
+    for lo in range(1, len(e), _TABLE_CHUNK):
+        ns = range(lo, min(lo + _TABLE_CHUNK, len(e)))
+        try:
+            qn = np.array([(q ** x - q ** -x) / scale for n in ns for x in (n, n + 2 * k - 1)])
+        except OverflowError:
+            qn = None
+        if qn is None or not np.isfinite(qn).all():
+            for n in ns:
+                q_number(n, q)          # raises for the first overflowing x
+                q_number(n + 2 * k - 1, q)
+        with np.errstate(over="ignore"):    # a product past double range is inf
+            e[ns.start:ns.stop] = np.sqrt(qn[0::2] * qn[1::2])
     return e
 
 

@@ -456,6 +456,40 @@ class TestSchmidt:
         assert spec.entropy == pytest.approx(math.log(2), rel=1e-12)
         assert spec.rank_eps == 2
 
+    @pytest.mark.parametrize("make", [
+        lambda: bp.build_q_bipartite(P9, GEOM1, 50, 50),
+        lambda: bp.build_q_bipartite(bp.BipartiteParams(0.5, 0.3, 1.5, 0.75, QParam(0.6)),
+                                     bp.BoundarySequence.geometric(0.8), 50, 30),
+        lambda: bp.build_q_bipartite(bp.BipartiteParams(0.3, 0.5, 1.0, 2.0,
+                                                        QParam.for_crossing(1.25)),
+                                     GEOM1, 50, 50),
+        lambda: bp.classical_bipartite(0.4, 0.7, 1.0, 1.5, 35, 35),
+    ], ids=["q", "rectangular", "crossing", "classical"])
+    def test_real_block_takes_the_real_svd(self, make, monkeypatch):
+        M = make()
+        assert not np.asarray(M.coeffs).imag.any()
+        # the complex SVD of the same block is the reference
+        ref = np.linalg.svd(np.asarray(M.coeffs, dtype=complex), compute_uv=False)
+        ref_sq = ref ** 2
+        ref_sq = ref_sq[ref_sq > 0]
+        ref_entropy = float(-np.sum(ref_sq * np.log(ref_sq)))
+        seen = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a.dtype) or svd(a, **kw))
+        spec = bp.schmidt_entropy(M)
+        assert seen == [np.float64]
+        assert np.max(np.abs(np.array(spec.singular_values) - ref)) <= 1e-15 * ref[0]
+        assert abs(spec.entropy - ref_entropy) <= 1e-14
+
+    def test_complex_block_keeps_the_complex_svd(self, monkeypatch):
+        M = bp.build_q_bipartite(bp.BipartiteParams(0.3 + 0.2j, 0.5, 1.0, 1.0, QParam(0.9)),
+                                 GEOM1, 50, 50)
+        seen = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a.dtype) or svd(a, **kw))
+        bp.schmidt_entropy(M)
+        assert seen == [np.complex128]
+
     def test_unnormalized_rejected(self):
         params = bp.BipartiteParams(0.1, 0.1, 1.0, 1.0, CLASSICAL)
         M = bp.BipartiteMatrix(coeffs=np.ones((3, 3)), params=params, normalized=False)

@@ -349,9 +349,12 @@ class TestExitCodes:
         (["sweep-q", "from=0.99", "to=1.5", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "N=20"],
          "to= must satisfy 0 < q < 1, got 1.5"),
         (["state-single", "q=0", "alpha=0.8", "k=1", "N=20"], "q= must be positive, got 0.0"),
+        (["state-single", "q=1.5", "alpha=0.8", "k=1", "N=20"],
+         "q= must satisfy 0 < q < 1, got 1.5; the symmetric q-number makes the state at q "
+         "the state at 1/q"),
         (_PAIR[:1] + ["q=-0.5"] + _PAIR[2:], "q= must be positive, got -0.5"),
     ], ids=["verify-moments", "g-oracle-1", "g-oracle-1.2", "sweep-q-from", "sweep-q-to",
-            "state-single", "state-bipartite"])
+            "state-single", "state-single-1.5", "state-bipartite"])
     def test_q_outside_unit_interval_names_its_key(self, argv, message, monkeypatch, capsys):
         def no_work(*args, **kwargs):
             raise AssertionError("work started before q was checked")
@@ -363,6 +366,42 @@ class TestExitCodes:
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == f"invalid configuration: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["state-single", "q=0.9", "alpha=0.8", "k=1", "N=100"],
+         "N=100: a block of 101 coefficients exceeds the budget of 100"),
+        (["state-single", "q=classical", "alpha=0.8", "k=1", "N=100"],
+         "N=100: a block of 101 coefficients exceeds the budget of 100"),
+        (["state-bipartite", "q=0.9", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "N=9", "N2=10"],
+         "N=9, N2=10: a block of 110 coefficients exceeds the budget of 100"),
+        (["state-bipartite", "q=1.25", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "N=100", "N2=0"],
+         "N=100, N2=0: a block of 101 coefficients exceeds the budget of 100"),
+        (["state-bipartite", "q=classical", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "N=10"],
+         "N=10, N2=10: a block of 121 coefficients exceeds the budget of 100"),
+        (["sweep-q", "from=0.99", "to=0.7", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "N=10"],
+         "N=10: a block of 121 coefficients exceeds the budget of 100"),
+        (["g-oracle", "q=0.7", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "nmax=10"],
+         "nmax=10: a block of 121 coefficients exceeds the budget of 100"),
+    ], ids=["single", "single-classical", "pair", "pair-crossing", "pair-classical", "sweep",
+            "g-oracle"])
+    def test_oversized_truncation_is_2_before_any_work(self, argv, message, monkeypatch,
+                                                       capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the truncation was checked")
+
+        monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 100)
+        for name in ("classical_bipartite", "build_q_bipartite", "solve_g_recurrence"):
+            monkeypatch.setattr(bp, name, no_work)
+        monkeypatch.setattr(cli.cs, "build_q_coherent", no_work)
+        assert run_cli(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == f"invalid configuration: {message}\n"
+        assert out == ""
+
+    def test_truncation_at_the_budget_runs(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 21 * 21)
+        assert run_cli(_PAIR) == 0
+        assert run_cli(["state-single", "q=0.9", "alpha=0.8", "k=1", "N=440"]) == 0
+
     def test_below_bargmann_bound_is_2(self, capsys):
         # k = 0 gives nu = -1, which has no measure; unchecked, this argv never ends
         assert run_cli(["verify-moments", "mode=q", "q=0.9", "k=0", "nmax=1"]) == 2
@@ -370,6 +409,66 @@ class TestExitCodes:
         assert err == ("invalid configuration: Bargmann index must satisfy k >= 1/2, "
                        "got 0.0\n")
         assert out == ""
+
+
+class TestJsonEmitter:
+    """The coefficient blocks are written without json's pure-Python encoder;
+    the bytes must be those of json.dumps(payload, indent=2)."""
+
+    SPECIAL = [-0.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, np.inf, -np.inf]
+
+    @staticmethod
+    def payload(coeffs):
+        return {"command": "state-bipartite",
+                "params": {"q": None, "a1": [0.3, -0.0], "N1": 3, "delta": "q^2"},
+                "coefficients": coeffs,
+                "schmidt": {"singular_values": [1.0, np.nan, 1e-300], "rank_eps": 2},
+                "residual": np.inf}
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (51,), (1, 1), (7, 1), (1, 7), (6, 9)],
+                             ids=str)
+    def test_random_blocks_match_json_dumps(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(20):
+            block = (rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+                     + 1j * rng.standard_normal(shape))
+            flat = block.reshape(-1)
+            for z in rng.choice(self.SPECIAL, size=(flat.size, 2)):
+                if rng.random() < 0.5:
+                    flat[rng.integers(flat.size)] = complex(*z)
+            coeffs = cli._jc_array(block)
+            # the same nested [re, im] lists as one _jc per entry
+            per_entry = ([cli._jc(z) for z in block] if block.ndim == 1
+                         else [[cli._jc(z) for z in row] for row in block])
+            assert json.dumps(coeffs) == json.dumps(per_entry)
+            payload = self.payload(coeffs)
+            assert cli._to_json(payload) == json.dumps(payload, indent=2)
+
+    def test_payload_without_coefficients_is_json_dumps(self):
+        payload = {"command": "sweep-q", "rows": [{"q": 0.9, "entropy": -0.0}]}
+        assert cli._to_json(payload) == json.dumps(payload, indent=2)
+        assert cli._json_pairs([], 1) == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["state-single", "q=0.9", "alpha=0.8", "k=1", "N=50"],
+        ["state-bipartite", "q=0.9", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "delta=1", "N=50"],
+        ["state-bipartite", "q=0.9", "a1=0.3+0.1j", "a2=0.0001", "k1=1", "k2=1.5", "N=30",
+         "N2=1"],
+        ["state-bipartite", "q=1.25", "a1=0.0001", "a2=0.3+0.1j", "k1=1", "k2=1.5", "N=1",
+         "N2=30"],
+    ], ids=["readme-single", "readme-pair", "complex-31x2", "crossing-2x31"])
+    def test_state_artifacts_match_json_dumps(self, argv, tmp_path):
+        payload = cli.run(cli._parse_argv(argv))
+        out = tmp_path / "a.json"
+        assert run_cli(argv + [f"out={out}"]) == 0
+        assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+        # format=csv writes the same coefficients as a table
+        csv = tmp_path / "a.csv"
+        assert run_cli(argv + ["format=csv", f"out={csv}"]) == 0
+        rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+        flat = np.array(payload["coefficients"]).reshape(-1, 2)
+        assert len(rows) == len(flat)
+        assert np.array_equal([[float(r[-2]), float(r[-1])] for r in rows], flat)
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -23,6 +23,31 @@ def km_residual(state):
     return float(np.linalg.norm(lowered - state.alpha * state.coeffs)) / abs(state.alpha)
 
 
+def scalar_profile(alpha, k, f, N):
+    """alpha^n / (e[1] ... e[n]) one level at a time: the reference for
+    single_node_profile."""
+    e = ra.lowering_elements(f, k, N + 1)
+    c = np.zeros(N + 1, dtype=complex)
+    c[0] = 1.0
+    for n in range(N):
+        c[n + 1] = alpha / e[n + 1] * c[n]
+    return c
+
+
+class TestSingleNodeProfile:
+    @pytest.mark.parametrize("f", [CLASSICAL_MAP, ra.DeformationMap.q_deformed(QParam(0.83)),
+                                   ra.DeformationMap.q_deformed(QParam.for_crossing(1 / 0.83)),
+                                   ra.DeformationMap.custom(lambda x: 1.0 + 1.0 / x)],
+                             ids=["classical", "q", "q>1", "custom"])
+    @pytest.mark.parametrize("alpha", [0.8, -0.8, -0.0, 0.5 + 0.3j, -0.7 - 1.1j,
+                                       complex(-0.0, 0.4), complex(0.6, -0.0), 2.5j])
+    def test_is_the_scalar_recurrence_bit_for_bit(self, f, alpha):
+        for k in (0.5, 0.75, 1.5):
+            for N in (1, 2, 50):
+                got = cs.single_node_profile(alpha, k, f, N)
+                assert got.tobytes() == scalar_profile(alpha, k, f, N).tobytes()
+
+
 class TestBuildFCoherent:
     def test_vacuum(self):
         s = cs.build_f_coherent(0.0, 1.0, CLASSICAL_MAP, 10)

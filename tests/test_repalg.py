@@ -6,6 +6,7 @@ literally from single-node matrices must agree with the index implementation.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,66 @@ class TestBargmann:
             ra.check_bargmann(0.49)
         with pytest.raises(DomainError):
             ra.check_bargmann(-1.0)
+
+
+def scalar_lowering_elements(dmap, k, count):
+    """One q_number pair (or map value) per level: the reference for the
+    array tables of lowering_elements."""
+    e = np.zeros(count)
+    for n in range(1, count):
+        if dmap.kind == "q":
+            e[n] = np.sqrt(q_number(n, dmap.q) * q_number(n + 2 * k - 1, dmap.q))
+        else:
+            e[n] = dmap.value(n + k, k) * np.sqrt(n * (n + 2 * k - 1))
+    return e
+
+
+def q_map(q):
+    return ra.DeformationMap.q_deformed(QParam(q) if q < 1 else QParam.for_crossing(q))
+
+
+class TestLoweringElements:
+    @pytest.mark.parametrize("q", [0.5, 0.83, 0.97, 1 / 0.83])
+    @pytest.mark.parametrize("k", [0.5, 0.75, 1, 1.5, 2])
+    def test_q_table_is_the_scalar_loop_bit_for_bit(self, q, k):
+        for count in (0, 1, 2, 52, 400):
+            got = ra.lowering_elements(q_map(q), k, count)
+            assert got.tobytes() == scalar_lowering_elements(q_map(q), k, count).tobytes()
+
+    @pytest.mark.parametrize("k", [0.5, 0.75, 1, 1.5, 2])
+    def test_classical_table_is_the_scalar_loop_bit_for_bit(self, k):
+        dmap = ra.DeformationMap.classical()
+        for count in (0, 1, 2, 52, 400):
+            got = ra.lowering_elements(dmap, k, count)
+            assert got.tobytes() == scalar_lowering_elements(dmap, k, count).tobytes()
+
+    def test_product_past_double_range_is_inf_silently(self):
+        # at q = 0.5 each [x]_q stays finite up to x ~ 1024, but the product
+        # [n][n+1] leaves double range near n = 512; no warning, no raise
+        got = ra.lowering_elements(q_map(0.5), 1.0, 600)
+        assert got.tobytes() == scalar_lowering_elements(q_map(0.5), 1.0, 600).tobytes()
+        assert np.isinf(got[-1]) and np.all(np.isfinite(got[:500]))
+
+    @pytest.mark.parametrize("q, k", [(0.9, 1.0), (0.5, 0.75), (0.97, 2.5), (1 / 0.9, 2.0),
+                                      (0.99, 1.5)])
+    def test_overflow_names_the_first_q_number(self, q, k):
+        with pytest.raises(DomainError) as want:
+            scalar_lowering_elements(q_map(q), k, 100_000)
+        assert "]_q overflows double range at q=" in str(want.value)
+        # an absurd count raises the same error without allocating its table:
+        # the table stops where q**-n leaves double range (n ~ 70_600 at
+        # q = 0.99) and is built a chunk at a time, well under a MB (one
+        # comprehension over those levels would take about 5 MB)
+        for count in (100_000, 10 ** 15):
+            tracemalloc.start()
+            try:
+                with pytest.raises(DomainError) as got:
+                    ra.lowering_elements(q_map(q), k, count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(got.value) == str(want.value)
+            assert peak < 2_000_000
 
 
 class TestApplyLadder:
