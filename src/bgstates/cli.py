@@ -169,6 +169,13 @@ class _ReadKeys(dict):
         self.read.add(key)
         return super().__contains__(key)
 
+    def reject_unread(self, command: str):
+        """Called by each runner once it has parsed its keys, before any work."""
+        unknown = sorted(self.keys() - self.read)
+        if unknown:
+            raise DomainError(f"{command} does not use the key(s) "
+                              + ", ".join(f"{key}=" for key in unknown))
+
 
 # --------------------------------------------------------------------------
 # subcommands
@@ -183,6 +190,7 @@ def _run_state_single(cfg: RunConfig) -> dict:
     alpha = _num(p, "alpha", complex)
     k = _num(p, "k")
     n = _num(p, "N", int)
+    p.reject_unread(cfg.command)
     _check_budget(n, 0, f"N={n}")
     state = cs.build_q_coherent(alpha, k, q, n)
     km = LadderOperator("K-", state.deformation, k, n)
@@ -231,7 +239,11 @@ def _state_bipartite_payload(M, params_block: dict) -> dict:
 
 
 def _run_state_bipartite(cfg: RunConfig) -> dict:
-    q, a1, a2, k1, k2, n1, n2, delta = _bipartite_from_params(cfg.params)
+    p = cfg.params
+    q, a1, a2, k1, k2, n1, n2, delta = _bipartite_from_params(p)
+    eps = _num(p, "perturb") if "perturb" in p else None
+    seed = None if eps is None else _num(p, "seed", int, "0")
+    p.reject_unread(cfg.command)
     _check_budget(n1, n2, f"N={n1}, N2={n2}")
     if q.is_classical:
         M = bp.classical_bipartite(a1, a2, k1, k2, n1, n2)
@@ -252,9 +264,7 @@ def _run_state_bipartite(cfg: RunConfig) -> dict:
         payload["norm_series_value"] = _jf(ns)
         payload["norm_double_sum"] = _jf(raw)
         payload["norm_rel_err"] = _jf(abs(ns - raw) / abs(raw))
-    if "perturb" in cfg.params:
-        eps = _num(cfg.params, "perturb")
-        seed = _num(cfg.params, "seed", int, "0")
+    if eps is not None:
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal(M.coeffs.shape) + 1j * rng.standard_normal(M.coeffs.shape)
         noisy = M.coeffs + eps * noise / np.linalg.norm(noise)
@@ -272,13 +282,12 @@ def _run_verify_moments(cfg: RunConfig) -> dict:
     mode = _need(p, "mode")
     k = _num(p, "k")
     nmax = _num(p, "nmax", int)
-    if mode == "classical":
-        report = me.moment_check(nmax, k, "classical")
-    elif mode == "q":
-        report = me.moment_check(
-            nmax, k, _series_q(p, "q", "; for q = 1 use mode=classical"))
-    else:
+    if mode == "q":
+        mode = _series_q(p, "q", "; for q = 1 use mode=classical")
+    elif mode != "classical":
         raise DomainError(f"mode must be classical or q, got {mode!r}")
+    p.reject_unread(cfg.command)
+    report = me.moment_check(nmax, k, mode)
     return {
         "command": "verify-moments",
         "params": {"mode": report.mode, "k": report.k, "q": report.q, "nmax": nmax},
@@ -308,6 +317,7 @@ def _run_sweep_q(cfg: RunConfig) -> dict:
     delta_spec = p.get("delta", "1")
     delta_power = delta_spec.startswith("q^")
     delta_num = _parse("delta", delta_spec[2:] if delta_power else delta_spec)
+    p.reject_unread(cfg.command)
     _check_budget(n, n, f"N={n}")
     classical = bp.classical_bipartite(a1, a2, k1, k2, n, n)
     rows = []
@@ -344,6 +354,7 @@ def _run_g_oracle(cfg: RunConfig) -> dict:
     nmax = _num(p, "nmax", int, "12")
     if nmax < 0:
         raise DomainError(f"g-oracle requires nmax >= 0, got {nmax}")
+    p.reject_unread(cfg.command)
     _check_budget(nmax, nmax, f"nmax={nmax}")
     params = bp.BipartiteParams(a1, a2, k1, k2, q)
     boundary = bp.BoundarySequence.geometric(delta)
@@ -494,14 +505,9 @@ _RUNNERS = {
 
 def run(cfg: RunConfig) -> dict:
     """Execute a parsed configuration and return the payload dict.  A key the
-    subcommand never looked up is an invalid configuration."""
-    params = _ReadKeys(cfg.params)
-    payload = _RUNNERS[cfg.command](dataclasses.replace(cfg, params=params))
-    unknown = sorted(params.keys() - params.read)
-    if unknown:
-        raise DomainError(f"{cfg.command} does not use the key(s) "
-                          + ", ".join(f"{key}=" for key in unknown))
-    return payload
+    subcommand does not read is an invalid configuration, rejected before
+    any work."""
+    return _RUNNERS[cfg.command](dataclasses.replace(cfg, params=_ReadKeys(cfg.params)))
 
 
 def main(argv=None) -> int:

@@ -153,9 +153,9 @@ def _q_bracket_dd(rho, nu: int, q: float, log_term_offset: int, sizes=None):
         C1 = (q^2-1)/(q ln q),   C2 = (1-q^2)^2 / (q^2 (ln q)^2),
 
     so that it reduces to 4 K_nu(2 rho) as q -> 1.  Each stopping group
-    (``sizes`` of the flattened rho; by default the rows of a 2-d rho) stops
-    its log series on its own and comes out bit for bit as a call with that
-    group alone.
+    (``sizes`` of the flattened rho; without it the whole rho) stops its log
+    series on its own and comes out bit for bit as a call with that group
+    alone.
     """
     q_dd = _dd.dd(q)
     lnq = _dd.log(q_dd)
@@ -203,10 +203,13 @@ def q_measure(rho: float, nu: int, q, log_term_offset: int = -1) -> float:
 
 # panel layout of the moment quadratures: panels geometric from _LOWER up to
 # 1 (resolving the integrable rho -> 0 behavior) and _PANEL_WIDTH wide
-# beyond, _NODES Gauss-Legendre nodes each
+# beyond, each with the _NODES-point Gauss-Legendre rule _RULE
 _LOWER = 1e-8
 _PANEL_WIDTH = 0.5
 _NODES = 16
+_RULE = np.polynomial.legendre.leggauss(_NODES)
+# outer panels of the adaptive q-mode cutoff evaluated per integrand call
+_PANEL_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -236,10 +239,6 @@ class MomentReport:
         return max(r.rel_err for r in self.records)
 
 
-# panels of the adaptive q-mode cutoff evaluated per integrand call
-_PANEL_BATCH = 8
-
-
 def _panel_edges(upper: float) -> np.ndarray:
     edges = [_LOWER]
     x = _LOWER
@@ -251,10 +250,9 @@ def _panel_edges(upper: float) -> np.ndarray:
     return np.asarray(edges)
 
 
-def _gl_grid(edges: np.ndarray, rule):
-    """Gauss-Legendre nodes and weights on the panels between the edges;
-    ``rule`` is a ``leggauss`` (nodes, weights) pair or the node count."""
-    x0, w0 = np.polynomial.legendre.leggauss(rule) if np.ndim(rule) == 0 else rule
+def _gl_grid(edges: np.ndarray):
+    """Gauss-Legendre nodes and weights on the panels between the edges."""
+    x0, w0 = _RULE
     a = edges[:-1][:, None]
     b = edges[1:][:, None]
     x = ((b - a) * x0[None, :] / 2.0 + (a + b) / 2.0).ravel()
@@ -262,24 +260,26 @@ def _gl_grid(edges: np.ndarray, rule):
     return x, w
 
 
-def _q_outer_batches(r: float, rule):
-    """Yield (x, w) for the 2-wide panels from r up to 40 in order,
-    _PANEL_BATCH panels per 2-d block, one row per panel."""
-    nodes = len(rule[0])
-    starts = np.arange(r, 40.0, 2.0)
-    edges = np.append(starts, starts[-1:] + 2.0)
-    for i in range(0, len(edges) - 1, _PANEL_BATCH):
-        x, w = _gl_grid(edges[i:i + _PANEL_BATCH + 1], rule)
-        yield x.reshape(-1, nodes), w.reshape(-1, nodes)
+def _q_panels(integrand):
+    """Yield (x, w, base, noise) for the [_LOWER, 6] grid, then for each
+    2-wide panel from 6 up to 40, in order.
 
-
-def _q_outer_panels(first, batches, integrand):
-    """Yield (x, w, base, noise) per outer panel in order: ``first`` holds the
-    first batch's blocks, already evaluated; each later (x, w) batch is
-    evaluated by ``integrand`` only once the caller reaches it."""
-    yield from zip(*first)
-    for x, w in batches:
-        yield from zip(x, w, *integrand(x))
+    ``integrand(x, sizes)`` gives (base, noise) on the flat nodes ``x``, one
+    stopping group per entry of ``sizes``.  The adaptive loop always reaches
+    the first _PANEL_BATCH panels, so they share one call with the grid; each
+    later batch is evaluated only once the caller asks for its first panel.
+    """
+    x, w = _gl_grid(np.arange(6.0, 41.0, 2.0))
+    blocks = [_gl_grid(_panel_edges(6.0)),
+              *zip(x.reshape(-1, _NODES), w.reshape(-1, _NODES))]
+    bounds = [0, *range(1 + _PANEL_BATCH, len(blocks), _PANEL_BATCH), len(blocks)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        batch = blocks[lo:hi]
+        sizes = [len(bx) for bx, _ in batch]
+        base, noise = integrand(np.concatenate([bx for bx, _ in batch]), sizes)
+        cuts = np.cumsum(sizes)[:-1]
+        yield from ((bx, bw, b, nz) for (bx, bw), b, nz
+                    in zip(batch, np.split(base, cuts), np.split(noise, cuts)))
 
 
 def _k_asymptotic(nu: int, two_rho: np.ndarray, terms: int = 6):
@@ -333,59 +333,41 @@ def moment_check(n_max: int, k: float, mode, log_term_offset: int = -1) -> Momen
                           "(Bessel orders of the measures)")
     nu = int(nu_f)
     classical = (mode == "classical") or (isinstance(mode, QParam) and mode.is_classical)
-    if classical:
-        qp = None
-    else:
-        qp = mode if isinstance(mode, QParam) else QParam(float(mode))
-
     powers = np.arange(n_max + 1)
-    rule = np.polynomial.legendre.leggauss(_NODES)
 
     if classical:
         upper = 12.0
-        x, w = _gl_grid(_panel_edges(upper), rule)
+        x, w = _gl_grid(_panel_edges(upper))
         base, noise = _base_integrand_classical(x, nu)
         lhs = np.array([float(np.dot(w, base * x ** (2 * n))) for n in powers])
         # restore the tail with the large-argument K form on [R, R+40]
         tail_edges = np.arange(upper, upper + 40.0 + 1e-9, 2.0)
-        tx, tw = _gl_grid(tail_edges, rule)
+        tx, tw = _gl_grid(tail_edges)
         k_asym, k_resid = _k_asymptotic(nu, 2.0 * tx)
         scale = 4.0 * tx ** (nu + 1)
-        tail_base = scale * k_asym
-        resid_base = scale * k_resid
-        tails = np.array([float(np.dot(tw, tail_base * tx ** (2 * n))) for n in powers])
-        resids = np.array([float(np.dot(tw, resid_base * tx ** (2 * n))) for n in powers])
+        tails = np.array([float(np.dot(tw, scale * k_asym * tx ** (2 * n))) for n in powers])
+        resids = np.array([float(np.dot(tw, scale * k_resid * tx ** (2 * n))) for n in powers])
         lhs = lhs + tails
         tail_estimate = float(np.max(tails))
         tail_bound_residual = float(np.max(resids / np.abs(lhs)))
         node_count = len(x) + len(tx)
         rhs = np.array([math.factorial(n) * math.gamma(n + 2 * k) for n in powers])
-        qv = None
     else:
-        # grow the cutoff until the n_max panel contribution is negligible or
-        # the compensated-arithmetic noise floor is reached
-        lhs = np.zeros(n_max + 1)
-        r = 6.0
-        x, w = _gl_grid(_panel_edges(r), rule)
-        # the adaptive loop always reaches the first outer batch: evaluate it
-        # with the grid in one integrand call, and later batches on demand
-        batches = _q_outer_batches(r, rule)
-        first = next(batches)
-        rows = first[0]
-        base, noise = _base_integrand_q(np.concatenate([x, *rows]), nu, qp, log_term_offset,
-                                        [len(x)] + [len(row) for row in rows])
-        base, first_base = base[:len(x)], base[len(x):]
-        noise, first_noise = noise[:len(x)], noise[len(x):]
-        for n in powers:
-            lhs[n] = float(np.dot(w, base * x ** (2 * n)))
+        qp = mode if isinstance(mode, QParam) else QParam(float(mode))
+        # grow the cutoff past rho = 6 until the n_max panel contribution is
+        # negligible or the compensated-arithmetic noise floor is reached
+        panels = _q_panels(lambda x, sizes: _base_integrand_q(x, nu, qp, log_term_offset,
+                                                              sizes))
+        x, w, base, noise = next(panels)
+        lhs = np.array([float(np.dot(w, base * x ** (2 * n))) for n in powers])
         noise_tally = float(np.dot(np.abs(w), noise * x ** (2 * n_max)))
         node_count = len(x)
         tail_estimate = math.inf
-        quiet = 0
-        prev_contrib = math.inf
-        panels = _q_outer_panels(
-            (*first, first_base.reshape(rows.shape), first_noise.reshape(rows.shape)),
-            batches, lambda x: _base_integrand_q(x, nu, qp, log_term_offset))
+        r, quiet, fallen, prev_contrib = 6.0, 0, False, math.inf
+        # the classical n_max integrand (rho^{2 n_max + nu + 1/2} e^{-2 rho} at
+        # large rho) peaks here: a rise that starts before the peak and before
+        # any fall is that peak, not the dip
+        peak = n_max + nu / 2.0 + 0.25
         for x, w, base, noise in panels:
             node_count += len(x)
             contrib = float(np.dot(w, base * x ** (2 * n_max)))
@@ -394,7 +376,7 @@ def moment_check(n_max: int, k: float, mode, log_term_offset: int = -1) -> Momen
                 # noise floor: integrating further adds nothing credible
                 tail_estimate = abs(contrib) + panel_noise
                 break
-            if abs(contrib) > abs(prev_contrib):
+            if abs(contrib) > abs(prev_contrib) and (fallen or r >= peak):
                 # the residue-series measure resolves the identity only
                 # asymptotically: past its decaying window the bracket
                 # turns oscillatory with a growing envelope (early for
@@ -404,6 +386,7 @@ def moment_check(n_max: int, k: float, mode, log_term_offset: int = -1) -> Momen
             for n in powers:
                 lhs[n] += float(np.dot(w, base * x ** (2 * n)))
             noise_tally += panel_noise
+            fallen = fallen or abs(contrib) < abs(prev_contrib) < math.inf
             prev_contrib = contrib
             r += 2.0
             if abs(contrib) < 1e-7 * abs(lhs[n_max]):
@@ -417,12 +400,12 @@ def moment_check(n_max: int, k: float, mode, log_term_offset: int = -1) -> Momen
         tail_bound_residual = noise_tally / max(abs(lhs[n_max]), 1e-300)
         rhs = np.array([q_factorial(int(n), qp) * q_factorial(int(n) + nu, qp)
                         for n in powers])
-        qv = qp.value
 
     records = [MomentRecord(int(n), float(lhs[n]), float(rhs[n]),
                             float(abs(lhs[n] - rhs[n]) / abs(rhs[n])))
                for n in powers]
-    return MomentReport(mode="classical" if classical else "q", k=float(k), q=qv,
+    return MomentReport(mode="classical" if classical else "q", k=float(k),
+                        q=None if classical else qp.value,
                         records=records, lower_cutoff=_LOWER,
                         upper_cutoff=float(upper), node_count=int(node_count),
                         tail_estimate=float(tail_estimate),

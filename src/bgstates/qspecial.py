@@ -376,7 +376,7 @@ def bessel_i_q(m: int, two_z: float, q) -> float:
 
 
 def _log_series_dd(rho, nu: int, tables, c1, c2, lnq, log_term_offset: int,
-                   sizes=None, exact_divisors: bool = False):
+                   sizes=None):
     """The ascending log series of K_nu and of the q-measure bracket, in dd.
 
     Vectorised over rho > 0; returns ``(value_dd, noise)``, both shaped like
@@ -393,21 +393,20 @@ def _log_series_dd(rho, nu: int, tables, c1, c2, lnq, log_term_offset: int,
     with c1, c2 and ln q given as dd constants and ``tables(count)`` returning
     dd lists of the numbers [m], m = 0..count-1, and of psi(m), m = 1..count
     (integers and the digamma function for K_nu, q-numbers and psi_{q^2} for
-    the bracket).  With ``exact_divisors`` the numbers are integers and each
-    term is divided by the double l(l+nu), exact for them, instead of by the
-    dd product [l][l+nu].
+    the bracket).  At ln q = 0 the numbers are integers, and each term is
+    divided by the double l(l+nu), exact for them, instead of by the dd
+    product [l][l+nu].
 
     The log series stops per group of nodes.  ``sizes`` splits the flattened
-    rho into consecutive groups of those sizes; by default each row of a 2-d
-    rho is a group, and a 0-d or 1-d rho is one.  A group stops at the first
-    l > 4 where every one of its nodes meets the roundoff test, so each group
-    comes out bit for bit as it would from a call with that group alone.
+    rho into consecutive groups of those sizes; without it the whole array is
+    one group.  A group stops at the first l > 4 where every one of its nodes
+    meets the roundoff test, so each group comes out bit for bit as it would
+    from a call with that group alone.
     """
     rho = np.asarray(rho, dtype=float)
     shape = rho.shape
-    if sizes is None:
-        sizes = [shape[-1]] * (rho.size // shape[-1]) if rho.ndim > 1 else [rho.size]
-    sizes = np.asarray(sizes, dtype=np.intp)
+    sizes = np.asarray([rho.size] if sizes is None else sizes, dtype=np.intp)
+    integer = lnq[0] == 0.0
     rho = rho.ravel()
     rho_dd = (rho, np.zeros_like(rho))
 
@@ -460,12 +459,12 @@ def _log_series_dd(rho, nu: int, tables, c1, c2, lnq, log_term_offset: int,
         l += 1
         if l >= MAX_TERMS:
             raise SeriesConvergenceError("ascending log series", f"nu={nu}")
-        if exact_divisors:
+        if integer:
             t = _dd.div_d(_dd.mul(t, rho2), float(l * (l + nu)))
         else:
             t = _dd.div(_dd.mul(t, rho2), _dd.mul(qnum[l], qnum[l + nu]))
         if l > 4:
-            met = t[0] * (lnrho_w + abs(_dd.to_float(w)) + 1.0) <= 1e-34 * max_w
+            met = t[0] * wmag <= 1e-34 * max_w
             done = np.logical_and.reduceat(met, starts)
             if done.any():
                 leaving = np.repeat(done, sizes)
@@ -515,7 +514,7 @@ def _bessel_k_dd(nu: int, two_rho):
     if np.any(rho <= 0.0):
         raise DomainError("bessel_k requires rho > 0")
     return _log_series_dd(rho, int(nu), _integer_tables, _dd.dd(0.5), _dd.dd(1.0),
-                          _dd.dd(0.0), 0, exact_divisors=True)
+                          _dd.dd(0.0), 0)
 
 
 def bessel_k(nu: int, two_rho: float) -> float:

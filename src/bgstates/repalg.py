@@ -248,19 +248,20 @@ class BipartiteOperator:
                 raise DomainError("q-mode coproduct needs a deformed QParam")
 
 
-def _coproduct_arrays(op: BipartiteOperator):
-    """Lowering elements for both nodes plus the q^{+-K0} spectator weights."""
+def _coproduct_arrays(op: BipartiteOperator, m1: int, m2: int):
+    """Lowering elements of levels 0..m1 and 0..m2 of both nodes, plus the
+    q^{+-K0} spectator weights of levels below m1 and m2."""
     if op.mode == "classical":
         dmap = DeformationMap.classical()
-        w1 = np.ones(op.n1 + 1)
-        w2 = np.ones(op.n2 + 1)
+        w1 = np.ones(m1)
+        w2 = np.ones(m2)
     else:
         dmap = DeformationMap.q_deformed(op.q)
         qv = op.q.value
-        w1 = qv ** (np.arange(op.n1 + 1) + op.k1)      # q^{K0} on node 1
-        w2 = qv ** -(np.arange(op.n2 + 1) + op.k2)     # q^{-K0} on node 2
-    e1 = lowering_elements(dmap, op.k1, op.n1 + 2)
-    e2 = lowering_elements(dmap, op.k2, op.n2 + 2)
+        w1 = qv ** (np.arange(m1) + op.k1)      # q^{K0} on node 1
+        w2 = qv ** -(np.arange(m2) + op.k2)     # q^{-K0} on node 2
+    e1 = lowering_elements(dmap, op.k1, m1 + 1)
+    e2 = lowering_elements(dmap, op.k2, m2 + 1)
     return e1, e2, w1, w2
 
 
@@ -285,16 +286,24 @@ def apply_coproduct(op: BipartiteOperator, M):
         n2 = np.arange(op.n2 + 1) + op.k2
         out = (n1[:, None] + n2[None, :]) * c
     else:
-        e1, e2, w1, w2 = _coproduct_arrays(op)
+        # only the first m1 rows and m2 columns, the support of c plus one row
+        # and one column for a K+ raise, can be nonzero: forming the products
+        # there alone keeps the weights and matrix elements that overflow at
+        # large N from meeting the zeros past them as inf * 0
+        rows, cols = np.flatnonzero(c.any(axis=1)), np.flatnonzero(c.any(axis=0))
+        m1 = min(int(rows[-1]) + 2 if rows.size else 1, op.n1 + 1)
+        m2 = min(int(cols[-1]) + 2 if cols.size else 1, op.n2 + 1)
+        e1, e2, w1, w2 = _coproduct_arrays(op, m1, m2)
         out = np.zeros_like(c)
+        o, s = out[:m1, :m2], c[:m1, :m2]
         if op.which == "K-":
-            out[:-1, :] += w2[None, :] * e1[1:op.n1 + 1, None] * c[1:, :]
-            out[:, :-1] += w1[:, None] * e2[None, 1:op.n2 + 1] * c[:, 1:]
+            o[:-1, :] += w2[None, :] * e1[1:m1, None] * s[1:, :]
+            o[:, :-1] += w1[:, None] * e2[None, 1:m2] * s[:, 1:]
         else:
-            out[1:, :] += w2[None, :] * e1[1:op.n1 + 1, None] * c[:-1, :]
-            out[:, 1:] += w1[:, None] * e2[None, 1:op.n2 + 1] * c[:, :-1]
-            loss = float(np.sum(np.abs(w2 * e1[op.n1 + 1] * c[op.n1, :]) ** 2)
-                         + np.sum(np.abs(w1 * e2[op.n2 + 1] * c[:, op.n2]) ** 2))
+            o[1:, :] += w2[None, :] * e1[1:m1, None] * s[:-1, :]
+            o[:, 1:] += w1[:, None] * e2[None, 1:m2] * s[:, :-1]
+            loss = float(np.sum(np.abs(w2 * e1[m1] * s[-1, :]) ** 2)
+                         + np.sum(np.abs(w1 * e2[m2] * s[:, -1]) ** 2))
     kwargs = {"coeffs": out, "truncation_loss": loss}
     if hasattr(M, "normalized"):
         kwargs["normalized"] = False

@@ -35,6 +35,12 @@ def _sample():
     picked = [("moments", a) for a in moments["classical"][::3]]
     picked += [("moments", a) for a in moments["q"][:8]]
     picked += [("scan", scan[kind][0]) for kind in ("sweep_int", "oracle", "single", "pair")]
+    # and the first q argv of each upper cutoff the reference records (16 to
+    # 22; only 22 reaches the second batch of outer panels)
+    first_at = {}
+    for argv in moments["q"]:
+        first_at.setdefault(REFERENCE["moments"][gate.argv_key(argv)]["digest"][-2], argv)
+    picked += [("moments", a) for a in first_at.values() if ("moments", a) not in picked]
     return picked
 
 

@@ -512,6 +512,16 @@ class TestEigenResidual:
                                 normalized=True)
         assert bp.eigen_residual(M2) > 1e-3
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_block_residual_is_finite(self):
+        # at N = 800, q^{-K0} times the q-number matrix elements overflows far
+        # past the state's support; formed there, inf * 0 made the residual NaN
+        params = bp.BipartiteParams(1.8913, 1.5146, 1.0, 2.0, QParam(0.58453))
+        M = bp.build_q_bipartite(params, bp.BoundarySequence.geometric(0.5919), 800, 800)
+        interior, edge = bp.eigen_residual_parts(M)
+        assert interior < 1e-12
+        assert edge == 0.0
+
     def test_alpha_zero_nonvacuum_rejected(self):
         params = bp.BipartiteParams(0.0, 0.0, 1.0, 1.0, CLASSICAL)
         M = bp.BipartiteMatrix(coeffs=np.eye(4) / 2.0, params=params, normalized=True)

@@ -329,6 +329,20 @@ class TestExitCodes:
         cli.run(cfg)
         assert cfg.params == params and type(cfg.params) is dict
 
+    @pytest.mark.parametrize("argv", [*UNUSED.values(), _PAIR[:6] + ["N=400", "detla=0.6"]],
+                             ids=[*UNUSED.keys(), "state-bipartite-N400"])
+    def test_unused_key_is_2_before_any_work(self, argv, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the keys were checked")
+
+        for name in ("classical_bipartite", "build_q_bipartite", "solve_g_recurrence"):
+            monkeypatch.setattr(bp, name, no_work)
+        monkeypatch.setattr(cli.me, "moment_check", no_work)
+        monkeypatch.setattr(cli.cs, "build_q_coherent", no_work)
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == (f"invalid configuration: {argv[0]} does not use "
+                                           f"the key(s) {argv[-1].partition('=')[0]}=\n")
+
     @pytest.mark.parametrize("argv", [["state-single", "q=1", "alpha=0.8", "k=1", "N=20"],
                                       ["state-bipartite", "q=1", "a1=0.3", "a2=0.5", "k1=1",
                                        "k2=1", "N=20"]])

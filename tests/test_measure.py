@@ -169,15 +169,16 @@ def _per_panel_q_moments(n_max, k, qp):
     """The adaptive q-mode quadrature with one integrand call per panel: the
     reference the batched loop in moment_check must reproduce exactly."""
     nu = int(2 * k - 1)
-    x, w = me._gl_grid(me._panel_edges(6.0), me._NODES)
+    x, w = me._gl_grid(me._panel_edges(6.0))
     base, noise = me._base_integrand_q(x, nu, qp, -1)
     lhs = np.array([float(np.dot(w, base * x ** (2 * n))) for n in range(n_max + 1)])
     noise_tally = float(np.dot(np.abs(w), noise * x ** (2 * n_max)))
     node_count = len(x)
     tail_estimate = math.inf
-    r, quiet, prev_contrib = 6.0, 0, math.inf
+    r, quiet, prev_contrib, fallen = 6.0, 0, math.inf, False
+    peak = n_max + nu / 2.0 + 0.25
     while r < 40.0:
-        x, w = me._gl_grid(np.array([r, r + 2.0]), me._NODES)
+        x, w = me._gl_grid(np.array([r, r + 2.0]))
         base, noise = me._base_integrand_q(x, nu, qp, -1)
         node_count += len(x)
         contrib = float(np.dot(w, base * x ** (2 * n_max)))
@@ -185,12 +186,13 @@ def _per_panel_q_moments(n_max, k, qp):
         if abs(contrib) <= panel_noise:
             tail_estimate = abs(contrib) + panel_noise
             break
-        if abs(contrib) > abs(prev_contrib):
+        if abs(contrib) > abs(prev_contrib) and (fallen or r >= peak):
             tail_estimate = abs(contrib) + abs(prev_contrib)
             break
         for n in range(n_max + 1):
             lhs[n] += float(np.dot(w, base * x ** (2 * n)))
         noise_tally += panel_noise
+        fallen = fallen or abs(contrib) < abs(prev_contrib) < math.inf
         prev_contrib = contrib
         r += 2.0
         if abs(contrib) < 1e-7 * abs(lhs[n_max]):
@@ -212,37 +214,49 @@ class TestBatchedPanels:
     @pytest.mark.parametrize("nu", [0, 1, 3])
     @pytest.mark.parametrize("start", [6.0, 22.0])   # the loop's first two batches
     def test_bracket_rows_match_per_panel_calls(self, start, nu, q):
-        x, _ = me._gl_grid(np.arange(start, start + 17.0, 2.0), 16)
-        panels = x.reshape(8, 16)
-        batch, noise = me._q_bracket_dd(panels, nu, q, -1)
-        for j, row in enumerate(panels):
+        x, _ = me._gl_grid(np.arange(start, start + 17.0, 2.0))
+        batch, noise = me._q_bracket_dd(x, nu, q, -1, sizes=[16] * 8)
+        for j, row in enumerate(x.reshape(8, 16)):
             one, one_noise = me._q_bracket_dd(row, nu, q, -1)
-            assert np.array_equal(batch[0][j], one[0])
-            assert np.array_equal(batch[1][j], one[1])
-            assert np.array_equal(noise[j], one_noise)
+            assert np.array_equal(batch[0][16 * j:16 * (j + 1)], one[0])
+            assert np.array_equal(batch[1][16 * j:16 * (j + 1)], one[1])
+            assert np.array_equal(noise[16 * j:16 * (j + 1)], one_noise)
 
     def test_fixed_cutoff_grid_is_one_group(self):
-        # a flat rho is one stopping group: the whole [lower, 14] grid comes
-        # out bit for bit as the same grid passed as a single row
-        x, _ = me._gl_grid(me._panel_edges(14.0), me._NODES)
+        # without sizes the whole rho is one stopping group, whatever its
+        # shape: the [lower, 14] grid shaped as panel rows comes out bit for
+        # bit as the flat grid
+        x, _ = me._gl_grid(me._panel_edges(14.0))
         flat, flat_noise = me._q_bracket_dd(x, 1, 0.9, -1)
-        row, row_noise = me._q_bracket_dd(x[None, :], 1, 0.9, -1)
-        assert np.array_equal(flat[0], row[0][0]) and np.array_equal(flat[1], row[1][0])
-        assert np.array_equal(flat_noise, row_noise[0])
+        rows, rows_noise = me._q_bracket_dd(x.reshape(-1, me._NODES), 1, 0.9, -1)
+        assert np.array_equal(flat[0], rows[0].ravel())
+        assert np.array_equal(flat[1], rows[1].ravel())
+        assert np.array_equal(flat_noise, rows_noise.ravel())
 
-    @pytest.mark.parametrize("k,q", [(1.0, 0.5), (1.0, 0.95), (0.5, 0.999),
-                                     (2.0, 0.87403), (1.0, 0.82014)])
-    def test_moment_check_matches_per_panel_loop(self, k, q):
-        # covers the dip (q = 0.5, 0.82), the quiet stop (0.95, 0.999) and a
-        # second batch (cutoff 22 at q = 0.874)
+    CASES = [(1.0, 0.5, 3), (1.0, 0.95, 3), (0.5, 0.999, 3), (2.0, 0.87403, 3),
+             (1.0, 0.82014, 3), (0.5, 0.9999, 8)]
+
+    @pytest.mark.parametrize("k,q,n_max", CASES, ids=[f"{k}-{q}" for k, q, _ in CASES])
+    def test_moment_check_matches_per_panel_loop(self, k, q, n_max):
+        # covers the dip (q = 0.5, 0.82), the quiet stop (0.95, 0.999), a
+        # second batch (cutoff 22 at q = 0.874) and a rise before the first
+        # fall (q = 0.9999, nmax = 8)
         lhs, upper, node_count, tail_estimate, residual = _per_panel_q_moments(
-            3, k, QParam(q))
-        report = me.moment_check(3, k, QParam(q))
+            n_max, k, QParam(q))
+        report = me.moment_check(n_max, k, QParam(q))
         assert [rec.lhs for rec in report.records] == list(lhs)
         assert report.upper_cutoff == upper
         assert report.node_count == node_count
         assert report.tail_estimate == tail_estimate
         assert report.tail_bound_residual == residual
+
+    def test_rise_before_the_first_fall_is_not_the_dip(self):
+        # at q = 0.9999 the nmax = 8 integrand, close to rho^17 e^{-2 rho},
+        # still rises past rho = 6: the [8, 10] panel outweighs [6, 8] before
+        # any panel has fallen and before the peak, so that rise is no dip
+        report = me.moment_check(8, 0.5, QParam(0.9999))
+        assert report.upper_cutoff > 8.0
+        assert report.max_rel_err < 0.05
 
 
 class TestRaggedGroups:
@@ -252,8 +266,8 @@ class TestRaggedGroups:
 
     @staticmethod
     def _grid_and_panels():
-        grid, _ = me._gl_grid(me._panel_edges(6.0), me._NODES)
-        panels, _ = me._gl_grid(np.arange(6.0, 23.0, 2.0), me._NODES)
+        grid, _ = me._gl_grid(me._panel_edges(6.0))
+        panels, _ = me._gl_grid(np.arange(6.0, 23.0, 2.0))
         return grid, panels.reshape(8, me._NODES)
 
     @pytest.mark.parametrize("q", [0.83, 0.9, 0.96])

@@ -306,6 +306,27 @@ class TestCoproduct:
         # raising node 1 out of the top: weight e1[4]^2 = 4*(4+1) = 20
         assert out.truncation_loss == pytest.approx(4 * 5, rel=1e-14)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_trailing_rows_match_the_untrimmed_block(self):
+        # K+ is formed on the rows up to one past the last nonzero one: the
+        # raise off that row lands in the block, not in truncation_loss, and
+        # the result is the whole-block formula's
+        rng = np.random.default_rng(23)
+        C = np.zeros((12, 10), dtype=complex)
+        C[:6] = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
+        for mode, q in (("classical", None), ("q", QParam(0.7))):
+            op = ra.BipartiteOperator("K+", mode, 1.0, 1.5, 11, 9, q=q)
+            out = ra.apply_coproduct(op, SimpleMatrix(coeffs=C))
+            e1, e2, w1, w2 = ra._coproduct_arrays(op, 12, 10)
+            want = np.zeros_like(C)
+            want[1:, :] += w2[None, :] * e1[1:12, None] * C[:-1, :]
+            want[:, 1:] += w1[:, None] * e2[None, 1:10] * C[:, :-1]
+            loss = float(np.sum(np.abs(w1 * e2[10] * C[:, 9]) ** 2))
+            assert np.array_equal(out.coeffs, want)
+            assert not out.coeffs[7:].any() and out.coeffs[6].all()
+            # the same terms, summed over 7 rows instead of 12
+            assert out.truncation_loss == pytest.approx(loss, rel=1e-15)
+
     def test_shape_mismatch(self):
         M = unit_matrix(0, 0, 3, 3)
         op = ra.BipartiteOperator("K-", "classical", 1.0, 1.0, 4, 3)
