@@ -22,8 +22,7 @@ from .errors import (BGStatesError, DomainError, PoleError,
 from .qspecial import (CLASSICAL, QParam, bessel_i_q, bessel_k, q_binomial,
                        q_digamma, q_factorial, q_factorial_cont, q_gamma,
                        q_number, q_pochhammer)
-from .repalg import (BipartiteOperator, DeformationMap, LadderOperator,
-                     apply_coproduct, apply_ladder)
+from .repalg import DeformationMap, apply_coproduct, apply_ladder
 from .costate import (LadderState, build_by_operator_series, build_f_coherent,
                       build_q_coherent, normalization_series, single_node_profile)
 from .bipartite import (BipartiteMatrix, BipartiteParams, BoundarySequence,

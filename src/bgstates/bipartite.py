@@ -35,7 +35,7 @@ from .errors import DomainError, ShapeError, TruncationError
 from . import qspecial
 from .qspecial import (CLASSICAL, QParam, _bessel_i_series, _sum_series, q_factorial,
                        q_number, q_binomial, q_pochhammer)
-from .repalg import BipartiteOperator, DeformationMap, apply_coproduct, check_bargmann
+from .repalg import DeformationMap, apply_coproduct, check_bargmann
 
 __all__ = [
     "BoundarySequence",
@@ -162,14 +162,6 @@ class BipartiteMatrix:
     normalized: bool = False
     truncation_loss: float = 0.0
     norm_before_truncation: float = 0.0
-
-    @property
-    def n1(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def n2(self) -> int:
-        return self.coeffs.shape[1] - 1
 
 
 class SchmidtSpectrum(NamedTuple):
@@ -404,14 +396,6 @@ def schmidt_entropy(M: BipartiteMatrix) -> SchmidtSpectrum:
                            rank_eps=int(np.sum(sv > 1e-10)))
 
 
-def _coproduct_lowering(M: BipartiteMatrix) -> np.ndarray:
-    params = M.params
-    mode = "classical" if params.q.is_classical else "q"
-    op = BipartiteOperator("K-", mode, params.k1, params.k2, M.n1, M.n2,
-                           q=None if mode == "classical" else params.q)
-    return np.asarray(apply_coproduct(op, M).coeffs)
-
-
 def eigen_residual_parts(M: BipartiteMatrix):
     """(interior, edge) relative eigen-residuals of Delta(K-).
 
@@ -423,7 +407,7 @@ def eigen_residual_parts(M: BipartiteMatrix):
         raise DomainError("eigen_residual requires a normalized state")
     alpha = M.params.alpha
     c = np.asarray(M.coeffs)
-    out = _coproduct_lowering(M)
+    out = apply_coproduct("K-", M).coeffs
     if alpha == 0:
         if np.sum(np.abs(c) ** 2) - abs(c[0, 0]) ** 2 > 1e-20:
             raise DomainError("alpha = 0 residual is defined only for the vacuum state")

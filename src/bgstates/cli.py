@@ -16,7 +16,8 @@ Floats are serialized with 17 significant digits, lowercase scientific;
 complex numbers as [re, im] pairs.  Exit codes: 0 success, 2 invalid
 configuration (the diagnostic names the violated precondition), 3 numerical
 failure (the diagnostic names the failing series).  A state or g block of
-more than MAX_COEFFICIENTS coefficients is an invalid configuration.
+more than MAX_COEFFICIENTS coefficients, or a sweep of more than
+MAX_COEFFICIENTS steps, is an invalid configuration.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from . import costate as cs
 from . import measure as me
 from .errors import DomainError, SeriesConvergenceError, TruncationError
 from .qspecial import CLASSICAL, QParam, q_factorial
-from .repalg import LadderOperator, apply_ladder
+from .repalg import apply_ladder
 
 __all__ = ["main", "RunConfig", "run", "load_state_json"]
 
@@ -193,8 +194,7 @@ def _run_state_single(cfg: RunConfig) -> dict:
     p.reject_unread(cfg.command)
     _check_budget(n, 0, f"N={n}")
     state = cs.build_q_coherent(alpha, k, q, n)
-    km = LadderOperator("K-", state.deformation, k, n)
-    lowered = apply_ladder(km, state).coeffs
+    lowered = apply_ladder("K-", state).coeffs
     if alpha == 0:
         residual = float(np.linalg.norm(lowered))
     else:
@@ -269,8 +269,7 @@ def _run_state_bipartite(cfg: RunConfig) -> dict:
         noise = rng.standard_normal(M.coeffs.shape) + 1j * rng.standard_normal(M.coeffs.shape)
         noisy = M.coeffs + eps * noise / np.linalg.norm(noise)
         noisy /= np.linalg.norm(noisy)
-        M2 = bp.BipartiteMatrix(coeffs=noisy, params=M.params, boundary=M.boundary,
-                                normalized=True)
+        M2 = dataclasses.replace(M, coeffs=noisy)
         payload["perturbed_residual"] = _jf(bp.eigen_residual(M2))
         payload["perturb"] = eps
         payload["seed"] = seed
@@ -319,6 +318,8 @@ def _run_sweep_q(cfg: RunConfig) -> dict:
     delta_num = _parse("delta", delta_spec[2:] if delta_power else delta_spec)
     p.reject_unread(cfg.command)
     _check_budget(n, n, f"N={n}")
+    if steps > MAX_COEFFICIENTS:
+        raise DomainError(f"steps={steps} exceeds the budget of {MAX_COEFFICIENTS} steps")
     classical = bp.classical_bipartite(a1, a2, k1, k2, n, n)
     rows = []
     for q in np.linspace(q_from, q_to, steps):

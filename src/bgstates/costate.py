@@ -60,13 +60,6 @@ class LadderState:
     norm_before_truncation: float
     truncation_loss: float = 0.0
 
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
 
 def normalization_series(rho, k: float, deformation: DeformationMap):
     """The normalization sum  S(rho^2) = sum_n rho^{2n} / (([f(n+k)]!)^2 n! Gamma(n+2k)).

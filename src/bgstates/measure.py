@@ -35,6 +35,7 @@ form of K_nu (the first omitted correction is reported as
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -203,11 +204,10 @@ def q_measure(rho: float, nu: int, q, log_term_offset: int = -1) -> float:
 
 # panel layout of the moment quadratures: panels geometric from _LOWER up to
 # 1 (resolving the integrable rho -> 0 behavior) and _PANEL_WIDTH wide
-# beyond, each with the _NODES-point Gauss-Legendre rule _RULE
+# beyond, each with the _NODES-point Gauss-Legendre rule _rule()
 _LOWER = 1e-8
 _PANEL_WIDTH = 0.5
 _NODES = 16
-_RULE = np.polynomial.legendre.leggauss(_NODES)
 # outer panels of the adaptive q-mode cutoff evaluated per integrand call
 _PANEL_BATCH = 8
 
@@ -250,9 +250,16 @@ def _panel_edges(upper: float) -> np.ndarray:
     return np.asarray(edges)
 
 
+@functools.cache
+def _rule():
+    """The _NODES-point Gauss-Legendre rule on [-1, 1], built on first use:
+    importing numpy.polynomial costs every other command memory and time."""
+    return np.polynomial.legendre.leggauss(_NODES)
+
+
 def _gl_grid(edges: np.ndarray):
     """Gauss-Legendre nodes and weights on the panels between the edges."""
-    x0, w0 = _RULE
+    x0, w0 = _rule()
     a = edges[:-1][:, None]
     b = edges[1:][:, None]
     x = ((b - a) * x0[None, :] / 2.0 + (a + b) / 2.0).ravel()

@@ -34,14 +34,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 from .qspecial import QParam, q_number
 
 __all__ = [
     "check_bargmann",
     "DeformationMap",
-    "LadderOperator",
-    "BipartiteOperator",
     "apply_ladder",
     "apply_coproduct",
     "lowering_elements",
@@ -96,10 +94,6 @@ class DeformationMap:
     @classmethod
     def custom(cls, func: Callable[[float], float]) -> "DeformationMap":
         return cls("custom", func=func)
-
-    @property
-    def is_classical(self) -> bool:
-        return self.kind == "classical"
 
     def value(self, x: float, k: float) -> float:
         """f evaluated at the K0 eigenvalue x (= j + k with j >= 1)."""
@@ -159,131 +153,75 @@ def _q_lowering_elements(q: float, k: float, count: int) -> np.ndarray:
     return e
 
 
-@dataclass(frozen=True)
-class LadderOperator:
-    """One of K0, K+, K- on the truncated basis |0..N, k>."""
-
-    which: str
-    deformation: DeformationMap
-    k: float
-    truncation: int
-
-    def __post_init__(self):
-        if self.which not in ("K0", "K+", "K-"):
-            raise DomainError(f"which must be K0, K+ or K-, got {self.which!r}")
-        check_bargmann(self.k)
-        if self.truncation < 1:
-            raise DomainError("truncation must be a positive integer")
-
-    def matrix(self) -> np.ndarray:
-        """Dense (N+1)x(N+1) realization."""
-        N = self.truncation
-        if self.which == "K0":
-            return np.diag(np.arange(N + 1) + self.k)
-        e = lowering_elements(self.deformation, self.k, N + 1)
-        m = np.zeros((N + 1, N + 1))
-        if self.which == "K-":
-            for n in range(1, N + 1):
-                m[n - 1, n] = e[n]
-        else:
-            for n in range(1, N + 1):
-                m[n, n - 1] = e[n]
-        return m
+def _check_which(which: str):
+    if which not in ("K0", "K+", "K-"):
+        raise DomainError(f"which must be K0, K+ or K-, got {which!r}")
 
 
-def apply_ladder(op: LadderOperator, v):
-    """Apply a ladder operator to a LadderState, returning a new state.
+def apply_ladder(which: str, state):
+    """Apply K0, K+ or K- to a LadderState, returning a new state.
 
-    The returned state's ``truncation_loss`` carries the squared norm of the
-    raise out of the top level (zero for K0 and K-); coefficients are *not*
-    renormalized.
+    k, the deformation map and the truncation N = len(coeffs) - 1 are the
+    state's.  The returned state's ``truncation_loss`` carries the squared
+    norm of the raise out of the top level (zero for K0 and K-);
+    coefficients are *not* renormalized.
     """
-    c = np.asarray(v.coeffs)
+    _check_which(which)
+    c = np.asarray(state.coeffs)
     N = len(c) - 1
-    if N != op.truncation or float(v.k) != float(op.k):
-        raise ShapeError(
-            f"operator (k={op.k}, N={op.truncation}) does not match state "
-            f"(k={v.k}, N={N})")
     loss = 0.0
-    if op.which == "K0":
-        out = (np.arange(N + 1) + op.k) * c
+    if which == "K0":
+        out = (np.arange(N + 1) + state.k) * c
     else:
-        e = lowering_elements(op.deformation, op.k, N + 2)
+        e = lowering_elements(state.deformation, state.k, N + 2)
         out = np.zeros_like(c)
-        if op.which == "K-":
+        if which == "K-":
             out[:-1] = e[1:N + 1] * c[1:]
         else:
             out[1:] = e[1:N + 1] * c[:-1]
             loss = float(abs(e[N + 1] * c[N]) ** 2)
-    return dataclasses.replace(v, coeffs=out, truncation_loss=loss)
+    return dataclasses.replace(state, coeffs=out, truncation_loss=loss)
 
 
-@dataclass(frozen=True)
-class BipartiteOperator:
-    """Coproduct image of K0/K+/K- on a two-node truncated basis.
-
-    mode "classical" is the primitive coproduct K (x) 1 + 1 (x) K; mode "q"
-    is the noncocommutative Delta(K+-) = q^{K0} (x) K+- + K+- (x) q^{-K0}
-    acting through the Curtright-Zachos matrix elements on the classical
-    carrier basis.
-    """
-
-    which: str
-    mode: str
-    k1: float
-    k2: float
-    n1: int
-    n2: int
-    q: Optional[QParam] = None
-
-    def __post_init__(self):
-        if self.which not in ("K0", "K+", "K-"):
-            raise DomainError(f"which must be K0, K+ or K-, got {self.which!r}")
-        if self.mode not in ("classical", "q"):
-            raise DomainError(f"mode must be classical or q, got {self.mode!r}")
-        check_bargmann(self.k1)
-        check_bargmann(self.k2)
-        if self.mode == "q":
-            if not isinstance(self.q, QParam) or self.q.is_classical:
-                raise DomainError("q-mode coproduct needs a deformed QParam")
-
-
-def _coproduct_arrays(op: BipartiteOperator, m1: int, m2: int):
+def _coproduct_arrays(params, m1: int, m2: int):
     """Lowering elements of levels 0..m1 and 0..m2 of both nodes, plus the
-    q^{+-K0} spectator weights of levels below m1 and m2."""
-    if op.mode == "classical":
+    q^{+-K0} spectator weights of levels below m1 and m2 (all 1 for a
+    classical q)."""
+    q = params.q
+    if q.is_classical:
         dmap = DeformationMap.classical()
         w1 = np.ones(m1)
         w2 = np.ones(m2)
     else:
-        dmap = DeformationMap.q_deformed(op.q)
-        qv = op.q.value
-        w1 = qv ** (np.arange(m1) + op.k1)      # q^{K0} on node 1
-        w2 = qv ** -(np.arange(m2) + op.k2)     # q^{-K0} on node 2
-    e1 = lowering_elements(dmap, op.k1, m1 + 1)
-    e2 = lowering_elements(dmap, op.k2, m2 + 1)
+        dmap = DeformationMap.q_deformed(q)
+        w1 = q.value ** (np.arange(m1) + params.k1)      # q^{K0} on node 1
+        w2 = q.value ** -(np.arange(m2) + params.k2)     # q^{-K0} on node 2
+    e1 = lowering_elements(dmap, params.k1, m1 + 1)
+    e2 = lowering_elements(dmap, params.k2, m2 + 1)
     return e1, e2, w1, w2
 
 
-def apply_coproduct(op: BipartiteOperator, M):
-    """Apply a coproduct operator to a BipartiteMatrix, returning a new one.
+def apply_coproduct(which: str, M):
+    """Apply Delta(K0), Delta(K+) or Delta(K-) to a BipartiteMatrix, returning
+    a new, unnormalized one.
 
-    For Delta(K-) the output entry (n1, n2) receives
+    k1, k2 and q are read from ``M.params``: a classical q gives the
+    primitive coproduct K (x) 1 + 1 (x) K, any other (q > 1 included) the
+    q-coproduct.  For Delta(K-) the output entry (n1, n2) receives
 
         w2[n2] * e1[n1+1] * c[n1+1, n2]  +  w1[n1] * e2[n2+1] * c[n1, n2+1],
 
     where w1 = q^{n1+k1} and w2 = q^{-n2-k2} are the spectator-node weights
-    (both 1 in classical mode).  Delta(K+) is its adjoint and drops the raise
+    (both 1 for a classical q).  Delta(K+) is its adjoint and drops the raise
     out of the top row/column into ``truncation_loss``.
     """
+    _check_which(which)
+    params = M.params
     c = np.asarray(M.coeffs)
-    if c.shape != (op.n1 + 1, op.n2 + 1):
-        raise ShapeError(f"matrix shape {c.shape} does not match operator "
-                         f"({op.n1 + 1}, {op.n2 + 1})")
     loss = 0.0
-    if op.which == "K0":
-        n1 = np.arange(op.n1 + 1) + op.k1
-        n2 = np.arange(op.n2 + 1) + op.k2
+    if which == "K0":
+        n1 = np.arange(c.shape[0]) + params.k1
+        n2 = np.arange(c.shape[1]) + params.k2
         out = (n1[:, None] + n2[None, :]) * c
     else:
         # only the first m1 rows and m2 columns, the support of c plus one row
@@ -291,12 +229,12 @@ def apply_coproduct(op: BipartiteOperator, M):
         # there alone keeps the weights and matrix elements that overflow at
         # large N from meeting the zeros past them as inf * 0
         rows, cols = np.flatnonzero(c.any(axis=1)), np.flatnonzero(c.any(axis=0))
-        m1 = min(int(rows[-1]) + 2 if rows.size else 1, op.n1 + 1)
-        m2 = min(int(cols[-1]) + 2 if cols.size else 1, op.n2 + 1)
-        e1, e2, w1, w2 = _coproduct_arrays(op, m1, m2)
+        m1 = min(int(rows[-1]) + 2 if rows.size else 1, c.shape[0])
+        m2 = min(int(cols[-1]) + 2 if cols.size else 1, c.shape[1])
+        e1, e2, w1, w2 = _coproduct_arrays(params, m1, m2)
         out = np.zeros_like(c)
         o, s = out[:m1, :m2], c[:m1, :m2]
-        if op.which == "K-":
+        if which == "K-":
             o[:-1, :] += w2[None, :] * e1[1:m1, None] * s[1:, :]
             o[:, :-1] += w1[:, None] * e2[None, 1:m2] * s[:, 1:]
         else:
@@ -304,7 +242,4 @@ def apply_coproduct(op: BipartiteOperator, M):
             o[:, 1:] += w1[:, None] * e2[None, 1:m2] * s[:, :-1]
             loss = float(np.sum(np.abs(w2 * e1[m1] * s[-1, :]) ** 2)
                          + np.sum(np.abs(w1 * e2[m2] * s[:, -1]) ** 2))
-    kwargs = {"coeffs": out, "truncation_loss": loss}
-    if hasattr(M, "normalized"):
-        kwargs["normalized"] = False
-    return dataclasses.replace(M, **kwargs)
+    return dataclasses.replace(M, coeffs=out, truncation_loss=loss, normalized=False)

@@ -33,8 +33,7 @@ def _single_state(q_label, alpha, k, n=50):
 
 
 def _km_residual(state):
-    op = ra.LadderOperator("K-", state.deformation, state.k, state.truncation)
-    lowered = ra.apply_ladder(op, state).coeffs
+    lowered = ra.apply_ladder("K-", state).coeffs
     return float(np.linalg.norm(lowered - state.alpha * state.coeffs)) / abs(state.alpha)
 
 

@@ -35,6 +35,10 @@ def _sample():
     picked = [("moments", a) for a in moments["classical"][::3]]
     picked += [("moments", a) for a in moments["q"][:8]]
     picked += [("scan", scan[kind][0]) for kind in ("sweep_int", "oracle", "single", "pair")]
+    # every coproduct route of the residual: a q > 1 (crossing) and a
+    # classical pair, and a sweep with a non-integer k1
+    picked += [("scan", scan["pair"][1]), ("scan", scan["pair"][2]),
+               ("scan", scan["sweep_nonint"][0])]
     # and the first q argv of each upper cutoff the reference records (16 to
     # 22; only 22 reaches the second batch of outer panels)
     first_at = {}

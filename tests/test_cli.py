@@ -411,6 +411,23 @@ class TestExitCodes:
         assert err == f"invalid configuration: {message}\n"
         assert out == ""
 
+    def test_oversized_sweep_is_2_before_any_work(self, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before steps= was checked")
+
+        for name in ("classical_bipartite", "build_q_bipartite"):
+            monkeypatch.setattr(bp, name, no_work)
+        budget = cli.MAX_COEFFICIENTS
+        argv = ["sweep-q", "from=0.99", "to=0.7", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "N=10"]
+        assert run_cli(argv + [f"steps={budget + 1}"]) == 2
+        out, err = capsys.readouterr()
+        assert err == (f"invalid configuration: steps={budget + 1} exceeds the budget of "
+                       f"{budget} steps\n")
+        assert out == ""
+        # a sweep of exactly the budget passes the check and starts work
+        with pytest.raises(AssertionError, match="work started"):
+            run_cli(argv + [f"steps={budget}"])
+
     def test_truncation_at_the_budget_runs(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 21 * 21)
         assert run_cli(_PAIR) == 0
@@ -485,6 +502,18 @@ class TestJsonEmitter:
         assert np.array_equal([[float(r[-2]), float(r[-1])] for r in rows], flat)
 
 
+def _run_script(script):
+    """Run a Python script in a fresh interpreter that imports this bgstates;
+    returns its stdout."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_cli_runs_without_scipy(tmp_path):
     # scipy is a test-only dependency: a CLI process must never load it
     script = (
@@ -496,13 +525,27 @@ def test_cli_runs_without_scipy(tmp_path):
         "assert cli.main(['sweep-q', 'from=0.99', 'to=0.7', 'steps=3', 'a1=0.3',\n"
         "                 'a2=0.5', 'k1=0.75', 'k2=1', 'N=20', 'out=' + out]) == 0\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _run_script(script) == "[]"
+
+
+def test_state_commands_do_not_load_numpy_polynomial(tmp_path):
+    # the Gauss-Legendre rule of the moment quadratures is built on first use,
+    # so the other commands never import numpy.polynomial
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "before = 'numpy.polynomial' in sys.modules\n"
+        "from bgstates import cli\n"
+        f"out = {str(tmp_path / 'a.json')!r}\n"
+        "assert cli.main(['state-single', 'q=0.9', 'alpha=0.8', 'k=1', 'N=50',\n"
+        "                 'out=' + out]) == 0\n"
+        "assert cli.main(['state-bipartite', 'q=0.9', 'a1=0.3', 'a2=0.5', 'k1=1',\n"
+        "                 'k2=1', 'N=50', 'out=' + out]) == 0\n"
+        "print(before, 'numpy.polynomial' in sys.modules)\n")
+    before, after = _run_script(script).split()
+    if before == "True":
+        pytest.skip("import numpy alone loads numpy.polynomial")
+    assert after == "False"
 
 
 def test_float_formatting_17_sig_digits():

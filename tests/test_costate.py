@@ -16,8 +16,7 @@ CLASSICAL_MAP = ra.DeformationMap.classical()
 
 
 def km_residual(state):
-    op = ra.LadderOperator("K-", state.deformation, state.k, state.truncation)
-    lowered = ra.apply_ladder(op, state).coeffs
+    lowered = ra.apply_ladder("K-", state).coeffs
     if state.alpha == 0:
         return float(np.linalg.norm(lowered))
     return float(np.linalg.norm(lowered - state.alpha * state.coeffs)) / abs(state.alpha)
