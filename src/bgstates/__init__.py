@@ -6,7 +6,9 @@ Layers:
   q-Pochhammer/Gaussian binomials, q-Gamma/q-digamma, modified Bessel I / K
   and the q-Bessel series.
 * :mod:`bgstates.repalg` - truncated discrete-series representations,
-  deformation maps, ladder and coproduct actions.
+  ladder and coproduct actions.  A deformation f is a :class:`QParam`
+  (classical: f = 1; deformed: the Curtright-Zachos map) or a callable of
+  the K0 eigenvalue.
 * :mod:`bgstates.costate` - single-node coherent states (recurrence,
   q-factorial, and operator-exponential constructions).
 * :mod:`bgstates.bipartite` - the entangled two-node state: recurrence
@@ -22,7 +24,7 @@ from .errors import (BGStatesError, DomainError, PoleError,
 from .qspecial import (CLASSICAL, QParam, bessel_i_q, bessel_k, q_binomial,
                        q_digamma, q_factorial, q_factorial_cont, q_gamma,
                        q_number, q_pochhammer)
-from .repalg import DeformationMap, apply_coproduct, apply_ladder
+from .repalg import apply_coproduct, apply_ladder
 from .costate import (LadderState, build_by_operator_series, build_f_coherent,
                       build_q_coherent, normalization_series, single_node_profile)
 from .bipartite import (BipartiteMatrix, BipartiteParams, BoundarySequence,

@@ -35,7 +35,7 @@ from .errors import DomainError, ShapeError, TruncationError
 from . import qspecial
 from .qspecial import (CLASSICAL, QParam, _bessel_i_series, _sum_series, q_factorial,
                        q_number, q_binomial, q_pochhammer)
-from .repalg import DeformationMap, apply_coproduct, check_bargmann
+from .repalg import apply_coproduct, check_bargmann
 
 __all__ = [
     "BoundarySequence",
@@ -170,22 +170,12 @@ class SchmidtSpectrum(NamedTuple):
     rank_eps: int
 
 
-def _q_value_for_series(params: BipartiteParams) -> float:
-    q = params.q
-    if q.is_classical:
-        raise DomainError("operation requires a deformed q")
-    if q.value > 1.0:
-        raise DomainError("q > 1 has no direct series; route through crossing_transform")
-    return q.value
-
-
 def classical_bipartite(alpha1: complex, alpha2: complex, k1: float, k2: float,
                         N1: int, N2: int) -> BipartiteMatrix:
     """Factorized classical eigenstate: the outer product of two single-node
     states with eigenvalues alpha1 and alpha2."""
-    cl = DeformationMap.classical()
-    s1 = build_f_coherent(alpha1, k1, cl, N1)
-    s2 = build_f_coherent(alpha2, k2, cl, N2)
+    s1 = build_f_coherent(alpha1, k1, CLASSICAL, N1)
+    s2 = build_f_coherent(alpha2, k2, CLASSICAL, N2)
     params = BipartiteParams(complex(alpha1), complex(alpha2), k1, k2, CLASSICAL)
     return BipartiteMatrix(coeffs=np.outer(s1.coeffs, s2.coeffs), params=params,
                            normalized=True, norm_before_truncation=(
@@ -200,7 +190,7 @@ def solve_g_recurrence(boundary: BoundarySequence, params: BipartiteParams,
 
     Returns the (N1+1) x (N2+1) block; the boundary must cover m <= N1+N2.
     """
-    q = _q_value_for_series(params)
+    q = qspecial._series_value(params.q, where="solve_g_recurrence")
     xi, eta = params.xi, params.eta
     if xi == 0:
         raise DomainError("xi = 0 (alpha1 = 0): the recurrence cannot be propagated")
@@ -224,7 +214,7 @@ def g_ansatz_eval(n: int, m: int, boundary: BoundarySequence,
                   d_{m+k} [n,k]_{q^2};
 
     boundary must cover index m+n."""
-    q = _q_value_for_series(params)
+    q = qspecial._series_value(params.q, where="g_ansatz_eval")
     xi, eta = params.xi, params.eta
     d = boundary.first_row(m + n)
     base = q * q
@@ -238,7 +228,7 @@ def g_ansatz_eval(n: int, m: int, boundary: BoundarySequence,
 def g_closed_geometric(n: int, m: int, delta: float,
                        params: BipartiteParams) -> complex:
     """Geometric-boundary closed form g_{n,m} = q^{nm} delta^m xi^{-n} (delta eta; q^2)_n."""
-    q = _q_value_for_series(params)
+    q = qspecial._series_value(params.q, where="g_closed_geometric")
     xi, eta = params.xi, params.eta
     if xi == 0:
         raise DomainError("xi = 0 (alpha1 = 0)")
@@ -249,7 +239,7 @@ def g_closed_geometric(n: int, m: int, delta: float,
 def _single_node_prefactors(alpha: complex, k: float, q: QParam, N: int) -> np.ndarray:
     """p[n] = alpha^n / sqrt([n]_q! [n+2k-1]_q!): the single-node profile in
     the ansatz scale, in which double sums of |c|^2 equal the norm series."""
-    return (single_node_profile(alpha, k, DeformationMap.q_deformed(q), N)
+    return (single_node_profile(alpha, k, q, N)
             / math.sqrt(q_factorial(2 * k - 1, q)))
 
 
@@ -307,9 +297,8 @@ def build_q_bipartite(params: BipartiteParams, boundary: BoundarySequence,
                  * qv ** np.outer(np.arange(N1 + 1), np.arange(N2 + 1)))
         else:
             g = solve_g_recurrence(boundary, params, N1, N2)
-        dmap = DeformationMap.q_deformed(q)
-        p1 = single_node_profile(params.alpha1, params.k1, dmap, N1)
-        p2 = single_node_profile(params.alpha2, params.k2, dmap, N2)
+        p1 = single_node_profile(params.alpha1, params.k1, q, N1)
+        p2 = single_node_profile(params.alpha2, params.k2, q, N2)
         c = p1[:, None] * p2[None, :] * g
     if not np.all(np.isfinite(c.view(float))):
         raise DomainError("coefficient assembly overflowed; |alpha/alpha1| is "
@@ -339,7 +328,7 @@ def norm_series(params: BipartiteParams, delta: float) -> float:
     Agrees with the direct double sum of |c|^2 over the truncated block, for
     real k1, k2 >= 1/2 alike (the q-Bessel order 2k2-1 need not be an integer).
     """
-    q = _q_value_for_series(params)
+    q = qspecial._series_value(params.q, where="norm_series")
     qp = params.q
     k1, k2 = params.k1, params.k2
     nu2 = 2 * k2 - 1

@@ -267,7 +267,9 @@ def _run_state_bipartite(cfg: RunConfig) -> dict:
     if eps is not None:
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal(M.coeffs.shape) + 1j * rng.standard_normal(M.coeffs.shape)
-        noisy = M.coeffs + eps * noise / np.linalg.norm(noise)
+        # scaled by 1/|eps| past |eps| = 1, so eps * noise never leaves double range
+        s = max(1.0, abs(eps))
+        noisy = M.coeffs / s + (eps / s) * noise / np.linalg.norm(noise)
         noisy /= np.linalg.norm(noisy)
         M2 = dataclasses.replace(M, coeffs=noisy)
         payload["perturbed_residual"] = _jf(bp.eigen_residual(M2))

@@ -11,8 +11,8 @@ and the operator exponential
 
     c_0 exp(alpha f(K0)^{-2} K+ (K0+k)^{-1}) |0,k>.
 
-Normalization is the direct partial sum of the coefficient series; for the
-classical and q kinds the Bessel closed forms |alpha|^{2k-1} / I_{2k-1} and
+Normalization is the direct partial sum of the coefficient series; for a
+QParam deformation the Bessel closed forms |alpha|^{2k-1} / I_{2k-1} and
 its q-analog are evaluated as well and must agree, which turns the
 normalization constant into a test surface rather than a trusted input.
 """
@@ -22,12 +22,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .qspecial import CLASSICAL, QParam, _bessel_i_series, _sum_series, q_factorial
-from .repalg import DeformationMap, check_bargmann, lowering_elements
+from .qspecial import QParam, _bessel_i_series, _sum_series, q_factorial
+from .repalg import check_bargmann, lowering_elements, map_value
 
 __all__ = [
     "LadderState",
@@ -56,12 +57,12 @@ class LadderState:
     coeffs: np.ndarray
     k: float
     alpha: complex
-    deformation: DeformationMap
+    deformation: QParam | Callable[[float], float]
     norm_before_truncation: float
     truncation_loss: float = 0.0
 
 
-def normalization_series(rho, k: float, deformation: DeformationMap):
+def normalization_series(rho, k: float, f):
     """The normalization sum  S(rho^2) = sum_n rho^{2n} / (([f(n+k)]!)^2 n! Gamma(n+2k)).
 
     This is N_f^{-2} up to convergence of the infinite sum.  Vectorised over
@@ -74,7 +75,7 @@ def normalization_series(rho, k: float, deformation: DeformationMap):
     rho2 = rho * rho
     terms = itertools.accumulate(
         itertools.count(), lambda term, n: term * rho2 / (
-            (n + 1) * (n + 2 * k) * deformation.value(n + 1 + k, k) ** 2),
+            (n + 1) * (n + 2 * k) * map_value(f, n + 1 + k, k) ** 2),
         initial=np.full_like(rho, 1.0 / math.gamma(2 * k)))
     return _sum_series(terms, "normalization series", f"k={k}")
 
@@ -112,24 +113,19 @@ def _crosscheck_bessel_norm(state: LadderState):
     if alpha == 0:
         return
     rho = abs(alpha)
-    dmap = state.deformation
+    f = state.deformation
     nu = 2 * k - 1
-    closed = None
-    if float(nu).is_integer():
-        if dmap.kind == "classical":
-            closed = math.gamma(2 * k) * rho ** -nu * float(
-                _bessel_i_series(int(nu), rho, CLASSICAL))
-        elif dmap.kind == "q":
-            closed = q_factorial(int(nu), dmap.q) * rho ** -nu * float(
-                _bessel_i_series(int(nu), rho, dmap.q))
-    if closed is not None:
+    if isinstance(f, QParam) and float(nu).is_integer():
+        # [nu]! is Gamma(2k) for the classical tag
+        closed = q_factorial(int(nu), f) * rho ** -nu * float(
+            _bessel_i_series(int(nu), rho, f))
         if abs(closed - state.norm_before_truncation) > 1e-8 * abs(closed):
             raise ArithmeticError(
                 "normalization series and Bessel closed form disagree: "
                 f"{state.norm_before_truncation!r} vs {closed!r}")
 
 
-def single_node_profile(alpha: complex, k: float, f: DeformationMap, N: int) -> np.ndarray:
+def single_node_profile(alpha: complex, k: float, f, N: int) -> np.ndarray:
     """The unnormalized profile c[n] = alpha^n / (e[1] ... e[n]), n = 0..N, in
     the c_0 = 1 scale, with e from :func:`repalg.lowering_elements`."""
     k = check_bargmann(k)
@@ -142,8 +138,9 @@ def single_node_profile(alpha: complex, k: float, f: DeformationMap, N: int) -> 
     return np.cumprod(ratios)
 
 
-def build_f_coherent(alpha: complex, k: float, f: DeformationMap, N: int) -> LadderState:
-    """K- eigenstate for the deformation map f, by the coefficient recurrence.
+def build_f_coherent(alpha: complex, k: float, f, N: int) -> LadderState:
+    """K- eigenstate for the deformation f (a QParam or a callable of the K0
+    eigenvalue, see :func:`repalg.map_value`), by the coefficient recurrence.
 
     Raises TruncationError unless the estimated dropped tail mass is below
     TAIL_MASS_LIMIT of the total.
@@ -161,13 +158,10 @@ def build_q_coherent(alpha: complex, k: float, q, N: int) -> LadderState:
     ratios are sqrt([n]_q [n+2k-1]_q); a classical tag gives the classical
     state.
     """
-    qp = q if isinstance(q, QParam) else QParam(q)
-    dmap = DeformationMap.classical() if qp.is_classical else DeformationMap.q_deformed(qp)
-    return build_f_coherent(alpha, k, dmap, N)
+    return build_f_coherent(alpha, k, q if isinstance(q, QParam) else QParam(q), N)
 
 
-def build_by_operator_series(alpha: complex, k: float, f: DeformationMap,
-                             N: int) -> LadderState:
+def build_by_operator_series(alpha: complex, k: float, f, N: int) -> LadderState:
     """The operator-exponential construction
 
         c_0 exp(alpha f(K0)^{-2} K+ (K0+k)^{-1}) |0,k>,
@@ -184,7 +178,7 @@ def build_by_operator_series(alpha: complex, k: float, f: DeformationMap,
     inv_k0_plus_k = 1.0 / (levels + 2 * k)          # (K0 + k)^{-1} on |n>
     f_sq = np.ones(N + 1)
     for n in range(1, N + 1):
-        f_sq[n] = f.value(n + k, k) ** 2            # f(K0)^2 at level n
+        f_sq[n] = map_value(f, n + k, k) ** 2        # f(K0)^2 at level n
 
     def apply_a(vec):
         # (K0+k)^{-1}, then deformed K+, then f(K0)^{-2} at the raised level

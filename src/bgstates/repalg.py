@@ -29,8 +29,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,7 +37,7 @@ from .qspecial import QParam, q_number
 
 __all__ = [
     "check_bargmann",
-    "DeformationMap",
+    "map_value",
     "apply_ladder",
     "apply_coproduct",
     "lowering_elements",
@@ -60,72 +58,42 @@ def check_bargmann(k: float) -> float:
     return k
 
 
-@dataclass(frozen=True)
-class DeformationMap:
-    """The mapping function f(K0) selecting the deformation.
+def map_value(f, x: float, k: float) -> float:
+    """The deformation f evaluated at the K0 eigenvalue x (= j + k with j >= 1).
 
-    kind is one of "classical" (f identically 1), "q" (Curtright-Zachos map
-    for the given QParam), or "custom" (arbitrary real function of the K0
-    eigenvalue).  Custom maps must be strictly positive on the lattice
-    {j + k : j >= 1}; this is checked wherever matrix elements are built.
+    f is a QParam, meaning 1 when classical and the Curtright-Zachos map
+    otherwise (q > 1 included), or a callable of the eigenvalue, which must be
+    strictly positive on the lattice {j + k : j >= 1}.
     """
-
-    kind: str
-    q: Optional[QParam] = None
-    func: Optional[Callable[[float], float]] = None
-
-    def __post_init__(self):
-        if self.kind not in ("classical", "q", "custom"):
-            raise DomainError(f"unknown deformation kind {self.kind!r}")
-        if self.kind == "q":
-            if not isinstance(self.q, QParam) or self.q.is_classical:
-                raise DomainError("q-deformation needs a deformed QParam")
-        if self.kind == "custom" and not callable(self.func):
-            raise DomainError("custom deformation needs a callable")
-
-    @classmethod
-    def classical(cls) -> "DeformationMap":
-        return cls("classical")
-
-    @classmethod
-    def q_deformed(cls, q) -> "DeformationMap":
-        return cls("q", q=q if isinstance(q, QParam) else QParam(q))
-
-    @classmethod
-    def custom(cls, func: Callable[[float], float]) -> "DeformationMap":
-        return cls("custom", func=func)
-
-    def value(self, x: float, k: float) -> float:
-        """f evaluated at the K0 eigenvalue x (= j + k with j >= 1)."""
-        if self.kind == "classical":
+    if isinstance(f, QParam):
+        if f.is_classical:
             return 1.0
-        if self.kind == "q":
-            j = x - k
-            misc = j * (x + k - 1.0)
-            return float(np.sqrt(q_number(j, self.q) * q_number(x + k - 1.0, self.q) / misc))
-        val = float(self.func(x))
-        if not val > 0.0:
-            raise DomainError(
-                f"deformation map must be strictly positive on the lattice; f({x}) = {val}")
-        return val
+        j = x - k
+        misc = j * (x + k - 1.0)
+        return float(np.sqrt(q_number(j, f) * q_number(x + k - 1.0, f) / misc))
+    if not callable(f):
+        raise DomainError(f"a deformation is a QParam or a callable, got {f!r}")
+    val = float(f(x))
+    if not val > 0.0:
+        raise DomainError(
+            f"deformation map must be strictly positive on the lattice; f({x}) = {val}")
+    return val
 
 
-def lowering_elements(deformation: DeformationMap, k: float, count: int) -> np.ndarray:
+def lowering_elements(f, k: float, count: int) -> np.ndarray:
     """Matrix elements e[n] = f(n+k) sqrt(n(n+2k-1)) for n = 0..count-1.
 
     e[n] is the weight with which K- sends level n to level n-1 (and K+ sends
     n-1 to n); e[0] = 0.
     """
     k = check_bargmann(k)
-    if deformation.kind == "q":
-        return _q_lowering_elements(deformation.q.value, k, count)
+    if isinstance(f, QParam) and not f.is_classical:
+        return _q_lowering_elements(f.value, k, count)
     e = np.zeros(count)
-    if deformation.kind == "classical":
-        n = np.arange(1, count)
-        e[1:] = np.sqrt(n * (n + 2 * k - 1))
-    else:
-        for n in range(1, count):
-            e[n] = deformation.value(n + k, k) * np.sqrt(n * (n + 2 * k - 1))
+    n = np.arange(1, count)
+    e[1:] = np.sqrt(n * (n + 2 * k - 1))
+    if not isinstance(f, QParam):
+        e[1:] *= [map_value(f, j + k, k) for j in range(1, count)]
     return e
 
 
@@ -161,7 +129,7 @@ def _check_which(which: str):
 def apply_ladder(which: str, state):
     """Apply K0, K+ or K- to a LadderState, returning a new state.
 
-    k, the deformation map and the truncation N = len(coeffs) - 1 are the
+    k, the deformation and the truncation N = len(coeffs) - 1 are the
     state's.  The returned state's ``truncation_loss`` carries the squared
     norm of the raise out of the top level (zero for K0 and K-);
     coefficients are *not* renormalized.
@@ -189,15 +157,13 @@ def _coproduct_arrays(params, m1: int, m2: int):
     classical q)."""
     q = params.q
     if q.is_classical:
-        dmap = DeformationMap.classical()
         w1 = np.ones(m1)
         w2 = np.ones(m2)
     else:
-        dmap = DeformationMap.q_deformed(q)
         w1 = q.value ** (np.arange(m1) + params.k1)      # q^{K0} on node 1
         w2 = q.value ** -(np.arange(m2) + params.k2)     # q^{-K0} on node 2
-    e1 = lowering_elements(dmap, params.k1, m1 + 1)
-    e2 = lowering_elements(dmap, params.k2, m2 + 1)
+    e1 = lowering_elements(q, params.k1, m1 + 1)
+    e2 = lowering_elements(q, params.k2, m2 + 1)
     return e1, e2, w1, w2
 
 

@@ -16,8 +16,6 @@ from bgstates import measure as me
 from bgstates import repalg as ra
 from bgstates.qspecial import CLASSICAL, QParam, bessel_i_q, q_binomial
 
-CLASSICAL_MAP = ra.DeformationMap.classical()
-
 
 def _report(num, title, ok, detail, elapsed, budget):
     line = (f"[acceptance] criterion {num:2d} ({title}): "
@@ -28,7 +26,7 @@ def _report(num, title, ok, detail, elapsed, budget):
 
 def _single_state(q_label, alpha, k, n=50):
     if q_label == "classical":
-        return cs.build_f_coherent(alpha, k, CLASSICAL_MAP, n)
+        return cs.build_f_coherent(alpha, k, CLASSICAL, n)
     return cs.build_q_coherent(alpha, k, QParam(q_label), n)
 
 
@@ -61,8 +59,7 @@ def test_criterion_2_operator_series_crosscheck():
     t0 = time.time()
     worst = 0.0
     for q_label, k, alpha in GRID:
-        dmap = CLASSICAL_MAP if q_label == "classical" \
-            else ra.DeformationMap.q_deformed(QParam(q_label))
+        dmap = CLASSICAL if q_label == "classical" else QParam(q_label)
         a = cs.build_by_operator_series(alpha, k, dmap, 50)
         b = cs.build_f_coherent(alpha, k, dmap, 50)
         worst = max(worst, float(np.max(np.abs(a.coeffs - b.coeffs))))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bgstates import bipartite as bp
 from bgstates import costate as cs
 from bgstates import qspecial
-from bgstates import repalg as ra
 from bgstates.errors import (DomainError, SeriesConvergenceError, ShapeError,
                              TruncationError)
 from bgstates.qspecial import CLASSICAL, QParam, bessel_i_q, q_binomial, q_factorial, q_number
@@ -79,15 +78,14 @@ class TestClassicalBipartite:
 
     def test_norm_before_truncation_is_the_profile_block_sum(self):
         M = bp.classical_bipartite(0.3, 0.5, 1.0, 1.5, 40, 40)
-        cl = ra.DeformationMap.classical()
-        block = np.outer(cs.single_node_profile(0.3, 1.0, cl, 40),
-                         cs.single_node_profile(0.5, 1.5, cl, 40))
+        block = np.outer(cs.single_node_profile(0.3, 1.0, CLASSICAL, 40),
+                         cs.single_node_profile(0.5, 1.5, CLASSICAL, 40))
         assert M.norm_before_truncation == pytest.approx(
             float(np.sum(np.abs(block) ** 2)), rel=1e-13)
 
     def test_alpha1_zero_factor(self):
         M = bp.classical_bipartite(0.0, 0.6, 1.0, 1.0, 30, 30)
-        v2 = cs.build_f_coherent(0.6, 1.0, ra.DeformationMap.classical(), 30).coeffs
+        v2 = cs.build_f_coherent(0.6, 1.0, CLASSICAL, 30).coeffs
         assert np.allclose(M.coeffs[0, :], v2, atol=1e-14)
         assert np.all(M.coeffs[1:, :] == 0)
 

@@ -56,6 +56,18 @@ class TestStateBipartite:
         assert da["perturbed_residual"] == db["perturbed_residual"]
         assert da["perturbed_residual"] > 1e-3
 
+    def test_huge_perturbation_is_the_noise_direction(self, tmp_path):
+        # eps * noise and its norm leave double range past |eps| ~ 1e154;
+        # the state is then all noise, whatever the size or sign of eps
+        residuals = []
+        for eps in ("1e160", "1e308", "-1e308"):
+            out = tmp_path / f"p{eps}.json"
+            assert run_cli(self.ARGS + [f"perturb={eps}", "seed=7", f"out={out}"]) == 0
+            residuals.append(json.loads(out.read_text())["perturbed_residual"])
+        assert all(np.isfinite(r) and r > 1e-3 for r in residuals)
+        assert residuals[1] == pytest.approx(residuals[0], rel=1e-12)
+        assert residuals[2] == pytest.approx(residuals[0], rel=1e-12)
+
     def test_classical_mode(self, tmp_path):
         out = tmp_path / "c.json"
         args = ["state-bipartite", "q=classical", "a1=0.3", "a2=0.5", "k1=1",

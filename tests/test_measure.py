@@ -11,7 +11,6 @@ from bgstates import measure as me
 from bgstates import qspecial as qs
 from bgstates.errors import DomainError, SeriesConvergenceError
 from bgstates.qspecial import CLASSICAL, QParam
-from bgstates.repalg import DeformationMap
 
 
 class TestClassicalMeasure:
@@ -300,7 +299,7 @@ class TestIntegrandIdentity:
     def test_q_integrand(self, nu, q):
         qp, k = QParam(q), (nu + 1) / 2.0
         base, _ = me._base_integrand_q(self.RHO, nu, qp, -1)
-        norm = cs.normalization_series(self.RHO, k, DeformationMap.q_deformed(qp))
+        norm = cs.normalization_series(self.RHO, k, qp)
         scale = qs.q_factorial(nu, qp) / math.gamma(2 * k)
         for rho, got, s in zip(self.RHO, base, norm):
             want = 2 * rho * me.q_measure(rho, nu, q) * scale / s
@@ -310,7 +309,7 @@ class TestIntegrandIdentity:
     def test_classical_integrand(self, nu):
         k = (nu + 1) / 2.0
         base, _ = me._base_integrand_classical(self.RHO, nu)
-        norm = cs.normalization_series(self.RHO, k, DeformationMap.classical())
+        norm = cs.normalization_series(self.RHO, k, CLASSICAL)
         for rho, got, s in zip(self.RHO, base, norm):
             want = 2 * rho * me.classical_measure(rho, nu) / s
             assert got == pytest.approx(want, rel=1e-13)

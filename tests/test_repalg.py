@@ -17,11 +17,10 @@ from bgstates.errors import DomainError
 from bgstates.qspecial import CLASSICAL, QParam, q_number
 
 
-def unit_state(n, N, k, dmap=None):
+def unit_state(n, N, k, f=CLASSICAL):
     c = np.zeros(N + 1, dtype=complex)
     c[n] = 1.0
-    return LadderState(coeffs=c, k=k, alpha=0.0,
-                       deformation=dmap or ra.DeformationMap.classical(),
+    return LadderState(coeffs=c, k=k, alpha=0.0, deformation=f,
                        norm_before_truncation=1.0)
 
 
@@ -36,39 +35,35 @@ def unit_matrix(n1, n2, N1, N2, **params):
     return block(c, **params)
 
 
-def ladder_matrices(dmap, k, N):
+def ladder_matrices(f, k, N):
     """Dense K0, K+, K- on |0..N, k>, built from lowering_elements."""
-    e = ra.lowering_elements(dmap, k, N + 1)
+    e = ra.lowering_elements(f, k, N + 1)
     km = np.diag(e[1:], 1)
     return np.diag(np.arange(N + 1) + k), km.T, km
 
 
-class TestDeformationMap:
+class TestMapValue:
     def test_classical_is_one(self):
-        m = ra.DeformationMap.classical()
-        assert m.value(3.7, 1.0) == 1.0
+        assert ra.map_value(CLASSICAL, 3.7, 1.0) == 1.0
 
     def test_q_map_value(self):
         # f(j+k)^2 = [j][j+2k-1] / (j(j+2k-1))
         q = QParam(0.8)
-        m = ra.DeformationMap.q_deformed(q)
         j, k = 3, 1.0
         expect = np.sqrt(q_number(j, q) * q_number(j + 2 * k - 1, q)
                          / (j * (j + 2 * k - 1)))
-        assert m.value(j + k, k) == pytest.approx(expect, rel=1e-15)
+        assert ra.map_value(q, j + k, k) == pytest.approx(expect, rel=1e-15)
 
     def test_custom_positivity_enforced(self):
-        m = ra.DeformationMap.custom(lambda x: x - 2.0)
-        with pytest.raises(DomainError):
-            m.value(1.5, 0.5)
+        with pytest.raises(DomainError, match="strictly positive"):
+            ra.map_value(lambda x: x - 2.0, 1.5, 0.5)
 
-    def test_bad_kind(self):
-        with pytest.raises(DomainError):
-            ra.DeformationMap("weird")
-
-    def test_q_map_needs_deformed(self):
-        with pytest.raises(DomainError):
-            ra.DeformationMap.q_deformed(CLASSICAL)
+    def test_not_a_deformation(self):
+        for f in (0.8, "q", None):
+            with pytest.raises(DomainError, match="QParam or a callable"):
+                ra.map_value(f, 2.0, 1.0)
+            with pytest.raises(DomainError, match="QParam or a callable"):
+                ra.lowering_elements(f, 1.0, 5)
 
 
 class TestBargmann:
@@ -80,20 +75,20 @@ class TestBargmann:
             ra.check_bargmann(-1.0)
 
 
-def scalar_lowering_elements(dmap, k, count):
+def scalar_lowering_elements(f, k, count):
     """One q_number pair (or map value) per level: the reference for the
     array tables of lowering_elements."""
     e = np.zeros(count)
     for n in range(1, count):
-        if dmap.kind == "q":
-            e[n] = np.sqrt(q_number(n, dmap.q) * q_number(n + 2 * k - 1, dmap.q))
+        if isinstance(f, QParam) and not f.is_classical:
+            e[n] = np.sqrt(q_number(n, f) * q_number(n + 2 * k - 1, f))
         else:
-            e[n] = dmap.value(n + k, k) * np.sqrt(n * (n + 2 * k - 1))
+            e[n] = ra.map_value(f, n + k, k) * np.sqrt(n * (n + 2 * k - 1))
     return e
 
 
 def q_map(q):
-    return ra.DeformationMap.q_deformed(QParam(q) if q < 1 else QParam.for_crossing(q))
+    return QParam(q) if q < 1 else QParam.for_crossing(q)
 
 
 class TestLoweringElements:
@@ -106,10 +101,9 @@ class TestLoweringElements:
 
     @pytest.mark.parametrize("k", [0.5, 0.75, 1, 1.5, 2])
     def test_classical_table_is_the_scalar_loop_bit_for_bit(self, k):
-        dmap = ra.DeformationMap.classical()
         for count in (0, 1, 2, 52, 400):
-            got = ra.lowering_elements(dmap, k, count)
-            assert got.tobytes() == scalar_lowering_elements(dmap, k, count).tobytes()
+            got = ra.lowering_elements(CLASSICAL, k, count)
+            assert got.tobytes() == scalar_lowering_elements(CLASSICAL, k, count).tobytes()
 
     def test_product_past_double_range_is_inf_silently(self):
         # at q = 0.5 each [x]_q stays finite up to x ~ 1024, but the product
@@ -172,15 +166,15 @@ class TestApplyLadder:
 
 
 MAPS = [
-    ra.DeformationMap.classical(),
-    ra.DeformationMap.q_deformed(QParam(0.5)),
-    ra.DeformationMap.q_deformed(QParam(0.9)),
-    ra.DeformationMap.custom(lambda x: 1.0 + 1.0 / (1.0 + x * x)),
+    CLASSICAL,
+    QParam(0.5),
+    QParam(0.9),
+    lambda x: 1.0 + 1.0 / (1.0 + x * x),
 ]
 
 
 class TestMatrixProperties:
-    @pytest.mark.parametrize("dmap", MAPS)
+    @pytest.mark.parametrize("dmap", MAPS, ids=[f"dmap{i}" for i in range(len(MAPS))])
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.5, 5.0])
     def test_hermiticity(self, dmap, k):
         # column n of each matrix is the action on |n, k>
@@ -195,8 +189,7 @@ class TestMatrixProperties:
         # [K-, K+] = [2 K0]_q on interior levels
         N = 12
         qp = QParam(q)
-        dmap = ra.DeformationMap.q_deformed(qp)
-        _, kp, km = ladder_matrices(dmap, k, N)
+        _, kp, km = ladder_matrices(qp, k, N)
         comm = km @ kp - kp @ km
         for n in range(N - 1):
             expect = q_number(2 * (n + k), qp)
@@ -205,7 +198,7 @@ class TestMatrixProperties:
     @pytest.mark.parametrize("k", [0.5, 1.0, 1.5, 3.0])
     def test_casimir(self, k):
         N = 15
-        k0, kp, km = ladder_matrices(ra.DeformationMap.classical(), k, N)
+        k0, kp, km = ladder_matrices(CLASSICAL, k, N)
         cas = k0 @ k0 - k0 - kp @ km
         for n in range(N - 1):
             assert cas[n, n] == pytest.approx(k * (k - 1), rel=1e-12, abs=1e-12)
@@ -241,10 +234,9 @@ class TestCoproduct:
         rng = np.random.default_rng(11)
         N1, N2, k1, k2, q = 7, 6, 1.0, 1.5, 0.7
         qp = QParam(q)
-        dmap = ra.DeformationMap.q_deformed(qp)
         pick = ("K0", "K+", "K-").index(which)
-        low1 = ladder_matrices(dmap, k1, N1)[pick]
-        low2 = ladder_matrices(dmap, k2, N2)[pick]
+        low1 = ladder_matrices(qp, k1, N1)[pick]
+        low2 = ladder_matrices(qp, k2, N2)[pick]
         w1 = np.diag(q ** (np.arange(N1 + 1) + k1))
         w2 = np.diag(q ** -(np.arange(N2 + 1) + k2))
         big = np.kron(w1, low2) + np.kron(low1, w2)
