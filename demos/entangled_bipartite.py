@@ -9,13 +9,12 @@ the Schmidt spectrum, and shows the q > 1 route through crossing symmetry.
 
 import numpy as np
 
-from bgstates import (BipartiteParams, BoundarySequence, QParam,
-                      build_q_bipartite, classical_bipartite, crossing_transform,
-                      eigen_residual, fidelity, norm_series, schmidt_entropy,
-                      solve_g_recurrence)
+from bgstates import (BipartiteParams, QParam, build_q_bipartite, classical_bipartite,
+                      crossing_transform, eigen_residual, fidelity, norm_series,
+                      schmidt_entropy, solve_g_recurrence)
 
 a1, a2, k1, k2, N = 0.3, 0.5, 1.0, 1.0, 50
-boundary = BoundarySequence.geometric(1.0)
+boundary = 1.0      # delta: the geometric boundary row d_m = delta^m
 
 print("== classical benchmark (factorized) ==")
 classical = classical_bipartite(a1, a2, k1, k2, N, N)
@@ -56,14 +55,13 @@ print("== boundary families collapse to one classical limit ==")
 qv = 1 - 1e-6
 for s_exp in (0, 1, 2):
     params = BipartiteParams(a1, a2, k1, k2, QParam(qv))
-    Mq = build_q_bipartite(params, BoundarySequence.geometric(qv ** s_exp), N, N)
+    Mq = build_q_bipartite(params, qv ** s_exp, N, N)
     print(f"delta = q^{s_exp}: fidelity with classical = {fidelity(classical, Mq):.10f}")
 
 print()
 print("== q > 1 via crossing symmetry ==")
-params = BipartiteParams(a1, a2, k1, k2, QParam.for_crossing(1.25))
-tparams, tboundary = crossing_transform(params, boundary)
-print(f"q=1.25 maps to q={tparams.q.value:.3f} with the nodes swapped")
+params = BipartiteParams(a1, a2, k1, k2, QParam(1.25))
+print(f"q=1.25 maps to q={crossing_transform(params).q.value:.3f} with the nodes swapped")
 M = build_q_bipartite(params, boundary, 45, 45)
 print(f"q=1.25 state: residual {eigen_residual(M):.2e}, "
       f"entropy {schmidt_entropy(M).entropy:.3e}")

@@ -11,19 +11,18 @@ the triangle, which is why all three coexist.
 
 import numpy as np
 
-from bgstates import (BipartiteParams, BoundarySequence, QParam, g_ansatz_eval,
+from bgstates import (BipartiteParams, QParam, crossing_transform, g_ansatz_eval,
                       g_closed_geometric, solve_g_recurrence)
 
 params = BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(0.7))
-delta = 0.9
-boundary = BoundarySequence.geometric(delta)
+delta = 0.9     # a scalar boundary is the geometric row d_m = delta^m
 
-g = solve_g_recurrence(boundary, params, 12, 12)
+g = solve_g_recurrence(delta, params, 12, 12)
 worst_ansatz = worst_closed = 0.0
 for n in range(13):
     for m in range(13):
         ref = g[n, m]
-        worst_ansatz = max(worst_ansatz, abs(g_ansatz_eval(n, m, boundary, params) - ref) / abs(ref))
+        worst_ansatz = max(worst_ansatz, abs(g_ansatz_eval(n, m, delta, params) - ref) / abs(ref))
         worst_closed = max(worst_closed, abs(g_closed_geometric(n, m, delta, params) - ref) / abs(ref))
 
 print("geometric boundary d_m = 0.9^m, q = 0.7, indices <= 12:")
@@ -32,8 +31,7 @@ print(f"  recurrence vs closed form       : max rel dev {worst_closed:.2e}")
 
 print()
 print("a non-geometric boundary still propagates and matches the ansatz:")
-values = [1.0 / (1.0 + 0.07 * m) for m in range(40)]
-custom = BoundarySequence.custom(values)
+custom = [1.0 / (1.0 + 0.07 * m) for m in range(40)]     # d_0..d_39
 g = solve_g_recurrence(custom, params, 10, 10)
 worst = max(abs(g_ansatz_eval(n, m, custom, params) - g[n, m]) / abs(g[n, m])
             for n in range(11) for m in range(11))
@@ -47,10 +45,8 @@ with np.printoptions(precision=4, suppress=False, linewidth=100):
 print()
 print("crossing symmetry: solutions at (xi, eta, q) transpose to solutions")
 print("at (eta, xi, 1/q), which is how q > 1 is reached:")
-from bgstates import crossing_transform
-pc = BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam.for_crossing(1.25))
-tp, tb = crossing_transform(pc, boundary)
-g_hat = solve_g_recurrence(tb, tp, 11, 11).T
+pc = BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(1.25))
+g_hat = solve_g_recurrence(delta, crossing_transform(pc), 11, 11).T
 q, xi, eta = 1.25, pc.xi, pc.eta
 worst = max(abs(eta * q ** n * g_hat[n, m + 1] + xi * q ** -m * g_hat[n + 1, m]
                 - g_hat[n, m]) / abs(g_hat[n, m])

@@ -12,8 +12,9 @@ Layers:
 * :mod:`bgstates.costate` - single-node coherent states (recurrence,
   q-factorial, and operator-exponential constructions).
 * :mod:`bgstates.bipartite` - the entangled two-node state: recurrence
-  solvers with closed-form oracles, norm series, crossing symmetry, Schmidt
-  analysis.
+  solvers with closed-form oracles (a boundary row is delta or the row
+  d_0..d_M itself), norm series, the crossing (nodes swapped, q inverted)
+  that reaches q > 1, Schmidt analysis.
 * :mod:`bgstates.measure` - completeness measures and moment-relation
   quadrature.
 * :mod:`bgstates.cli` - batch command line (``bgstates --help``).
@@ -27,11 +28,11 @@ from .qspecial import (CLASSICAL, QParam, bessel_i_q, bessel_k, q_binomial,
 from .repalg import apply_coproduct, apply_ladder
 from .costate import (LadderState, build_by_operator_series, build_f_coherent,
                       build_q_coherent, normalization_series, single_node_profile)
-from .bipartite import (BipartiteMatrix, BipartiteParams, BoundarySequence,
-                        SchmidtSpectrum, build_q_bipartite, classical_bipartite,
-                        crossing_transform, eigen_residual, eigen_residual_parts,
-                        fidelity, g_ansatz_eval, g_closed_geometric, norm_series,
-                        schmidt_entropy, solve_g_recurrence)
+from .bipartite import (BipartiteMatrix, BipartiteParams, SchmidtSpectrum,
+                        build_q_bipartite, classical_bipartite, crossing_transform,
+                        eigen_residual, eigen_residual_parts, fidelity, g_ansatz_eval,
+                        g_closed_geometric, norm_series, schmidt_entropy,
+                        solve_g_recurrence)
 from .measure import (MomentRecord, MomentReport, classical_measure, moment_check,
                       q_measure)
 

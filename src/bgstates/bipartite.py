@@ -18,6 +18,9 @@ is an eigen-matrix of the q-coproduct lowering operator with eigenvalue
 alpha = alpha1 + alpha2 and its q^{n1 n2} content is what forbids
 factorization for q != 1.  q > 1 is reached exclusively through the crossing
 substitution (swap the nodes, invert q, transpose).
+
+A boundary row is a plain value: a real scalar delta is the geometric row
+d_m = delta^m, a sequence is d_0..d_M itself.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +41,6 @@ from .qspecial import (CLASSICAL, QParam, _bessel_i_series, _sum_series, q_facto
 from .repalg import apply_coproduct, check_bargmann
 
 __all__ = [
-    "BoundarySequence",
     "BipartiteParams",
     "BipartiteMatrix",
     "classical_bipartite",
@@ -59,45 +61,17 @@ __all__ = [
 TAIL_MASS_LIMIT = 1e-12
 
 
-@dataclass(frozen=True)
-class BoundarySequence:
-    """First-row data g_{0,m} = d_m of the bipartite recurrence.
-
-    Geometric boundaries d_m = delta^m generate any index on demand; custom
-    boundaries must supply d_0..d_M with M covering n+m for every requested
-    (n, m) (the ansatz sum reaches d_{m+n}).  All admissible families encode
-    d_m -> 1 as q -> 1.
-    """
-
-    kind: str
-    delta: Optional[float] = None
-    values: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.kind not in ("geometric", "custom"):
-            raise DomainError(f"boundary kind must be geometric or custom, got {self.kind!r}")
-        if self.kind == "geometric" and self.delta is None:
-            raise DomainError("geometric boundary needs delta")
-        if self.kind == "custom" and not self.values:
-            raise DomainError("custom boundary needs at least d_0")
-
-    @classmethod
-    def geometric(cls, delta: float) -> "BoundarySequence":
-        return cls("geometric", delta=float(delta))
-
-    @classmethod
-    def custom(cls, values) -> "BoundarySequence":
-        return cls("custom", values=tuple(complex(v) for v in values))
-
-    def first_row(self, m_max: int) -> np.ndarray:
-        """d_0..d_{m_max}; raises if a custom list is too short."""
-        if self.kind == "geometric":
-            return self.delta ** np.arange(m_max + 1, dtype=float) + 0j
-        if len(self.values) <= m_max:
-            raise DomainError(
-                f"custom boundary supplies d_0..d_{len(self.values) - 1} but "
-                f"index {m_max} is required")
-        return np.asarray(self.values[:m_max + 1], dtype=complex)
+def _first_row(boundary, m_max: int) -> np.ndarray:
+    """d_0..d_{m_max} of a boundary: a real scalar delta gives delta^m, and a
+    sequence must supply d_0..d_M with M >= m_max (the ansatz sum at (n, m)
+    reaches d_{m+n}).  All admissible families encode d_m -> 1 as q -> 1."""
+    if np.ndim(boundary) == 0:
+        return float(boundary) ** np.arange(m_max + 1, dtype=float) + 0j
+    if len(boundary) <= m_max:
+        raise DomainError(
+            f"custom boundary supplies d_0..d_{len(boundary) - 1} but "
+            f"index {m_max} is required")
+    return np.asarray(boundary[:m_max + 1], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -141,13 +115,6 @@ class BipartiteParams:
         if self.q.is_classical:
             raise DomainError(f"{what} is defined only for a deformed q")
 
-    def swapped_inverse_q(self) -> "BipartiteParams":
-        self._require_deformed("swapped_inverse_q")
-        qinv = 1.0 / self.q.value
-        new_q = QParam(qinv) if qinv < 1.0 else QParam.for_crossing(qinv)
-        return BipartiteParams(alpha1=self.alpha2, alpha2=self.alpha1,
-                               k1=self.k2, k2=self.k1, q=new_q)
-
 
 @dataclass(frozen=True)
 class BipartiteMatrix:
@@ -158,7 +125,6 @@ class BipartiteMatrix:
 
     coeffs: np.ndarray
     params: BipartiteParams
-    boundary: Optional[BoundarySequence] = None
     normalized: bool = False
     truncation_loss: float = 0.0
     norm_before_truncation: float = 0.0
@@ -182,9 +148,9 @@ def classical_bipartite(alpha1: complex, alpha2: complex, k1: float, k2: float,
                                s1.norm_before_truncation * s2.norm_before_truncation))
 
 
-def solve_g_recurrence(boundary: BoundarySequence, params: BipartiteParams,
+def solve_g_recurrence(boundary, params: BipartiteParams,
                        N1: int, N2: int) -> np.ndarray:
-    """Propagate g row by row from the boundary row:
+    """Propagate g row by row from the boundary row (delta or d_0..d_M):
 
         g_{n+1,m} = (g_{n,m} - eta q^n g_{n,m+1}) q^m / xi.
 
@@ -195,7 +161,7 @@ def solve_g_recurrence(boundary: BoundarySequence, params: BipartiteParams,
     if xi == 0:
         raise DomainError("xi = 0 (alpha1 = 0): the recurrence cannot be propagated")
     width = N1 + N2 + 1
-    row = boundary.first_row(N1 + N2).astype(complex)
+    row = _first_row(boundary, N1 + N2)
     out = np.zeros((N1 + 1, N2 + 1), dtype=complex)
     out[0] = row[:N2 + 1]
     qm = q ** np.arange(width, dtype=float)
@@ -206,17 +172,16 @@ def solve_g_recurrence(boundary: BoundarySequence, params: BipartiteParams,
     return out
 
 
-def g_ansatz_eval(n: int, m: int, boundary: BoundarySequence,
-                  params: BipartiteParams) -> complex:
+def g_ansatz_eval(n: int, m: int, boundary, params: BipartiteParams) -> complex:
     """The finite q-binomial sum
 
         g_{n,m} = q^{nm} xi^{-n} sum_{k=0}^{n} (-1)^k eta^k q^{k(k-1)}
                   d_{m+k} [n,k]_{q^2};
 
-    boundary must cover index m+n."""
+    the boundary (delta or d_0..d_M) must cover index m+n."""
     q = qspecial._series_value(params.q, where="g_ansatz_eval")
     xi, eta = params.xi, params.eta
-    d = boundary.first_row(m + n)
+    d = _first_row(boundary, m + n)
     base = q * q
     total = 0.0 + 0j
     for j in range(n + 1):
@@ -262,21 +227,20 @@ def _edge_tail_estimate(c_sq: np.ndarray) -> float:
     return tail
 
 
-def build_q_bipartite(params: BipartiteParams, boundary: BoundarySequence,
+def build_q_bipartite(params: BipartiteParams, boundary,
                       N1: int, N2: int) -> BipartiteMatrix:
     """Assemble and normalize the q-deformed bipartite eigenstate.
 
-    Geometric boundaries use the closed-form g; custom boundaries propagate
-    the recurrence.  q > 1 parameters are routed through the crossing
-    substitution and the solution transposed back.
+    A scalar boundary delta uses the closed-form g; a sequence d_0..d_M
+    propagates the recurrence.  q > 1 parameters are routed through the
+    crossing substitution and the solution transposed back.
     """
     if params.q.is_classical:
         raise DomainError("use classical_bipartite for the undeformed case")
     if params.q.value > 1.0:
-        tparams, tboundary = crossing_transform(params, boundary)
-        mirror = build_q_bipartite(tparams, tboundary, N2, N1)
+        mirror = build_q_bipartite(crossing_transform(params), boundary, N2, N1)
         return BipartiteMatrix(coeffs=mirror.coeffs.T.copy(), params=params,
-                               boundary=boundary, normalized=True,
+                               normalized=True,
                                truncation_loss=mirror.truncation_loss,
                                norm_before_truncation=mirror.norm_before_truncation)
     if params.alpha1 == 0:
@@ -286,14 +250,14 @@ def build_q_bipartite(params: BipartiteParams, boundary: BoundarySequence,
     q = params.q
     # an overflow here is caught and named by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        if boundary.kind == "geometric":
-            qv = q.value
+        if np.ndim(boundary) == 0:
+            qv, delta = q.value, float(boundary)
             # row-scaled closed form: poch[n] = (delta eta; q^2)_n
-            de = boundary.delta * params.eta
+            de = delta * params.eta
             poch = np.array(list(itertools.accumulate(
                 (1.0 - de * qv ** (2 * n) for n in range(N1)), operator.mul, initial=1 + 0j)))
             g = (poch[:, None] * np.asarray(params.xi) ** -np.arange(N1 + 1)[:, None]
-                 * boundary.delta ** np.arange(N2 + 1)[None, :]
+                 * delta ** np.arange(N2 + 1)[None, :]
                  * qv ** np.outer(np.arange(N1 + 1), np.arange(N2 + 1)))
         else:
             g = solve_g_recurrence(boundary, params, N1, N2)
@@ -314,7 +278,7 @@ def build_q_bipartite(params: BipartiteParams, boundary: BoundarySequence,
             f"truncation insufficient: edge-ratio tail estimate {tail:.3e} "
             f"exceeds {TAIL_MASS_LIMIT:.0e} of the total; increase N1/N2")
     return BipartiteMatrix(coeffs=c / math.sqrt(total), params=params,
-                           boundary=boundary, normalized=True,
+                           normalized=True,
                            norm_before_truncation=total)
 
 
@@ -353,18 +317,20 @@ def norm_series(params: BipartiteParams, delta: float) -> float:
     return _sum_series(terms(), "norm series", f"max_terms={qspecial.MAX_TERMS}")
 
 
-def crossing_transform(params: BipartiteParams, boundary: BoundarySequence):
-    """Map a q > 1 configuration to the equivalent q < 1 one.
+def crossing_transform(params: BipartiteParams) -> BipartiteParams:
+    """The crossing mirror of a deformed configuration: the two nodes swapped
+    and q inverted.
 
     The recurrence's crossing symmetry says a solution at (xi, eta, q) can be
     read off a solution at (eta, xi, 1/q) with the indices transposed; in the
     (alpha_i, k_i) parametrization that is exactly swapping the two nodes and
-    inverting q.  Applying the transform twice is the identity.
+    inverting q, so a q > 1 state is its q < 1 mirror transposed.  Applying
+    the transform twice is the identity, up to the rounding of 1/(1/q) (exact
+    at q = 1.25, one ulp off at q = 0.9).
     """
-    if params.q.is_classical or not params.q.value > 1.0:
-        raise DomainError("crossing_transform expects q > 1; "
-                          "use the direct construction for 0 < q < 1")
-    return params.swapped_inverse_q(), boundary
+    params._require_deformed("crossing_transform")
+    return BipartiteParams(alpha1=params.alpha2, alpha2=params.alpha1,
+                           k1=params.k2, k2=params.k1, q=QParam(1.0 / params.q.value))
 
 
 def schmidt_entropy(M: BipartiteMatrix) -> SchmidtSpectrum:

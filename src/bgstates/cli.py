@@ -130,7 +130,7 @@ def _as_q(params: dict) -> QParam:
         raise DomainError("q=1 is the undeformed algebra; pass q=classical")
     if not q > 0.0:
         raise DomainError(f"q= must be positive, got {q!r}")
-    return QParam(q) if q < 1.0 else QParam.for_crossing(q)
+    return QParam(q)
 
 
 def _check_budget(n1: int, n2: int, keys: str):
@@ -249,14 +249,14 @@ def _run_state_bipartite(cfg: RunConfig) -> dict:
         M = bp.classical_bipartite(a1, a2, k1, k2, n1, n2)
     else:
         params = bp.BipartiteParams(a1, a2, k1, k2, q)
-        M = bp.build_q_bipartite(params, bp.BoundarySequence.geometric(delta), n1, n2)
+        M = bp.build_q_bipartite(params, delta, n1, n2)
     payload = _state_bipartite_payload(M, {
         "q": None if q.is_classical else q.value,
         "a1": _jc(a1), "a2": _jc(a2), "k1": k1, "k2": k2,
         "delta": delta, "N1": n1, "N2": n2,
     })
     if not q.is_classical:
-        sp = M.params if q.value < 1 else M.params.swapped_inverse_q()
+        sp = M.params if q.value < 1 else bp.crossing_transform(M.params)
         ns = bp.norm_series(sp, delta)
         # the c_0 = 1 block sum, rescaled to the ansatz scale of norm_series
         raw = M.norm_before_truncation / (q_factorial(2 * sp.k1 - 1, sp.q)
@@ -328,7 +328,7 @@ def _run_sweep_q(cfg: RunConfig) -> dict:
         qv = float(q)
         params = bp.BipartiteParams(a1, a2, k1, k2, QParam(qv))
         delta = qv ** delta_num if delta_power else delta_num
-        M = bp.build_q_bipartite(params, bp.BoundarySequence.geometric(delta), n, n)
+        M = bp.build_q_bipartite(params, delta, n, n)
         spec = bp.schmidt_entropy(M)
         rows.append({
             "q": qv,
@@ -360,8 +360,7 @@ def _run_g_oracle(cfg: RunConfig) -> dict:
     p.reject_unread(cfg.command)
     _check_budget(nmax, nmax, f"nmax={nmax}")
     params = bp.BipartiteParams(a1, a2, k1, k2, q)
-    boundary = bp.BoundarySequence.geometric(delta)
-    g = bp.solve_g_recurrence(boundary, params, nmax, nmax)
+    g = bp.solve_g_recurrence(delta, params, nmax, nmax)
     # the relative errors divide by |g|; delta = 0 or a large nmax makes them 0/0
     bad = np.argwhere(~(np.isfinite(g) & (np.abs(g) >= np.finfo(float).tiny)))
     if bad.size:
@@ -374,7 +373,7 @@ def _run_g_oracle(cfg: RunConfig) -> dict:
     worst_closed = 0.0
     for nn in range(nmax + 1):
         for mm in range(nmax + 1):
-            ga = bp.g_ansatz_eval(nn, mm, boundary, params)
+            ga = bp.g_ansatz_eval(nn, mm, delta, params)
             gc = bp.g_closed_geometric(nn, mm, delta, params)
             ref = abs(g[nn, mm])
             ra = abs(ga - g[nn, mm]) / ref
@@ -489,12 +488,10 @@ def load_state_json(path: str):
     coeffs = np.array([[complex(re, im) for re, im in row]
                        for row in data["coefficients"]])
     qv = p["q"]
-    q = CLASSICAL if qv is None else (QParam(qv) if qv < 1 else QParam.for_crossing(qv))
+    q = CLASSICAL if qv is None else QParam(qv)
     params = bp.BipartiteParams(complex(*p["a1"]), complex(*p["a2"]),
                                 p["k1"], p["k2"], q)
-    boundary = bp.BoundarySequence.geometric(p["delta"])
-    return bp.BipartiteMatrix(coeffs=coeffs, params=params, boundary=boundary,
-                              normalized=True), data
+    return bp.BipartiteMatrix(coeffs=coeffs, params=params, normalized=True), data
 
 
 _RUNNERS = {

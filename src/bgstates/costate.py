@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .qspecial import QParam, _bessel_i_series, _sum_series, q_factorial
+from .qspecial import QParam, _sum_series, q_number
 from .repalg import check_bargmann, lowering_elements, map_value
 
 __all__ = [
@@ -108,21 +108,22 @@ def _finish(raw: np.ndarray, k, alpha, deformation, e_next) -> LadderState:
 
 
 def _crosscheck_bessel_norm(state: LadderState):
-    """Normalization redundancy: partial sum vs Bessel closed form."""
-    alpha, k = state.alpha, state.k
-    if alpha == 0:
-        return
-    rho = abs(alpha)
+    """Normalization redundancy: partial sum vs the Bessel closed form
+    [nu]! rho^{-nu} I_nu(2 rho) = sum_n rho^{2n} [nu]! / ([n]! [n+nu]!),
+    nu = 2k - 1, summed from its leading term 1.  That form needs no integer
+    nu, and the symmetric q-numbers make it the same at q and 1/q."""
     f = state.deformation
-    nu = 2 * k - 1
-    if isinstance(f, QParam) and float(nu).is_integer():
-        # [nu]! is Gamma(2k) for the classical tag
-        closed = q_factorial(int(nu), f) * rho ** -nu * float(
-            _bessel_i_series(int(nu), rho, f))
-        if abs(closed - state.norm_before_truncation) > 1e-8 * abs(closed):
-            raise ArithmeticError(
-                "normalization series and Bessel closed form disagree: "
-                f"{state.norm_before_truncation!r} vs {closed!r}")
+    if state.alpha == 0 or not isinstance(f, QParam):
+        return
+    rho2, nu = abs(state.alpha) ** 2, 2 * state.k - 1
+    closed = _sum_series(itertools.accumulate(
+        itertools.count(1), lambda term, n: term * rho2 / (
+            q_number(n, f) * q_number(n + nu, f)), initial=1.0),
+        "Bessel closed form of the norm", f"k={state.k}")
+    if not abs(closed - state.norm_before_truncation) <= 1e-8 * closed:
+        raise ArithmeticError(
+            "normalization series and Bessel closed form disagree: "
+            f"{state.norm_before_truncation!r} vs {closed!r}")
 
 
 def single_node_profile(alpha: complex, k: float, f, N: int) -> np.ndarray:

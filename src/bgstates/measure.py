@@ -184,11 +184,7 @@ def q_measure(rho: float, nu: int, q, log_term_offset: int = -1) -> float:
         raise DomainError("q_measure requires rho > 0")
     if nu < 0 or nu != int(nu):
         raise DomainError("q_measure requires nonnegative integer nu = 2k-1")
-    if isinstance(q, QParam) and q.is_classical:
-        raise DomainError("q_measure: use classical_measure for q = 1")
-    qv = q.value if isinstance(q, QParam) else float(q)
-    if not 0.0 < qv < 1.0:
-        raise DomainError(f"q_measure requires 0 < q < 1, got {qv!r}")
+    qv = qspecial._series_value(q, where="q_measure")
     bracket, noise = _q_bracket_dd(rho, int(nu), qv, log_term_offset)
     i_val = float(_bessel_i_series(int(nu), rho, QParam(qv)))
     out = 0.5 * i_val * float(_dd.to_float(bracket))
@@ -360,7 +356,7 @@ def moment_check(n_max: int, k: float, mode, log_term_offset: int = -1) -> Momen
         node_count = len(x) + len(tx)
         rhs = np.array([math.factorial(n) * math.gamma(n + 2 * k) for n in powers])
     else:
-        qp = mode if isinstance(mode, QParam) else QParam(float(mode))
+        qp = QParam(qspecial._series_value(mode, where="moment_check"))
         # grow the cutoff past rho = 6 until the n_max panel contribution is
         # negligible or the compensated-arithmetic noise floor is reached
         panels = _q_panels(lambda x, sizes: _base_integrand_q(x, nu, qp, log_term_offset,

@@ -82,22 +82,21 @@ NOISE_BUDGET = 1e-10
 class QParam:
     """Real deformation parameter with the classical case as a distinct tag.
 
-    ``QParam(q)`` requires 0 < q < 1 (the convergence domain of every series
-    evaluated here).  ``QParam.classical()`` marks the undeformed algebra and
-    is never represented as a float near 1.  ``QParam.for_crossing(q)`` admits
-    q > 1; such values are only meaningful to the bipartite crossing
-    transform, and the series functions reject them.
+    ``QParam(q)`` takes any finite q > 0 other than 1.  The series evaluated
+    here converge only for 0 < q < 1 and reject q > 1 by name
+    (:func:`_series_value`); a q > 1 state is the bipartite crossing mirror
+    at 1/q.  ``QParam.classical()`` marks the undeformed algebra and is never
+    represented as a float near 1.
     """
 
     __slots__ = ("value", "is_classical")
 
     def __init__(self, value: float):
         value = float(value)
-        if not 0.0 < value < 1.0:
+        if not 0.0 < value < math.inf or value == 1.0:
             raise DomainError(
-                f"deformation parameter must satisfy 0 < q < 1, got {value!r}; "
-                "use QParam.classical() for q = 1 or QParam.for_crossing() for q > 1"
-            )
+                f"deformation parameter must be a finite q > 0 other than 1, got {value!r}; "
+                "use QParam.classical() for q = 1")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "is_classical", False)
 
@@ -106,16 +105,6 @@ class QParam:
         obj = object.__new__(cls)
         object.__setattr__(obj, "value", None)
         object.__setattr__(obj, "is_classical", True)
-        return obj
-
-    @classmethod
-    def for_crossing(cls, value: float) -> "QParam":
-        value = float(value)
-        if not value > 1.0:
-            raise DomainError(f"for_crossing expects q > 1, got {value!r}")
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "value", value)
-        object.__setattr__(obj, "is_classical", False)
         return obj
 
     def __setattr__(self, *_):

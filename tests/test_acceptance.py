@@ -74,13 +74,12 @@ def test_criterion_3_g_oracle_triangle():
     for q in (0.5, 0.7, 0.9):
         for delta in (0.9, 1.0, 1.1):
             params = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(q))
-            boundary = bp.BoundarySequence.geometric(delta)
-            g = bp.solve_g_recurrence(boundary, params, 14, 14)
+            g = bp.solve_g_recurrence(delta, params, 14, 14)
             for n in range(15):
                 for m in range(15):
                     ref = abs(g[n, m])
                     worst = max(worst,
-                                abs(bp.g_ansatz_eval(n, m, boundary, params) - g[n, m]) / ref,
+                                abs(bp.g_ansatz_eval(n, m, delta, params) - g[n, m]) / ref,
                                 abs(bp.g_closed_geometric(n, m, delta, params) - g[n, m]) / ref)
     elapsed = time.time() - t0
     _report(3, "g oracle triangle", worst <= 1e-11 and elapsed < 1.0,
@@ -108,7 +107,7 @@ def test_criterion_4_h_table():
 def test_criterion_5_bipartite_eigenvector():
     t0 = time.time()
     params = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(0.9))
-    M = bp.build_q_bipartite(params, bp.BoundarySequence.geometric(1.0), 50, 50)
+    M = bp.build_q_bipartite(params, 1.0, 50, 50)
     interior, _ = bp.eigen_residual_parts(M)
     elapsed = time.time() - t0
     _report(5, "bipartite eigenvector law", interior <= 1e-8 and elapsed < 2.0,
@@ -122,8 +121,7 @@ def test_criterion_6_norm_identity():
         for delta in (0.9, 1.0, 1.1):
             for k2 in (1.0, 1.5):
                 params = bp.BipartiteParams(0.3, 0.5, 1.0, k2, QParam(q))
-                boundary = bp.BoundarySequence.geometric(delta)
-                g = bp.solve_g_recurrence(boundary, params, 60, 60)
+                g = bp.solve_g_recurrence(delta, params, 60, 60)
                 p1 = bp._single_node_prefactors(0.3, 1.0, params.q, 60)
                 p2 = bp._single_node_prefactors(0.5, k2, params.q, 60)
                 direct = float(np.sum(np.abs(p1[:, None] * p2[None, :] * g) ** 2))
@@ -145,7 +143,7 @@ def test_criterion_6_norm_identity():
 
 def test_criterion_7_entanglement_dichotomy():
     t0 = time.time()
-    boundary1 = bp.BoundarySequence.geometric(1.0)
+    boundary1 = 1.0
     # q -> 1 path: entropy vanishes
     params_near1 = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(1 - 1e-6))
     ent_near1 = bp.schmidt_entropy(
@@ -163,7 +161,7 @@ def test_criterion_7_entanglement_dichotomy():
     qv = 1 - 1e-6
     for s in (0, 1, 2):
         params = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(qv))
-        M = bp.build_q_bipartite(params, bp.BoundarySequence.geometric(qv ** s), 50, 50)
+        M = bp.build_q_bipartite(params, qv ** s, 50, 50)
         min_fid = min(min_fid, bp.fidelity(classical, M))
     elapsed = time.time() - t0
     ok = (ent_near1 <= 1e-6 and ent_classical <= 1e-6 and min_sigma2 > 1e-6
@@ -210,9 +208,8 @@ def test_criterion_9_q_moments():
 
 def test_criterion_10_crossing_symmetry():
     t0 = time.time()
-    params = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam.for_crossing(1.25))
-    tparams, tboundary = bp.crossing_transform(params, bp.BoundarySequence.geometric(1.0))
-    g_hat = bp.solve_g_recurrence(tboundary, tparams, 11, 11).T
+    params = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(1.25))
+    g_hat = bp.solve_g_recurrence(1.0, bp.crossing_transform(params), 11, 11).T
     q, xi, eta = 1.25, params.xi, params.eta
     worst = 0.0
     for n in range(11):

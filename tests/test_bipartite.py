@@ -16,7 +16,7 @@ from bgstates.errors import (DomainError, SeriesConvergenceError, ShapeError,
 from bgstates.qspecial import CLASSICAL, QParam, bessel_i_q, q_binomial, q_factorial, q_number
 
 P9 = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(0.9))
-GEOM1 = bp.BoundarySequence.geometric(1.0)
+GEOM1 = 1.0
 
 
 def recurrence_max_rel(g, params):
@@ -32,19 +32,17 @@ def recurrence_max_rel(g, params):
     return worst
 
 
-class TestBoundarySequence:
+class TestBoundary:
+    P7 = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(0.7))
+
     def test_geometric_rows(self):
-        b = bp.BoundarySequence.geometric(0.9)
-        assert np.allclose(b.first_row(4), 0.9 ** np.arange(5))
+        g = bp.solve_g_recurrence(0.9, self.P7, 0, 4)
+        assert np.allclose(g[0], 0.9 ** np.arange(5))
 
     def test_custom_too_short(self):
-        b = bp.BoundarySequence.custom([1.0, 0.9, 0.8])
-        with pytest.raises(DomainError):
-            b.first_row(3)
-
-    def test_bad_kind(self):
-        with pytest.raises(DomainError):
-            bp.BoundarySequence("nope")
+        # a 1 x 2 block needs d_0..d_3
+        with pytest.raises(DomainError, match="supplies d_0..d_2 but index 3"):
+            bp.solve_g_recurrence([1.0, 0.9, 0.8], self.P7, 1, 2)
 
 
 class TestParams:
@@ -102,11 +100,10 @@ class TestClassicalBipartite:
 
 class TestGRecurrence:
     def test_first_row_verbatim(self):
-        b = bp.BoundarySequence.custom([1.0, 0.95, 0.9, 0.86, 0.81, 0.78,
-                                        0.74, 0.71, 0.68, 0.65, 0.62])
+        b = [1.0, 0.95, 0.9, 0.86, 0.81, 0.78, 0.74, 0.71, 0.68, 0.65, 0.62]
         g = bp.solve_g_recurrence(b, bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(0.7)),
                                   5, 5)
-        assert np.allclose(g[0], b.first_row(5))
+        assert np.allclose(g[0], b[:6])
 
     def test_q_to_one_limit(self):
         p = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(1 - 1e-8))
@@ -125,27 +122,27 @@ class TestGRecurrence:
 
     def test_solution_satisfies_recurrence(self):
         p = bp.BipartiteParams(0.4 + 0.1j, 0.2, 1.0, 1.5, QParam(0.6))
-        g = bp.solve_g_recurrence(bp.BoundarySequence.geometric(0.95), p, 12, 12)
+        g = bp.solve_g_recurrence(0.95, p, 12, 12)
         assert recurrence_max_rel(g, p) < 1e-12
 
 
 class TestGAnsatz:
     def test_n0_is_boundary(self):
-        b = bp.BoundarySequence.geometric(0.9)
+        b = 0.9
         p = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(0.7))
         for m in range(5):
             assert bp.g_ansatz_eval(0, m, b, p) == pytest.approx(0.9 ** m, rel=1e-14)
 
     def test_n1_two_terms(self):
         # g_{1,0} = xi^{-1} (d_0 - eta d_1)
-        b = bp.BoundarySequence.custom([1.0, 0.9, 0.8])
+        b = [1.0, 0.9, 0.8]
         p = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(0.7))
         want = (1.0 - p.eta * 0.9) / p.xi
         assert bp.g_ansatz_eval(1, 0, b, p) == pytest.approx(want, rel=1e-14)
 
     def test_matches_recurrence_custom_boundary(self):
         vals = [1.0 / (1.0 + 0.05 * m) for m in range(30)]
-        b = bp.BoundarySequence.custom(vals)
+        b = vals
         p = bp.BipartiteParams(0.25, 0.45, 1.0, 0.5, QParam(0.7))
         g = bp.solve_g_recurrence(b, p, 12, 12)
         for n in range(0, 13, 3):
@@ -163,7 +160,7 @@ class TestGClosedGeometric:
 
     def test_matches_ansatz(self):
         p = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(0.6))
-        b = bp.BoundarySequence.geometric(0.95)
+        b = 0.95
         for n in range(0, 13, 4):
             for m in range(0, 13, 4):
                 assert bp.g_closed_geometric(n, m, 0.95, p) == pytest.approx(
@@ -184,7 +181,7 @@ class TestOracleTriangle:
     @pytest.mark.parametrize("delta", [0.9, 1.0, 1.1])
     def test_three_routes_agree(self, q, delta):
         p = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(q))
-        b = bp.BoundarySequence.geometric(delta)
+        b = delta
         g = bp.solve_g_recurrence(b, p, 14, 14)
         for n in range(15):
             for m in range(15):
@@ -199,7 +196,7 @@ class TestOracleTriangle:
     @settings(max_examples=40, deadline=None)
     def test_three_routes_agree_random(self, q, delta, a1r, a1i, a2r, k1, k2):
         p = bp.BipartiteParams(complex(a1r, a1i), a2r, k1, k2, QParam(q))
-        b = bp.BoundarySequence.geometric(delta)
+        b = delta
         g = bp.solve_g_recurrence(b, p, 8, 8)
         for n in (0, 3, 8):
             for m in (0, 4, 8):
@@ -263,8 +260,8 @@ class TestBuildQBipartite:
 
     def test_custom_boundary_equals_geometric(self):
         delta = 0.93
-        custom = bp.BoundarySequence.custom([delta ** m for m in range(120)])
-        a = bp.build_q_bipartite(P9, bp.BoundarySequence.geometric(delta), 40, 40)
+        custom = [delta ** m for m in range(120)]
+        a = bp.build_q_bipartite(P9, delta, 40, 40)
         b = bp.build_q_bipartite(P9, custom, 40, 40)
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
 
@@ -284,7 +281,7 @@ class TestBuildQBipartite:
         with pytest.raises(DomainError):
             bp.solve_g_recurrence(GEOM1, p, 4, 4)
         # q > 1 with alpha1 = 0 crosses to a solvable configuration
-        pc = bp.BipartiteParams(0.0, 0.5, 1.0, 1.0, QParam.for_crossing(1.25))
+        pc = bp.BipartiteParams(0.0, 0.5, 1.0, 1.0, QParam(1.25))
         M = bp.build_q_bipartite(pc, GEOM1, 40, 40)
         assert bp.eigen_residual(M) <= 1e-8
 
@@ -294,7 +291,7 @@ class TestBuildQBipartite:
         q = 1 - 1e-6
         for s in (0, 1, 2):
             p = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(q))
-            M = bp.build_q_bipartite(p, bp.BoundarySequence.geometric(q ** s), 50, 50)
+            M = bp.build_q_bipartite(p, q ** s, 50, 50)
             assert bp.fidelity(C, M) >= 1 - 1e-4
 
     def test_non_geometric_family_same_classical_limit(self):
@@ -303,10 +300,10 @@ class TestBuildQBipartite:
         q = 1 - 1e-6
         d = [1.0 + (1.0 - q) * m / (1.0 + m) for m in range(140)]
         p = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(q))
-        M = bp.build_q_bipartite(p, bp.BoundarySequence.custom(d), 50, 50)
+        M = bp.build_q_bipartite(p, d, 50, 50)
         assert bp.fidelity(C, M) >= 1 - 1e-4
 
-    @pytest.mark.parametrize("q", [QParam(0.9), QParam.for_crossing(1 / 0.9)])
+    @pytest.mark.parametrize("q", [QParam(0.9), QParam(1 / 0.9)])
     def test_non_integer_k_assembles_without_q_gamma(self, q, monkeypatch):
         # the c_0 = 1 profiles need no [2k-1]_q! at any k
         def boom(*args, **kwargs):
@@ -318,7 +315,7 @@ class TestBuildQBipartite:
 
     def test_complex_alphas_residual(self):
         p = bp.BipartiteParams(0.3 + 0.2j, 0.4 - 0.1j, 1.0, 1.5, QParam(0.8))
-        M = bp.build_q_bipartite(p, bp.BoundarySequence.geometric(0.95), 45, 45)
+        M = bp.build_q_bipartite(p, 0.95, 45, 45)
         assert bp.eigen_residual(M) <= 1e-8
         assert bp.schmidt_entropy(M).entropy > 0
 
@@ -328,7 +325,7 @@ class TestNormSeries:
     @pytest.mark.parametrize("delta", [0.9, 1.0])
     def test_against_double_sum(self, q, delta):
         p = bp.BipartiteParams(0.4, 0.4, 1.0, 1.0, QParam(q))
-        b = bp.BoundarySequence.geometric(delta)
+        b = delta
         g = bp.solve_g_recurrence(b, p, 60, 60)
         p1 = bp._single_node_prefactors(0.4, 1.0, p.q, 60)
         p2 = bp._single_node_prefactors(0.4, 1.0, p.q, 60)
@@ -341,15 +338,15 @@ class TestNormSeries:
     def test_against_norm_before_truncation(self, q, delta, k2):
         # the assembled c_0 = 1 block sum, rescaled to the ansatz scale
         p = bp.BipartiteParams(0.4, 0.4, 1.0, k2, QParam(q))
-        M = bp.build_q_bipartite(p, bp.BoundarySequence.geometric(delta), 60, 60)
+        M = bp.build_q_bipartite(p, delta, 60, 60)
         scale = q_factorial(1, p.q) * q_factorial(2 * k2 - 1, p.q)
         assert M.norm_before_truncation / scale == pytest.approx(
             bp.norm_series(p, delta), rel=1e-12)
 
     def test_norm_before_truncation_through_crossing(self):
-        p = bp.BipartiteParams(0.3, 0.5, 1.0, 1.5, QParam.for_crossing(1.25))
-        M = bp.build_q_bipartite(p, bp.BoundarySequence.geometric(0.9), 60, 60)
-        t = p.swapped_inverse_q()
+        p = bp.BipartiteParams(0.3, 0.5, 1.0, 1.5, QParam(1.25))
+        M = bp.build_q_bipartite(p, 0.9, 60, 60)
+        t = bp.crossing_transform(p)
         scale = q_factorial(2 * t.k1 - 1, t.q) * q_factorial(2 * t.k2 - 1, t.q)
         assert M.norm_before_truncation / scale == pytest.approx(
             bp.norm_series(t, 0.9), rel=1e-12)
@@ -359,7 +356,7 @@ class TestNormSeries:
     def test_non_integer_order_against_double_sum(self, q, k2):
         # a non-integer k2 gives a real q-Bessel order 2 k2 - 1
         p = bp.BipartiteParams(0.3, 0.5, 1.0, k2, QParam(q))
-        M = bp.build_q_bipartite(p, bp.BoundarySequence.geometric(0.9), 60, 60)
+        M = bp.build_q_bipartite(p, 0.9, 60, 60)
         double_sum = M.norm_before_truncation / (q_factorial(1, p.q)
                                                  * q_factorial(2 * k2 - 1, p.q))
         assert bp.norm_series(p, 0.9) == pytest.approx(double_sum, rel=1e-10)
@@ -368,9 +365,9 @@ class TestNormSeries:
     def test_non_integer_order_through_crossing(self, k1):
         # for q > 1 the mirror swaps the nodes: the user's k1 becomes the
         # mirror's q-Bessel order
-        p = bp.BipartiteParams(0.5, 0.3, k1, 1.0, QParam.for_crossing(1.1))
-        M = bp.build_q_bipartite(p, bp.BoundarySequence.geometric(0.9), 60, 60)
-        t = p.swapped_inverse_q()
+        p = bp.BipartiteParams(0.5, 0.3, k1, 1.0, QParam(1.1))
+        M = bp.build_q_bipartite(p, 0.9, 60, 60)
+        t = bp.crossing_transform(p)
         double_sum = M.norm_before_truncation / (q_factorial(2 * t.k1 - 1, t.q)
                                                  * q_factorial(2 * t.k2 - 1, t.q))
         assert bp.norm_series(t, 0.9) == pytest.approx(double_sum, rel=1e-10)
@@ -408,23 +405,17 @@ class TestNormSeries:
 
 
 class TestCrossing:
-    PC = bp.BipartiteParams(0.3, 0.5, 1.0, 1.5, QParam.for_crossing(1.25))
+    PC = bp.BipartiteParams(0.3, 0.5, 1.0, 1.5, QParam(1.25))
 
     def test_involution(self):
-        t, _ = bp.crossing_transform(self.PC, GEOM1)
-        back = t.swapped_inverse_q()
-        assert back.alpha1 == self.PC.alpha1 and back.alpha2 == self.PC.alpha2
-        assert back.k1 == self.PC.k1 and back.k2 == self.PC.k2
-        assert back.q.value == pytest.approx(self.PC.q.value, rel=1e-15)
+        # 1/(1/q) rounds back to the same double at these q
+        for p in (self.PC, bp.BipartiteParams(0.3, 0.5, 1.0, 1.5, QParam(0.7))):
+            assert bp.crossing_transform(bp.crossing_transform(p)) == p
 
     def test_transformed_solution_satisfies_original(self):
-        t, tb = bp.crossing_transform(self.PC, GEOM1)
-        g_hat = bp.solve_g_recurrence(tb, t, 11, 11).T
+        t = bp.crossing_transform(self.PC)
+        g_hat = bp.solve_g_recurrence(GEOM1, t, 11, 11).T
         assert recurrence_max_rel(g_hat, self.PC) <= 1e-10
-
-    def test_rejects_q_below_one(self):
-        with pytest.raises(DomainError):
-            bp.crossing_transform(P9, GEOM1)
 
     def test_q_above_one_state(self):
         M = bp.build_q_bipartite(self.PC, GEOM1, 45, 45)
@@ -432,8 +423,8 @@ class TestCrossing:
         assert bp.schmidt_entropy(M).entropy > 0
 
     def test_near_one_is_index_swap(self):
-        p = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam.for_crossing(1 + 1e-9))
-        t, _ = bp.crossing_transform(p, GEOM1)
+        p = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(1 + 1e-9))
+        t = bp.crossing_transform(p)
         assert t.alpha1 == 0.5 and t.alpha2 == 0.3
         assert t.q.value == pytest.approx(1.0, abs=1e-8)
 
@@ -457,9 +448,9 @@ class TestSchmidt:
     @pytest.mark.parametrize("make", [
         lambda: bp.build_q_bipartite(P9, GEOM1, 50, 50),
         lambda: bp.build_q_bipartite(bp.BipartiteParams(0.5, 0.3, 1.5, 0.75, QParam(0.6)),
-                                     bp.BoundarySequence.geometric(0.8), 50, 30),
+                                     0.8, 50, 30),
         lambda: bp.build_q_bipartite(bp.BipartiteParams(0.3, 0.5, 1.0, 2.0,
-                                                        QParam.for_crossing(1.25)),
+                                                        QParam(1.25)),
                                      GEOM1, 50, 50),
         lambda: bp.classical_bipartite(0.4, 0.7, 1.0, 1.5, 35, 35),
     ], ids=["q", "rectangular", "crossing", "classical"])
@@ -506,8 +497,7 @@ class TestEigenResidual:
         noise = rng.standard_normal(M.coeffs.shape)
         noisy = M.coeffs + 0.01 * noise / np.linalg.norm(noise)
         noisy /= np.linalg.norm(noisy)
-        M2 = bp.BipartiteMatrix(coeffs=noisy, params=M.params, boundary=M.boundary,
-                                normalized=True)
+        M2 = bp.BipartiteMatrix(coeffs=noisy, params=M.params, normalized=True)
         assert bp.eigen_residual(M2) > 1e-3
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -515,7 +505,7 @@ class TestEigenResidual:
         # at N = 800, q^{-K0} times the q-number matrix elements overflows far
         # past the state's support; formed there, inf * 0 made the residual NaN
         params = bp.BipartiteParams(1.8913, 1.5146, 1.0, 2.0, QParam(0.58453))
-        M = bp.build_q_bipartite(params, bp.BoundarySequence.geometric(0.5919), 800, 800)
+        M = bp.build_q_bipartite(params, 0.5919, 800, 800)
         interior, edge = bp.eigen_residual_parts(M)
         assert interior < 1e-12
         assert edge == 0.0

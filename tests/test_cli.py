@@ -119,6 +119,13 @@ class TestStateSingle:
         coeffs = np.array([complex(re, im) for re, im in data["coefficients"]])
         assert abs(np.linalg.norm(coeffs) - 1) < 1e-10
 
+    def test_classical_large_k(self, tmp_path):
+        # the norm cross-check's closed form no longer forms nu! past double range
+        out = tmp_path / "s.json"
+        args = ["state-single", "q=classical", "alpha=0.8", "k=86", "N=50", f"out={out}"]
+        assert run_cli(args) == 0
+        assert json.loads(out.read_text())["residual"] <= 1e-10
+
 
 class TestVerifyMoments:
     def test_classical(self, tmp_path):

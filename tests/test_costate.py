@@ -1,5 +1,6 @@
 """Single-node coherent-state construction tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ def scalar_profile(alpha, k, f, N):
 
 
 class TestSingleNodeProfile:
-    @pytest.mark.parametrize("f", [CLASSICAL, QParam(0.83), QParam.for_crossing(1 / 0.83),
+    @pytest.mark.parametrize("f", [CLASSICAL, QParam(0.83), QParam(1 / 0.83),
                                    lambda x: 1.0 + 1.0 / x],
                              ids=["classical", "q", "q>1", "custom"])
     @pytest.mark.parametrize("alpha", [0.8, -0.8, -0.0, 0.5 + 0.3j, -0.7 - 1.1j,
@@ -100,6 +101,24 @@ class TestBuildFCoherent:
             cs.build_f_coherent(0.5, 0.3, CLASSICAL, 10)
         with pytest.raises(DomainError):
             cs.build_f_coherent(0.5, 1.0, CLASSICAL, 0)
+
+
+class TestBesselNormCrosscheck:
+    @pytest.mark.parametrize("k, q", [(50, QParam(0.5)), (86, CLASSICAL), (1, QParam(1.2)),
+                                      (0.75, QParam(0.9))],
+                             ids=["k50-q0.5", "k86-classical", "k1-q1.2", "k0.75-q0.9"])
+    def test_detects_a_wrong_norm(self, k, q):
+        # large k (inf * 0 in a [nu]! rho^-nu I_nu product), q > 1 and a
+        # non-integer k are all checked
+        s = cs.build_f_coherent(0.8, k, q, 50)
+        bad = dataclasses.replace(s, norm_before_truncation=s.norm_before_truncation * (1 + 1e-6))
+        with pytest.raises(ArithmeticError, match="Bessel closed form"):
+            cs._crosscheck_bessel_norm(bad)
+
+    def test_q_above_one_is_the_state_at_one_over_q(self):
+        a = cs.build_f_coherent(0.5, 1.0, QParam(1.2), 30)
+        b = cs.build_f_coherent(0.5, 1.0, QParam(1 / 1.2), 30)
+        assert a.norm_before_truncation == pytest.approx(b.norm_before_truncation, rel=1e-12)
 
 
 class TestBuildQCoherent:

@@ -163,6 +163,11 @@ class TestValidation:
         with pytest.raises(DomainError, match=r"k >= 1/2"):
             me.moment_check(1, k, mode)
 
+    @pytest.mark.parametrize("mode", [QParam(1.2), 1.2])
+    def test_q_above_one_is_named(self, mode):
+        with pytest.raises(DomainError, match="moment_check"):
+            me.moment_check(3, 1.0, mode)
+
 
 def _per_panel_q_moments(n_max, k, qp):
     """The adaptive q-mode quadrature with one integrand call per panel: the

@@ -44,13 +44,12 @@ class TestQNumber:
         assert qs.q_number(3.7, qs.CLASSICAL) == 3.7
 
     def test_qparam_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"QParam\.classical\(\) for q = 1"):
             qs.QParam(1.0)
-        with pytest.raises(DomainError):
-            qs.QParam(1.3)
-        assert qs.QParam.for_crossing(1.3).value == 1.3
-        with pytest.raises(DomainError):
-            qs.QParam.for_crossing(0.8)
+        for bad in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                qs.QParam(bad)
+        assert qs.QParam(1.3).value == 1.3
 
 
 class TestQFactorial:

@@ -87,17 +87,13 @@ def scalar_lowering_elements(f, k, count):
     return e
 
 
-def q_map(q):
-    return QParam(q) if q < 1 else QParam.for_crossing(q)
-
-
 class TestLoweringElements:
     @pytest.mark.parametrize("q", [0.5, 0.83, 0.97, 1 / 0.83])
     @pytest.mark.parametrize("k", [0.5, 0.75, 1, 1.5, 2])
     def test_q_table_is_the_scalar_loop_bit_for_bit(self, q, k):
         for count in (0, 1, 2, 52, 400):
-            got = ra.lowering_elements(q_map(q), k, count)
-            assert got.tobytes() == scalar_lowering_elements(q_map(q), k, count).tobytes()
+            got = ra.lowering_elements(QParam(q), k, count)
+            assert got.tobytes() == scalar_lowering_elements(QParam(q), k, count).tobytes()
 
     @pytest.mark.parametrize("k", [0.5, 0.75, 1, 1.5, 2])
     def test_classical_table_is_the_scalar_loop_bit_for_bit(self, k):
@@ -108,15 +104,15 @@ class TestLoweringElements:
     def test_product_past_double_range_is_inf_silently(self):
         # at q = 0.5 each [x]_q stays finite up to x ~ 1024, but the product
         # [n][n+1] leaves double range near n = 512; no warning, no raise
-        got = ra.lowering_elements(q_map(0.5), 1.0, 600)
-        assert got.tobytes() == scalar_lowering_elements(q_map(0.5), 1.0, 600).tobytes()
+        got = ra.lowering_elements(QParam(0.5), 1.0, 600)
+        assert got.tobytes() == scalar_lowering_elements(QParam(0.5), 1.0, 600).tobytes()
         assert np.isinf(got[-1]) and np.all(np.isfinite(got[:500]))
 
     @pytest.mark.parametrize("q, k", [(0.9, 1.0), (0.5, 0.75), (0.97, 2.5), (1 / 0.9, 2.0),
                                       (0.99, 1.5)])
     def test_overflow_names_the_first_q_number(self, q, k):
         with pytest.raises(DomainError) as want:
-            scalar_lowering_elements(q_map(q), k, 100_000)
+            scalar_lowering_elements(QParam(q), k, 100_000)
         assert "]_q overflows double range at q=" in str(want.value)
         # an absurd count raises the same error without allocating its table:
         # the table stops where q**-n leaves double range (n ~ 70_600 at
@@ -126,7 +122,7 @@ class TestLoweringElements:
             tracemalloc.start()
             try:
                 with pytest.raises(DomainError) as got:
-                    ra.lowering_elements(q_map(q), k, count)
+                    ra.lowering_elements(QParam(q), k, count)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
