@@ -30,8 +30,8 @@ from .costate import (LadderState, build_by_operator_series, build_f_coherent,
                       build_q_coherent, normalization_series, single_node_profile)
 from .bipartite import (BipartiteMatrix, BipartiteParams, SchmidtSpectrum,
                         build_q_bipartite, classical_bipartite, crossing_transform,
-                        eigen_residual, eigen_residual_parts, fidelity, g_ansatz_eval,
-                        g_closed_geometric, norm_series, schmidt_entropy,
+                        eigen_residual, eigen_residual_parts, fidelity, g_ansatz_block,
+                        g_ansatz_eval, g_closed_geometric, norm_series, schmidt_entropy,
                         solve_g_recurrence)
 from .measure import (MomentRecord, MomentReport, classical_measure, moment_check,
                       q_measure)

@@ -28,12 +28,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .costate import build_f_coherent, single_node_profile
+from .costate import _profile_with_table, build_f_coherent, single_node_profile
 from .errors import DomainError, ShapeError, TruncationError
 from . import qspecial
 from .qspecial import (CLASSICAL, QParam, _bessel_i_series, _sum_series, q_factorial,
@@ -46,6 +46,7 @@ __all__ = [
     "classical_bipartite",
     "solve_g_recurrence",
     "g_ansatz_eval",
+    "g_ansatz_block",
     "g_closed_geometric",
     "build_q_bipartite",
     "norm_series",
@@ -67,6 +68,8 @@ def _first_row(boundary, m_max: int) -> np.ndarray:
     reaches d_{m+n}).  All admissible families encode d_m -> 1 as q -> 1."""
     if np.ndim(boundary) == 0:
         return float(boundary) ** np.arange(m_max + 1, dtype=float) + 0j
+    if len(boundary) == 0:
+        raise DomainError("custom boundary needs at least d_0")
     if len(boundary) <= m_max:
         raise DomainError(
             f"custom boundary supplies d_0..d_{len(boundary) - 1} but "
@@ -121,13 +124,18 @@ class BipartiteMatrix:
     """Coefficient matrix c_{n1,n2} over |n1,k1> (x) |n2,k2> with metadata;
     ``norm_before_truncation`` is sum |c|^2 before normalization, both node
     profiles in the c_0 = 1 scale of :func:`costate.single_node_profile`
-    (0 for a matrix not built by this module)."""
+    (0 for a matrix not built by this module).  ``ladders`` are the lowering
+    tables (e1, e2) of the two nodes at ``params``, levels 0..N1 and 0..N2
+    at least, that the coefficients were formed from;
+    :func:`repalg.apply_coproduct` reads them instead of building them again
+    (None for a matrix not built from tables at its own q)."""
 
     coeffs: np.ndarray
     params: BipartiteParams
     normalized: bool = False
     truncation_loss: float = 0.0
     norm_before_truncation: float = 0.0
+    ladders: tuple | None = field(default=None, repr=False, compare=False)
 
 
 class SchmidtSpectrum(NamedTuple):
@@ -145,7 +153,8 @@ def classical_bipartite(alpha1: complex, alpha2: complex, k1: float, k2: float,
     params = BipartiteParams(complex(alpha1), complex(alpha2), k1, k2, CLASSICAL)
     return BipartiteMatrix(coeffs=np.outer(s1.coeffs, s2.coeffs), params=params,
                            normalized=True, norm_before_truncation=(
-                               s1.norm_before_truncation * s2.norm_before_truncation))
+                               s1.norm_before_truncation * s2.norm_before_truncation),
+                           ladders=(s1.ladder, s2.ladder))
 
 
 def solve_g_recurrence(boundary, params: BipartiteParams,
@@ -179,15 +188,35 @@ def g_ansatz_eval(n: int, m: int, boundary, params: BipartiteParams) -> complex:
                   d_{m+k} [n,k]_{q^2};
 
     the boundary (delta or d_0..d_M) must cover index m+n."""
-    q = qspecial._series_value(params.q, where="g_ansatz_eval")
+    return _ansatz([n], [m], boundary, params, "g_ansatz_eval")[0, 0]
+
+
+def g_ansatz_block(boundary, params: BipartiteParams, N1: int, N2: int) -> np.ndarray:
+    """The (N1+1) x (N2+1) block of :func:`g_ansatz_eval`, bit for bit, with
+    each row [n, 0..n]_{q^2} of the q-binomial triangle formed once; the
+    boundary must cover m <= N1+N2."""
+    if N1 < 0 or N2 < 0:
+        raise DomainError(f"g_ansatz_block requires N1, N2 >= 0, got {N1}, {N2}")
+    return _ansatz(range(N1 + 1), range(N2 + 1), boundary, params, "g_ansatz_block")
+
+
+def _ansatz(ns, ms, boundary, params: BipartiteParams, where: str) -> np.ndarray:
+    """The ansatz sum at every (n, m) of the nonempty index ranges ns x ms."""
+    q = qspecial._series_value(params.q, where=where)
     xi, eta = params.xi, params.eta
-    d = _first_row(boundary, m + n)
+    d = _first_row(boundary, ns[-1] + ms[-1])
     base = q * q
-    total = 0.0 + 0j
-    for j in range(n + 1):
-        total += ((-1) ** j * eta ** j * q ** (j * (j - 1))
-                  * d[m + j] * q_binomial(n, j, base))
-    return q ** (n * m) * xi ** -n * total
+    # the factor (-1)^j eta^j q^{j(j-1)} of term j, the same in every cell
+    w = [(-1) ** j * eta ** j * q ** (j * (j - 1)) for j in range(ns[-1] + 1)]
+    out = np.empty((len(ns), len(ms)), dtype=complex)
+    for a, n in enumerate(ns):
+        binomials = [q_binomial(n, j, base) for j in range(n + 1)]
+        for b, m in enumerate(ms):
+            total = 0.0 + 0j
+            for j, binomial in enumerate(binomials):
+                total += w[j] * d[m + j] * binomial
+            out[a, b] = q ** (n * m) * xi ** -n * total
+    return out
 
 
 def g_closed_geometric(n: int, m: int, delta: float,
@@ -238,7 +267,14 @@ def build_q_bipartite(params: BipartiteParams, boundary,
     if params.q.is_classical:
         raise DomainError("use classical_bipartite for the undeformed case")
     if params.q.value > 1.0:
-        mirror = build_q_bipartite(crossing_transform(params), boundary, N2, N1)
+        try:
+            mirror = build_q_bipartite(crossing_transform(params), boundary, N2, N1)
+        except DomainError as exc:
+            # a q-number is the same at q and 1/q: name the q that was given
+            mirror_q = f"at q={1.0 / params.q.value!r}"
+            if mirror_q not in str(exc):
+                raise
+            raise DomainError(str(exc).replace(mirror_q, f"at q={params.q.value!r}")) from exc
         return BipartiteMatrix(coeffs=mirror.coeffs.T.copy(), params=params,
                                normalized=True,
                                truncation_loss=mirror.truncation_loss,
@@ -261,8 +297,8 @@ def build_q_bipartite(params: BipartiteParams, boundary,
                  * qv ** np.outer(np.arange(N1 + 1), np.arange(N2 + 1)))
         else:
             g = solve_g_recurrence(boundary, params, N1, N2)
-        p1 = single_node_profile(params.alpha1, params.k1, q, N1)
-        p2 = single_node_profile(params.alpha2, params.k2, q, N2)
+        p1, e1 = _profile_with_table(params.alpha1, params.k1, q, N1, N1 + 1)
+        p2, e2 = _profile_with_table(params.alpha2, params.k2, q, N2, N2 + 1)
         c = p1[:, None] * p2[None, :] * g
     if not np.all(np.isfinite(c.view(float))):
         raise DomainError("coefficient assembly overflowed; |alpha/alpha1| is "
@@ -279,7 +315,7 @@ def build_q_bipartite(params: BipartiteParams, boundary,
             f"exceeds {TAIL_MASS_LIMIT:.0e} of the total; increase N1/N2")
     return BipartiteMatrix(coeffs=c / math.sqrt(total), params=params,
                            normalized=True,
-                           norm_before_truncation=total)
+                           norm_before_truncation=total, ladders=(e1, e2))
 
 
 def norm_series(params: BipartiteParams, delta: float) -> float:

@@ -368,12 +368,13 @@ def _run_g_oracle(cfg: RunConfig) -> dict:
         raise DomainError(f"g-oracle at delta={delta}, nmax={nmax}: |g[{nn},{mm}]| = "
                           f"{abs(g[nn, mm]):.3g} is zero, subnormal or not finite, so its "
                           "relative errors are undefined")
+    ansatz = bp.g_ansatz_block(delta, params, nmax, nmax)
     rows = []
     worst_ansatz = 0.0
     worst_closed = 0.0
     for nn in range(nmax + 1):
         for mm in range(nmax + 1):
-            ga = bp.g_ansatz_eval(nn, mm, delta, params)
+            ga = ansatz[nn, mm]
             gc = bp.g_closed_geometric(nn, mm, delta, params)
             ref = abs(g[nn, mm])
             ra = abs(ga - g[nn, mm]) / ref
@@ -451,14 +452,50 @@ def _json_pairs(pairs: list, level: int) -> str:
     return "[" + pad + body + pad[:-2] + "]"
 
 
+def _json_rows(rows: list, level: int) -> str:
+    """``json.dumps(rows, indent=2)`` nested ``level`` deep in a document, for
+    a list of flat dicts whose values are ints, floats or nonempty lists of
+    floats, all with the first row's keys and list lengths.  One row
+    template, built from the first row, is filled with every row's values at
+    once."""
+    if not rows:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    field_pad = pad + "  "
+    item_pad = field_pad + "  "
+    fields = []
+    for key, value in rows[0].items():
+        slot = "%s"
+        if isinstance(value, list):
+            slot = "[" + item_pad + ("," + item_pad).join([slot] * len(value)) + field_pad + "]"
+        fields.append(json.dumps(key).replace("%", "%%") + ": " + slot)
+    template = "{" + field_pad + ("," + field_pad).join(fields) + pad + "}"
+    values = [v for row in rows for value in row.values()
+              for v in (value if isinstance(value, list) else (value,))]
+    body = ("," + pad).join([template] * len(rows)) % tuple(map(_json_scalar, values))
+    return "[" + pad + body + pad[:-2] + "]"
+
+
+def _json_scalar(value) -> str:
+    """A scalar as json.dumps writes it."""
+    if type(value) is float:
+        text = float.__repr__(value)
+        return _JSON_CONSTANTS.get(text, text)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+# the list-valued payload keys written without json's pure-Python encoder
+_BLOCK_WRITERS = {"coefficients": _json_pairs, "rows": _json_rows, "records": _json_rows}
+
+
 def _to_json(payload: dict) -> str:
     """``json.dumps(payload, indent=2)``, byte for byte, with a
-    ``coefficients`` block written by :func:`_json_pairs`; a payload without
-    one (verify-moments, sweep-q, g-oracle) is json.dumps itself."""
-    if "coefficients" not in payload:
-        return json.dumps(payload, indent=2)
+    ``coefficients`` block written by :func:`_json_pairs` and a ``rows`` or
+    ``records`` list by :func:`_json_rows`."""
     return "{\n" + ",\n".join(
-        f"  {json.dumps(key)}: " + (_json_pairs(value, 1) if key == "coefficients" else
+        f"  {json.dumps(key)}: " + (_BLOCK_WRITERS[key](value, 1) if key in _BLOCK_WRITERS else
                                      json.dumps(value, indent=2).replace("\n", "\n  "))
         for key, value in payload.items()) + "\n}"
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -51,7 +51,10 @@ class LadderState:
     ``norm_before_truncation`` is the partial sum of |c_n|^2 in the raw
     c_0 = 1 scale, i.e. the normalization series of the construction;
     ``truncation_loss`` is the squared weight most recently dropped past the
-    top level (zero for freshly built states).
+    top level (zero for freshly built states).  ``ladder`` is the lowering
+    table e[0..N+1] of (k, deformation) the state was built from, which
+    :func:`repalg.apply_ladder` reads instead of building it again (None for
+    a state not built by this module).
     """
 
     coeffs: np.ndarray
@@ -60,6 +63,7 @@ class LadderState:
     deformation: QParam | Callable[[float], float]
     norm_before_truncation: float
     truncation_loss: float = 0.0
+    ladder: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def normalization_series(rho, k: float, f):
@@ -95,15 +99,16 @@ def _check_tail(coeffs: np.ndarray, alpha: complex, e_next: float, total: float)
     return tail
 
 
-def _finish(raw: np.ndarray, k, alpha, deformation, e_next) -> LadderState:
+def _finish(raw: np.ndarray, k, alpha, deformation, e: np.ndarray) -> LadderState:
     total = float(math.fsum(np.abs(raw) ** 2))
-    _check_tail(raw, alpha, e_next, total)
+    _check_tail(raw, alpha, e[len(raw)], total)
     return LadderState(
         coeffs=raw / math.sqrt(total),
         k=float(k),
         alpha=complex(alpha),
         deformation=deformation,
         norm_before_truncation=total,
+        ladder=e,
     )
 
 
@@ -126,17 +131,23 @@ def _crosscheck_bessel_norm(state: LadderState):
             f"{state.norm_before_truncation!r} vs {closed!r}")
 
 
-def single_node_profile(alpha: complex, k: float, f, N: int) -> np.ndarray:
-    """The unnormalized profile c[n] = alpha^n / (e[1] ... e[n]), n = 0..N, in
-    the c_0 = 1 scale, with e from :func:`repalg.lowering_elements`."""
+def _profile_with_table(alpha: complex, k: float, f, N: int, count: int):
+    """:func:`single_node_profile` together with the lowering table of levels
+    0..count-1 (count > N) it is formed from."""
     k = check_bargmann(k)
     if N < 1:
         raise DomainError(f"truncation N must be >= 1, got {N}")
-    e = lowering_elements(f, k, N + 1)
+    e = lowering_elements(f, k, count)
     # alpha/e[n] as scalars: numpy's complex-by-real array division rounds
     # differently from Python's
-    ratios = np.array([1.0] + [alpha / x for x in e[1:].tolist()], dtype=complex)
-    return np.cumprod(ratios)
+    ratios = np.array([1.0] + [alpha / x for x in e[1:N + 1].tolist()], dtype=complex)
+    return np.cumprod(ratios), e
+
+
+def single_node_profile(alpha: complex, k: float, f, N: int) -> np.ndarray:
+    """The unnormalized profile c[n] = alpha^n / (e[1] ... e[n]), n = 0..N, in
+    the c_0 = 1 scale, with e from :func:`repalg.lowering_elements`."""
+    return _profile_with_table(alpha, k, f, N, N + 1)[0]
 
 
 def build_f_coherent(alpha: complex, k: float, f, N: int) -> LadderState:
@@ -146,8 +157,8 @@ def build_f_coherent(alpha: complex, k: float, f, N: int) -> LadderState:
     Raises TruncationError unless the estimated dropped tail mass is below
     TAIL_MASS_LIMIT of the total.
     """
-    c = single_node_profile(alpha, k, f, N)
-    state = _finish(c, k, alpha, f, lowering_elements(f, k, N + 2)[N + 1])
+    c, e = _profile_with_table(alpha, k, f, N, N + 2)
+    state = _finish(c, k, alpha, f, e)
     _crosscheck_bessel_norm(state)
     return state
 
@@ -195,4 +206,4 @@ def build_by_operator_series(alpha: complex, k: float, f, N: int) -> LadderState
     for j in range(1, N + 1):
         term = (alpha / j) * apply_a(term)
         total += term
-    return _finish(total, k, alpha, f, e[N + 1])
+    return _finish(total, k, alpha, f, e)

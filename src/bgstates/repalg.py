@@ -101,24 +101,42 @@ def _q_lowering_elements(q: float, k: float, count: int) -> np.ndarray:
     """e[n] = sqrt([n]_q [n+2k-1]_q) with the arithmetic of :func:`q_number`
     (Python float powers: numpy's round differently), raising its DomainError
     for the first q-number, in the order [1], [2k], [2], [2k+1], ..., that
-    overflows.  The table stops at the level where q**-n (or q**n for q > 1)
-    leaves double range and is filled _TABLE_CHUNK levels at a time, so an
-    absurd ``count`` costs at most 8 bytes per level below that one."""
+    overflows.  Each distinct argument is evaluated once: with 2k-1 an
+    integer, [n+2k-1]_q is [m]_q of a later level m of the same chunk.  The
+    table stops at the level where q**-n (or q**n for q > 1) leaves double
+    range and is filled _TABLE_CHUNK levels at a time, so an absurd ``count``
+    costs at most 8 bytes per level below that one."""
     scale = q - 1.0 / q
     e = np.zeros(min(count, int(_LOG_DBL_MAX / abs(math.log(q))) + 2))
     for lo in range(1, len(e), _TABLE_CHUNK):
-        ns = range(lo, min(lo + _TABLE_CHUNK, len(e)))
+        hi = min(lo + _TABLE_CHUNK, len(e))
+        ns = np.arange(lo, hi, dtype=float)
+        shifted = ns + 2 * k - 1
+        # with 2k-1 an integer the leading shifted arguments, up to hi-1, are
+        # levels of this chunk: their q-numbers are not evaluated twice
+        reuse = max(0, hi - int(shifted[0])) if shifted[0].is_integer() else 0
         try:
-            qn = np.array([(q ** x - q ** -x) / scale for n in ns for x in (n, n + 2 * k - 1)])
+            qn = np.array([(q ** x - q ** -x) / scale
+                           for x in ns.tolist() + shifted[reuse:].tolist()])
         except OverflowError:
             qn = None
         if qn is None or not np.isfinite(qn).all():
-            for n in ns:
+            for n in ns.tolist():
                 q_number(n, q)          # raises for the first overflowing x
                 q_number(n + 2 * k - 1, q)
+        start = hi - lo - reuse         # where [lo+2k-1]_q sits in qn
         with np.errstate(over="ignore"):    # a product past double range is inf
-            e[ns.start:ns.stop] = np.sqrt(qn[0::2] * qn[1::2])
+            e[lo:hi] = np.sqrt(qn[:hi - lo] * qn[start:start + hi - lo])
     return e
+
+
+def _table(stored, f, k: float, count: int) -> np.ndarray:
+    """Levels 0..count-1 of the lowering table of (f, k): a prefix of
+    ``stored``, the table a state was built from, when that is long enough,
+    else a fresh :func:`lowering_elements` table."""
+    if stored is not None and len(stored) >= count:
+        return stored[:count]
+    return lowering_elements(f, k, count)
 
 
 def _check_which(which: str):
@@ -141,7 +159,7 @@ def apply_ladder(which: str, state):
     if which == "K0":
         out = (np.arange(N + 1) + state.k) * c
     else:
-        e = lowering_elements(state.deformation, state.k, N + 2)
+        e = _table(state.ladder, state.deformation, state.k, N + 2)
         out = np.zeros_like(c)
         if which == "K-":
             out[:-1] = e[1:N + 1] * c[1:]
@@ -151,10 +169,12 @@ def apply_ladder(which: str, state):
     return dataclasses.replace(state, coeffs=out, truncation_loss=loss)
 
 
-def _coproduct_arrays(params, m1: int, m2: int):
-    """Lowering elements of levels 0..m1 and 0..m2 of both nodes, plus the
-    q^{+-K0} spectator weights of levels below m1 and m2 (all 1 for a
-    classical q)."""
+def _coproduct_arrays(M, m1: int, m2: int, raises: bool):
+    """Lowering elements of levels 0..m1-1 and 0..m2-1 of both nodes, one
+    level more when ``raises`` (the level a K+ raise drops), from the tables
+    M was built from where it carries them; plus the q^{+-K0} spectator
+    weights of levels below m1 and m2 (all 1 for a classical q)."""
+    params = M.params
     q = params.q
     if q.is_classical:
         w1 = np.ones(m1)
@@ -162,8 +182,9 @@ def _coproduct_arrays(params, m1: int, m2: int):
     else:
         w1 = q.value ** (np.arange(m1) + params.k1)      # q^{K0} on node 1
         w2 = q.value ** -(np.arange(m2) + params.k2)     # q^{-K0} on node 2
-    e1 = lowering_elements(q, params.k1, m1 + 1)
-    e2 = lowering_elements(q, params.k2, m2 + 1)
+    stored1, stored2 = M.ladders or (None, None)
+    e1 = _table(stored1, q, params.k1, m1 + raises)
+    e2 = _table(stored2, q, params.k2, m2 + raises)
     return e1, e2, w1, w2
 
 
@@ -197,7 +218,7 @@ def apply_coproduct(which: str, M):
         rows, cols = np.flatnonzero(c.any(axis=1)), np.flatnonzero(c.any(axis=0))
         m1 = min(int(rows[-1]) + 2 if rows.size else 1, c.shape[0])
         m2 = min(int(cols[-1]) + 2 if cols.size else 1, c.shape[1])
-        e1, e2, w1, w2 = _coproduct_arrays(params, m1, m2)
+        e1, e2, w1, w2 = _coproduct_arrays(M, m1, m2, which == "K+")
         out = np.zeros_like(c)
         o, s = out[:m1, :m2], c[:m1, :m2]
         if which == "K-":

@@ -39,6 +39,15 @@ def _sample():
     # classical pair, and a sweep with a non-integer k1
     picked += [("scan", scan["pair"][1]), ("scan", scan["pair"][2]),
                ("scan", scan["sweep_nonint"][0])]
+    # the first sweep of each delta form (1, q^1, q^2, a number), and a q < 1
+    # pair with a half-integer k, whose two factors of a level share q-numbers
+    forms = {}
+    for argv in scan["sweep_int"] + scan["sweep_nonint"]:
+        delta = dict(tok.split("=") for tok in argv[1:])["delta"]
+        forms.setdefault(delta if delta in ("1", "q^1", "q^2") else "number", argv)
+    half = next(a for a in scan["pair"] if a[1] != "q=classical" and float(a[1][2:]) < 1
+                and {"k1=0.5", "k2=0.5", "k1=1.5", "k2=1.5"} & set(a))
+    picked += [("scan", a) for a in [*forms.values(), half] if ("scan", a) not in picked]
     # and the first q argv of each upper cutoff the reference records (16 to
     # 22; only 22 reaches the second batch of outer panels)
     first_at = {}

@@ -44,6 +44,13 @@ class TestBoundary:
         with pytest.raises(DomainError, match="supplies d_0..d_2 but index 3"):
             bp.solve_g_recurrence([1.0, 0.9, 0.8], self.P7, 1, 2)
 
+    def test_custom_empty(self):
+        for route in (lambda b: bp.solve_g_recurrence(b, self.P7, 0, 0),
+                      lambda b: bp.g_ansatz_eval(0, 0, b, self.P7),
+                      lambda b: bp.g_ansatz_block(b, self.P7, 0, 0)):
+            with pytest.raises(DomainError, match="^custom boundary needs at least d_0$"):
+                route([])
+
 
 class TestParams:
     def test_alpha_sum_stored(self):
@@ -149,6 +156,55 @@ class TestGAnsatz:
             for m in range(0, 13, 3):
                 assert bp.g_ansatz_eval(n, m, b, p) == pytest.approx(
                     g[n, m], rel=1e-11)
+
+
+def ansatz_by_the_formula(n, m, boundary, p):
+    """The ansatz sum of g_ansatz_eval written out term by term, one
+    q_binomial per term."""
+    q, xi, eta = p.q.value, p.xi, p.eta
+    d = bp._first_row(boundary, m + n)
+    total = 0.0 + 0j
+    for j in range(n + 1):
+        total += ((-1) ** j * eta ** j * q ** (j * (j - 1))
+                  * d[m + j] * q_binomial(n, j, q * q))
+    return q ** (n * m) * xi ** -n * total
+
+
+class TestGAnsatzBlock:
+    """The block forms each q-binomial row once; every entry must be the
+    per-cell g_ansatz_eval's, bit for bit."""
+
+    CASES = {
+        "delta": (0.9, bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(0.7))),
+        "delta-half-integer-k": (1.1, bp.BipartiteParams(0.6, 0.2, 1.5, 0.5, QParam(0.55))),
+        "custom": ([1.0 / (1.0 + 0.05 * m) for m in range(40)],
+                   bp.BipartiteParams(0.25, 0.45, 1.0, 0.5, QParam(0.7))),
+        "complex-alpha": (0.95, bp.BipartiteParams(0.4 + 0.3j, -0.1 + 0.2j, 0.75, 2.0,
+                                                   QParam(0.83))),
+        "complex-custom": ([complex(1.0, 0.1 * m) / (1 + m) for m in range(30)],
+                           bp.BipartiteParams(0.5 - 0.2j, 0.3, 1.0, 1.25, QParam(0.9))),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("n1, n2", [(0, 0), (0, 5), (5, 0), (14, 14), (9, 13)])
+    def test_block_is_the_per_cell_sum_bit_for_bit(self, case, n1, n2):
+        b, p = self.CASES[case]
+        block = bp.g_ansatz_block(b, p, n1, n2)
+        assert block.shape == (n1 + 1, n2 + 1)
+        for n in range(n1 + 1):
+            for m in range(n2 + 1):
+                cell = np.complex128(bp.g_ansatz_eval(n, m, b, p)).tobytes()
+                assert block[n, m].tobytes() == cell
+                assert np.complex128(ansatz_by_the_formula(n, m, b, p)).tobytes() == cell
+
+    def test_invalid_inputs_are_named(self):
+        b, p = self.CASES["custom"]
+        with pytest.raises(DomainError, match="supplies d_0..d_39 but index 40"):
+            bp.g_ansatz_block(b, p, 20, 20)
+        with pytest.raises(DomainError, match="0 < q < 1"):
+            bp.g_ansatz_block(0.9, bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(1.2)), 2, 2)
+        with pytest.raises(DomainError, match="N1, N2 >= 0"):
+            bp.g_ansatz_block(b, p, -1, 3)
 
 
 class TestGClosedGeometric:

@@ -11,6 +11,7 @@ import pytest
 
 from bgstates import bipartite as bp
 from bgstates import cli
+from bgstates import repalg as ra
 from bgstates.errors import SeriesConvergenceError
 
 
@@ -199,6 +200,43 @@ NON_FINITE = [
 ]
 
 
+class TestTableBuilds:
+    """Each q-table is formed once per call: one lowering table per node and
+    state, one q-binomial triangle per g-oracle."""
+
+    PAIR = ["a1=0.5", "a2=0.3", "k1=1", "k2=1", "N=30"]
+
+    # (argv, the level count of each table built, in order)
+    @pytest.mark.parametrize("argv, counts", [
+        (["sweep-q", "from=0.9", "to=0.8", "steps=1", *PAIR], [31] * 2),
+        (["sweep-q", "from=0.9", "to=0.8", "steps=3", "delta=q^2", *PAIR[:3], "k2=1.5",
+          "N=30"], [31] * 6),
+        (["state-bipartite", "q=0.9", *PAIR], [31] * 2),
+        (["state-bipartite", "q=0.9", *PAIR, "perturb=0.01"], [31] * 2),
+        (["state-bipartite", "q=classical", *PAIR], []),
+        # the crossing mirror's tables are at 1/q; the residual builds q's
+        (["state-bipartite", "q=1.25", *PAIR], [31] * 4),
+        (["state-single", "q=0.9", "alpha=0.8", "k=1", "N=30"], [32]),
+        (["g-oracle", "q=0.7", *PAIR[:4], "delta=0.9", "nmax=14"], []),
+    ], ids=["sweep-step", "sweep-3-steps", "pair", "pair-perturbed", "pair-classical",
+            "pair-crossing", "single", "g-oracle"])
+    def test_one_lowering_table_per_node(self, argv, counts, monkeypatch, tmp_path):
+        builds = []
+        build = ra._q_lowering_elements
+        monkeypatch.setattr(ra, "_q_lowering_elements",
+                            lambda q, k, count: builds.append(count) or build(q, k, count))
+        assert run_cli(argv + [f"out={tmp_path / 'a.json'}"]) == 0
+        assert builds == counts
+
+    def test_one_binomial_triangle_per_g_oracle(self, monkeypatch, tmp_path):
+        calls = []
+        binomial = bp.q_binomial
+        monkeypatch.setattr(bp, "q_binomial", lambda *a: calls.append(a) or binomial(*a))
+        assert run_cli(["g-oracle", "q=0.7", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "delta=0.9",
+                        "nmax=14", f"out={tmp_path / 'g.json'}"]) == 0
+        assert len(calls) == 120 == len(set(calls))
+
+
 class TestExitCodes:
     def test_invalid_config_is_2(self, capsys):
         assert run_cli(["state-bipartite", "q=0.9", "a1=0.3", "k1=1"]) == 2
@@ -268,6 +306,17 @@ class TestExitCodes:
         code = run_cli(["state-single", "q=0.9", "alpha=0.8", "k=1", "N=10000"])
         assert code == 2
         assert "]_q overflows" in capsys.readouterr().err
+
+    def test_crossing_overflow_names_the_q_given(self, capsys):
+        # the crossing mirror is built at 1/q = 1e-300; [2]_q is the same at
+        # q and 1/q, so the message names the q of the argv
+        code = run_cli(["state-bipartite", "q=1e300", "a1=0.3", "a2=0.5", "k1=1", "k2=1",
+                        "N=50"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == ("invalid configuration: q-number [2]_q overflows double range "
+                       "at q=1e+300\n")
+        assert out == ""
 
     @pytest.mark.filterwarnings("error")
     def test_assembly_overflow_is_2_without_warnings(self, capsys):
@@ -462,8 +511,9 @@ class TestExitCodes:
 
 
 class TestJsonEmitter:
-    """The coefficient blocks are written without json's pure-Python encoder;
-    the bytes must be those of json.dumps(payload, indent=2)."""
+    """The coefficient blocks and the rows and records lists are written
+    without json's pure-Python encoder; the bytes must be those of
+    json.dumps(payload, indent=2)."""
 
     SPECIAL = [-0.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, np.inf, -np.inf]
 
@@ -498,6 +548,36 @@ class TestJsonEmitter:
         payload = {"command": "sweep-q", "rows": [{"q": 0.9, "entropy": -0.0}]}
         assert cli._to_json(payload) == json.dumps(payload, indent=2)
         assert cli._json_pairs([], 1) == "[]"
+        assert cli._json_rows([], 1) == "[]"
+
+    @pytest.mark.parametrize("key", ["rows", "records"])
+    @pytest.mark.parametrize("count", [1, 2, 225])
+    def test_random_rows_match_json_dumps(self, key, count):
+        rng = np.random.default_rng(count)
+        for _ in range(10):
+            values = rng.standard_normal((count, 5)) * 10.0 ** rng.integers(-300, 300, (count, 5))
+            flat = values.reshape(-1)
+            for x in rng.choice(self.SPECIAL, size=flat.size // 3 + 1):
+                flat[rng.integers(flat.size)] = x
+            rows = [{"n": int(i), "m": -int(i) * 7 ** 30, "g": [float(v[0]), float(v[1])],
+                     "rel_ansatz": float(v[2]), "sigma %s": float(v[3]), "q": [float(v[4])]}
+                    for i, v in enumerate(values)]
+            payload = {"command": "g-oracle", "max_rel": np.nan, key: rows,
+                       "params": {"delta": "q^2"}}
+            assert cli._to_json(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize("argv", [
+        ["g-oracle", "q=0.7", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "delta=0.9", "nmax=14"],
+        ["g-oracle", "q=0.6", "a1=0.3+0.2j", "a2=0.5", "k1=0.5", "k2=1.5", "nmax=0"],
+        ["sweep-q", "from=0.999", "to=0.5", "steps=12", "a1=0.3", "a2=0.5", "k1=1", "k2=1",
+         "delta=q^2", "N=30"],
+        ["verify-moments", "mode=classical", "k=1", "nmax=3"],
+    ], ids=["readme-g-oracle", "g-oracle-1x1", "sweep", "moments"])
+    def test_row_artifacts_match_json_dumps(self, argv, tmp_path):
+        payload = cli.run(cli._parse_argv(argv))
+        out = tmp_path / "a.json"
+        assert run_cli(argv + [f"out={out}"]) == 0
+        assert out.read_text() == json.dumps(payload, indent=2) + "\n"
 
     @pytest.mark.parametrize("argv", [
         ["state-single", "q=0.9", "alpha=0.8", "k=1", "N=50"],

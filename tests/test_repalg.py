@@ -5,14 +5,16 @@ apply_coproduct: Delta(K-) = q^{K0} (x) K- + K- (x) q^{-K0} assembled
 literally from single-node matrices must agree with the index implementation.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from bgstates import repalg as ra
-from bgstates.bipartite import BipartiteMatrix, BipartiteParams
-from bgstates.costate import LadderState
+from bgstates.bipartite import (BipartiteMatrix, BipartiteParams, build_q_bipartite,
+                                classical_bipartite)
+from bgstates.costate import LadderState, build_by_operator_series, build_f_coherent
 from bgstates.errors import DomainError
 from bgstates.qspecial import CLASSICAL, QParam, q_number
 
@@ -87,13 +89,28 @@ def scalar_lowering_elements(f, k, count):
     return e
 
 
+def table_or_error(build, f, k, count):
+    try:
+        return build(f, k, count).tobytes()
+    except DomainError as exc:
+        return str(exc)
+
+
 class TestLoweringElements:
-    @pytest.mark.parametrize("q", [0.5, 0.83, 0.97, 1 / 0.83])
-    @pytest.mark.parametrize("k", [0.5, 0.75, 1, 1.5, 2])
+    # integer and half-integer k share q-numbers between the two factors of a
+    # level; q > 1 and counts about the overflow cap (where q**-n leaves
+    # double range) and past a chunk are inputs too
+    @pytest.mark.parametrize("q", [0.5, 0.83, 0.97, 1 / 0.83, 1.25, 2.0])
+    @pytest.mark.parametrize("k", [0.5, 0.7, 0.75, 1, 1.5, 2, 2.5, 3, 30])
     def test_q_table_is_the_scalar_loop_bit_for_bit(self, q, k):
-        for count in (0, 1, 2, 52, 400):
-            got = ra.lowering_elements(QParam(q), k, count)
-            assert got.tobytes() == scalar_lowering_elements(QParam(q), k, count).tobytes()
+        cap = int(ra._LOG_DBL_MAX / abs(np.log(q))) + 2
+        for count in (0, 1, 2, 52, 400, ra._TABLE_CHUNK + 60, cap - 1, cap, cap + 1):
+            got = table_or_error(ra.lowering_elements, QParam(q), k, count)
+            assert got == table_or_error(scalar_lowering_elements, QParam(q), k, count)
+        # a shorter table is a prefix of a longer one, bit for bit
+        full = ra.lowering_elements(QParam(q), k, 402)
+        for count in (0, 1, 2, 51, 52, 401):
+            assert ra.lowering_elements(QParam(q), k, count).tobytes() == full[:count].tobytes()
 
     @pytest.mark.parametrize("k", [0.5, 0.75, 1, 1.5, 2])
     def test_classical_table_is_the_scalar_loop_bit_for_bit(self, k):
@@ -159,6 +176,43 @@ class TestApplyLadder:
             ra.apply_ladder("K", unit_state(0, 5, 1.0))
         with pytest.raises(DomainError, match="K0, K\\+ or K-"):
             ra.apply_coproduct("Kz", unit_matrix(0, 0, 3, 3))
+
+
+class TestStoredTables:
+    """A built state carries the lowering tables it was formed from; the
+    actions read them, and give the bits a fresh table gives."""
+
+    @pytest.mark.parametrize("f", [CLASSICAL, QParam(0.8), lambda x: 1.0 + 1.0 / x],
+                             ids=["classical", "q", "callable"])
+    @pytest.mark.parametrize("build", [build_f_coherent, build_by_operator_series])
+    def test_ladder(self, f, build):
+        state = build(0.7 - 0.2j, 1.5, f, 30)
+        assert len(state.ladder) == 32
+        bare = dataclasses.replace(state, ladder=None)
+        for which in ("K-", "K+"):
+            got, want = ra.apply_ladder(which, state), ra.apply_ladder(which, bare)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert got.truncation_loss == want.truncation_loss
+
+    @pytest.mark.parametrize("M", [
+        build_q_bipartite(BipartiteParams(0.6, 0.3 + 0.1j, 1.0, 0.75, QParam(0.8)), 0.9, 40, 30),
+        build_q_bipartite(BipartiteParams(0.6, 0.3, 1.5, 1.0, QParam(0.7)), 0.9, 200, 200),
+        build_q_bipartite(BipartiteParams(0.3, 0.6, 1.0, 1.0, QParam(1.25)), 1.0, 30, 30),
+        classical_bipartite(0.4, 0.5, 1.0, 2.5, 30, 35),
+    ], ids=["q", "q-trailing-zeros", "crossing", "classical"])
+    def test_coproduct(self, M):
+        bare = dataclasses.replace(M, ladders=None)
+        for which in ("K-", "K+"):
+            got, want = ra.apply_coproduct(which, M), ra.apply_coproduct(which, bare)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert got.truncation_loss == want.truncation_loss
+
+    def test_tables_at_the_state_q_only(self):
+        # the crossing mirror's tables are at 1/q, so a q > 1 state has none
+        M = build_q_bipartite(BipartiteParams(0.3, 0.6, 1.0, 1.0, QParam(1.25)), 1.0, 10, 10)
+        assert M.ladders is None
+        M = build_q_bipartite(BipartiteParams(0.6, 0.3, 1.0, 2.0, QParam(0.8)), 1.0, 10, 12)
+        assert [len(e) for e in M.ladders] == [11, 13]
 
 
 MAPS = [
@@ -288,7 +342,7 @@ class TestCoproduct:
         for q in (CLASSICAL, QParam(0.7)):
             M = block(C, 1.0, 1.5, q)
             out = ra.apply_coproduct("K+", M)
-            e1, e2, w1, w2 = ra._coproduct_arrays(M.params, 12, 10)
+            e1, e2, w1, w2 = ra._coproduct_arrays(M, 12, 10, raises=True)
             want = np.zeros_like(C)
             want[1:, :] += w2[None, :] * e1[1:12, None] * C[:-1, :]
             want[:, 1:] += w1[:, None] * e2[None, 1:10] * C[:, :-1]
