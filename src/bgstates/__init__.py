@@ -11,10 +11,10 @@ Layers:
   the K0 eigenvalue.
 * :mod:`bgstates.costate` - single-node coherent states (recurrence,
   q-factorial, and operator-exponential constructions).
-* :mod:`bgstates.bipartite` - the entangled two-node state: recurrence
-  solvers with closed-form oracles (a boundary row is delta or the row
-  d_0..d_M itself), norm series, the crossing (nodes swapped, q inverted)
-  that reaches q > 1, Schmidt analysis.
+* :mod:`bgstates.bipartite` - the entangled two-node state: three block
+  routes to g (propagation, q-binomial ansatz, geometric closed form; a
+  boundary row is delta or the row d_0..d_M itself), norm series, the
+  crossing (nodes swapped, q inverted) that reaches q > 1, Schmidt analysis.
 * :mod:`bgstates.measure` - completeness measures and moment-relation
   quadrature.
 * :mod:`bgstates.cli` - batch command line (``bgstates --help``).
@@ -31,8 +31,7 @@ from .costate import (LadderState, build_by_operator_series, build_f_coherent,
 from .bipartite import (BipartiteMatrix, BipartiteParams, SchmidtSpectrum,
                         build_q_bipartite, classical_bipartite, crossing_transform,
                         eigen_residual, eigen_residual_parts, fidelity, g_ansatz_block,
-                        g_ansatz_eval, g_closed_geometric, norm_series, schmidt_entropy,
-                        solve_g_recurrence)
+                        g_closed_block, norm_series, schmidt_entropy, solve_g_recurrence)
 from .measure import (MomentRecord, MomentReport, classical_measure, moment_check,
                       q_measure)
 

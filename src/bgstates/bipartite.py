@@ -6,9 +6,12 @@ single-node coefficient profile, to the double-indexed recurrence
     eta q^n g_{n,m+1} + xi q^{-m} g_{n+1,m} = g_{n,m},
     xi = (alpha1/alpha) q^{-k2},   eta = (alpha2/alpha) q^{k1},
 
-solved three independent ways (row propagation from the boundary row d_m,
-the q-binomial-weighted finite sum, and the geometric-boundary closed form
-q^{nm} delta^m xi^{-n} (delta*eta; q^2)_n), which the tests triangulate.
+solved three independent ways, each a block function of (boundary, params,
+N1, N2): row propagation from the boundary row d_m, the q-binomial-weighted
+finite sum, and the geometric-boundary closed form q^{nm} delta^m xi^{-n}
+(delta*eta; q^2)_n, which the tests triangulate.  The closed form is the g
+that scalar-delta states are assembled from, and ``g-oracle``'s
+``rel_closed`` checks that same block.
 The assembled coefficient matrix
 
     c_{n1,n2} = alpha1^{n1} alpha2^{n2}
@@ -37,7 +40,7 @@ from .costate import _profile_with_table, build_f_coherent, single_node_profile
 from .errors import DomainError, ShapeError, TruncationError
 from . import qspecial
 from .qspecial import (CLASSICAL, QParam, _bessel_i_series, _sum_series, q_factorial,
-                       q_number, q_binomial, q_pochhammer)
+                       q_number, q_binomial)
 from .repalg import apply_coproduct, check_bargmann
 
 __all__ = [
@@ -45,9 +48,8 @@ __all__ = [
     "BipartiteMatrix",
     "classical_bipartite",
     "solve_g_recurrence",
-    "g_ansatz_eval",
     "g_ansatz_block",
-    "g_closed_geometric",
+    "g_closed_block",
     "build_q_bipartite",
     "norm_series",
     "crossing_transform",
@@ -181,53 +183,54 @@ def solve_g_recurrence(boundary, params: BipartiteParams,
     return out
 
 
-def g_ansatz_eval(n: int, m: int, boundary, params: BipartiteParams) -> complex:
+def g_ansatz_block(boundary, params: BipartiteParams, N1: int, N2: int) -> np.ndarray:
     """The finite q-binomial sum
 
         g_{n,m} = q^{nm} xi^{-n} sum_{k=0}^{n} (-1)^k eta^k q^{k(k-1)}
-                  d_{m+k} [n,k]_{q^2};
+                  d_{m+k} [n,k]_{q^2}
 
-    the boundary (delta or d_0..d_M) must cover index m+n."""
-    return _ansatz([n], [m], boundary, params, "g_ansatz_eval")[0, 0]
-
-
-def g_ansatz_block(boundary, params: BipartiteParams, N1: int, N2: int) -> np.ndarray:
-    """The (N1+1) x (N2+1) block of :func:`g_ansatz_eval`, bit for bit, with
-    each row [n, 0..n]_{q^2} of the q-binomial triangle formed once; the
-    boundary must cover m <= N1+N2."""
+    over the (N1+1) x (N2+1) block, each row [n, 0..n]_{q^2} of the
+    q-binomial triangle formed once; the boundary (delta or d_0..d_M) must
+    cover m <= N1+N2."""
     if N1 < 0 or N2 < 0:
         raise DomainError(f"g_ansatz_block requires N1, N2 >= 0, got {N1}, {N2}")
-    return _ansatz(range(N1 + 1), range(N2 + 1), boundary, params, "g_ansatz_block")
-
-
-def _ansatz(ns, ms, boundary, params: BipartiteParams, where: str) -> np.ndarray:
-    """The ansatz sum at every (n, m) of the nonempty index ranges ns x ms."""
-    q = qspecial._series_value(params.q, where=where)
+    q = qspecial._series_value(params.q, where="g_ansatz_block")
     xi, eta = params.xi, params.eta
-    d = _first_row(boundary, ns[-1] + ms[-1])
+    d = _first_row(boundary, N1 + N2)
     base = q * q
     # the factor (-1)^j eta^j q^{j(j-1)} of term j, the same in every cell
-    w = [(-1) ** j * eta ** j * q ** (j * (j - 1)) for j in range(ns[-1] + 1)]
-    out = np.empty((len(ns), len(ms)), dtype=complex)
-    for a, n in enumerate(ns):
+    w = [(-1) ** j * eta ** j * q ** (j * (j - 1)) for j in range(N1 + 1)]
+    out = np.empty((N1 + 1, N2 + 1), dtype=complex)
+    for n in range(N1 + 1):
         binomials = [q_binomial(n, j, base) for j in range(n + 1)]
-        for b, m in enumerate(ms):
+        for m in range(N2 + 1):
             total = 0.0 + 0j
             for j, binomial in enumerate(binomials):
                 total += w[j] * d[m + j] * binomial
-            out[a, b] = q ** (n * m) * xi ** -n * total
+            out[n, m] = q ** (n * m) * xi ** -n * total
     return out
 
 
-def g_closed_geometric(n: int, m: int, delta: float,
-                       params: BipartiteParams) -> complex:
-    """Geometric-boundary closed form g_{n,m} = q^{nm} delta^m xi^{-n} (delta eta; q^2)_n."""
-    q = qspecial._series_value(params.q, where="g_closed_geometric")
-    xi, eta = params.xi, params.eta
-    if xi == 0:
+def g_closed_block(delta: float, params: BipartiteParams, N1: int, N2: int) -> np.ndarray:
+    """The geometric-boundary closed form
+
+        g_{n,m} = q^{nm} delta^m xi^{-n} (delta eta; q^2)_n
+
+    over the (N1+1) x (N2+1) block: the g that :func:`build_q_bipartite`
+    assembles a scalar-delta state from."""
+    if N1 < 0 or N2 < 0:
+        raise DomainError(f"g_closed_block requires N1, N2 >= 0, got {N1}, {N2}")
+    q = qspecial._series_value(params.q, where="g_closed_block")
+    if params.xi == 0:
         raise DomainError("xi = 0 (alpha1 = 0)")
-    return (q ** (n * m) * delta ** m * xi ** -n
-            * q_pochhammer(delta * eta, q * q, n))
+    delta = float(delta)
+    # row-scaled: poch[n] = (delta eta; q^2)_n
+    de = delta * params.eta
+    poch = np.array(list(itertools.accumulate(
+        (1.0 - de * q ** (2 * n) for n in range(N1)), operator.mul, initial=1 + 0j)))
+    return (poch[:, None] * np.asarray(params.xi) ** -np.arange(N1 + 1)[:, None]
+            * delta ** np.arange(N2 + 1)[None, :]
+            * q ** np.outer(np.arange(N1 + 1), np.arange(N2 + 1)))
 
 
 def _single_node_prefactors(alpha: complex, k: float, q: QParam, N: int) -> np.ndarray:
@@ -260,9 +263,9 @@ def build_q_bipartite(params: BipartiteParams, boundary,
                       N1: int, N2: int) -> BipartiteMatrix:
     """Assemble and normalize the q-deformed bipartite eigenstate.
 
-    A scalar boundary delta uses the closed-form g; a sequence d_0..d_M
-    propagates the recurrence.  q > 1 parameters are routed through the
-    crossing substitution and the solution transposed back.
+    A scalar boundary delta takes g from :func:`g_closed_block`; a sequence
+    d_0..d_M propagates the recurrence.  q > 1 parameters are routed through
+    the crossing substitution and the solution transposed back.
     """
     if params.q.is_classical:
         raise DomainError("use classical_bipartite for the undeformed case")
@@ -287,14 +290,7 @@ def build_q_bipartite(params: BipartiteParams, boundary,
     # an overflow here is caught and named by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         if np.ndim(boundary) == 0:
-            qv, delta = q.value, float(boundary)
-            # row-scaled closed form: poch[n] = (delta eta; q^2)_n
-            de = delta * params.eta
-            poch = np.array(list(itertools.accumulate(
-                (1.0 - de * qv ** (2 * n) for n in range(N1)), operator.mul, initial=1 + 0j)))
-            g = (poch[:, None] * np.asarray(params.xi) ** -np.arange(N1 + 1)[:, None]
-                 * delta ** np.arange(N2 + 1)[None, :]
-                 * qv ** np.outer(np.arange(N1 + 1), np.arange(N2 + 1)))
+            g = g_closed_block(boundary, params, N1, N2)
         else:
             g = solve_g_recurrence(boundary, params, N1, N2)
         p1, e1 = _profile_with_table(params.alpha1, params.k1, q, N1, N1 + 1)
@@ -370,7 +366,9 @@ def crossing_transform(params: BipartiteParams) -> BipartiteParams:
 
 
 def schmidt_entropy(M: BipartiteMatrix) -> SchmidtSpectrum:
-    """Singular values, entanglement entropy -sum s^2 ln s^2, and eps-rank."""
+    """Singular values, entanglement entropy -sum s^2 ln s^2, and eps-rank;
+    s_1^2 ln s_1^2 is taken as (1 - lam) log1p(-lam), lam = sum_{i>=2} s_i^2,
+    which keeps lam's digits as q -> 1 and every term >= 0."""
     if not M.normalized:
         raise DomainError("schmidt_entropy requires a normalized state")
     c = np.asarray(M.coeffs)
@@ -381,8 +379,9 @@ def schmidt_entropy(M: BipartiteMatrix) -> SchmidtSpectrum:
     s_sq = sv ** 2
     if abs(float(np.sum(s_sq)) - 1.0) > 1e-9:
         raise DomainError("coefficient matrix is not normalized to 1e-9")
-    nonzero = s_sq[s_sq > 0]
-    entropy = float(-np.sum(nonzero * np.log(nonzero)))
+    rest = s_sq[1:][s_sq[1:] > 0]
+    lam = float(np.sum(rest))
+    entropy = -(1.0 - lam) * math.log1p(-lam) - float(np.sum(rest * np.log(rest)))
     return SchmidtSpectrum(singular_values=sv.tolist(), entropy=entropy,
                            rank_eps=int(np.sum(sv > 1e-10)))
 

@@ -159,13 +159,18 @@ def apply_ladder(which: str, state):
     if which == "K0":
         out = (np.arange(N + 1) + state.k) * c
     else:
-        e = _table(state.ladder, state.deformation, state.k, N + 2)
+        # act on the support of c plus one level, as apply_coproduct does, so a
+        # table entry past double range never meets a zero there as inf * 0
+        support = np.flatnonzero(c)
+        m = min(int(support[-1]) + 2 if support.size else 1, N + 1)
+        e = _table(state.ladder, state.deformation, state.k, m + (which == "K+"))
         out = np.zeros_like(c)
         if which == "K-":
-            out[:-1] = e[1:N + 1] * c[1:]
+            out[:m - 1] = e[1:m] * c[1:m]
         else:
-            out[1:] = e[1:N + 1] * c[:-1]
-            loss = float(abs(e[N + 1] * c[N]) ** 2)
+            out[1:m] = e[1:m] * c[:m - 1]
+            if c[N]:
+                loss = float(abs(e[N + 1] * c[N]) ** 2)
     return dataclasses.replace(state, coeffs=out, truncation_loss=loss)
 
 

@@ -3,6 +3,7 @@ state assembly, norms, crossing symmetry, and Schmidt analysis."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,11 +46,9 @@ class TestBoundary:
             bp.solve_g_recurrence([1.0, 0.9, 0.8], self.P7, 1, 2)
 
     def test_custom_empty(self):
-        for route in (lambda b: bp.solve_g_recurrence(b, self.P7, 0, 0),
-                      lambda b: bp.g_ansatz_eval(0, 0, b, self.P7),
-                      lambda b: bp.g_ansatz_block(b, self.P7, 0, 0)):
+        for route in (bp.solve_g_recurrence, bp.g_ansatz_block):
             with pytest.raises(DomainError, match="^custom boundary needs at least d_0$"):
-                route([])
+                route([], self.P7, 0, 0)
 
 
 class TestParams:
@@ -137,30 +136,31 @@ class TestGAnsatz:
     def test_n0_is_boundary(self):
         b = 0.9
         p = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(0.7))
+        block = bp.g_ansatz_block(b, p, 0, 4)
         for m in range(5):
-            assert bp.g_ansatz_eval(0, m, b, p) == pytest.approx(0.9 ** m, rel=1e-14)
+            assert block[0, m] == pytest.approx(0.9 ** m, rel=1e-14)
 
     def test_n1_two_terms(self):
         # g_{1,0} = xi^{-1} (d_0 - eta d_1)
         b = [1.0, 0.9, 0.8]
         p = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(0.7))
         want = (1.0 - p.eta * 0.9) / p.xi
-        assert bp.g_ansatz_eval(1, 0, b, p) == pytest.approx(want, rel=1e-14)
+        assert bp.g_ansatz_block(b, p, 1, 0)[1, 0] == pytest.approx(want, rel=1e-14)
 
     def test_matches_recurrence_custom_boundary(self):
         vals = [1.0 / (1.0 + 0.05 * m) for m in range(30)]
         b = vals
         p = bp.BipartiteParams(0.25, 0.45, 1.0, 0.5, QParam(0.7))
         g = bp.solve_g_recurrence(b, p, 12, 12)
+        block = bp.g_ansatz_block(b, p, 12, 12)
         for n in range(0, 13, 3):
             for m in range(0, 13, 3):
-                assert bp.g_ansatz_eval(n, m, b, p) == pytest.approx(
-                    g[n, m], rel=1e-11)
+                assert block[n, m] == pytest.approx(g[n, m], rel=1e-11)
 
 
 def ansatz_by_the_formula(n, m, boundary, p):
-    """The ansatz sum of g_ansatz_eval written out term by term, one
-    q_binomial per term."""
+    """The ansatz sum of g_ansatz_block at (n, m) written out term by term,
+    one q_binomial per term."""
     q, xi, eta = p.q.value, p.xi, p.eta
     d = bp._first_row(boundary, m + n)
     total = 0.0 + 0j
@@ -172,7 +172,7 @@ def ansatz_by_the_formula(n, m, boundary, p):
 
 class TestGAnsatzBlock:
     """The block forms each q-binomial row once; every entry must be the
-    per-cell g_ansatz_eval's, bit for bit."""
+    per-term formula's, bit for bit."""
 
     CASES = {
         "delta": (0.9, bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(0.7))),
@@ -193,9 +193,8 @@ class TestGAnsatzBlock:
         assert block.shape == (n1 + 1, n2 + 1)
         for n in range(n1 + 1):
             for m in range(n2 + 1):
-                cell = np.complex128(bp.g_ansatz_eval(n, m, b, p)).tobytes()
+                cell = np.complex128(ansatz_by_the_formula(n, m, b, p)).tobytes()
                 assert block[n, m].tobytes() == cell
-                assert np.complex128(ansatz_by_the_formula(n, m, b, p)).tobytes() == cell
 
     def test_invalid_inputs_are_named(self):
         b, p = self.CASES["custom"]
@@ -210,17 +209,19 @@ class TestGAnsatzBlock:
 class TestGClosedGeometric:
     def test_n0(self):
         p = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(0.6))
+        block = bp.g_closed_block(0.95, p, 0, 5)
+        assert block.shape == (1, 6)
         for m in range(6):
-            assert bp.g_closed_geometric(0, m, 0.95, p) == pytest.approx(
-                0.95 ** m, rel=1e-14)
+            assert block[0, m] == pytest.approx(0.95 ** m, rel=1e-14)
 
     def test_matches_ansatz(self):
         p = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(0.6))
         b = 0.95
+        closed = bp.g_closed_block(0.95, p, 12, 12)
+        ansatz = bp.g_ansatz_block(b, p, 12, 12)
         for n in range(0, 13, 4):
             for m in range(0, 13, 4):
-                assert bp.g_closed_geometric(n, m, 0.95, p) == pytest.approx(
-                    bp.g_ansatz_eval(n, m, b, p), rel=1e-11)
+                assert closed[n, m] == pytest.approx(ansatz[n, m], rel=1e-11)
 
     def test_pochhammer_zero(self):
         # delta*eta = q^{-2} makes (delta eta; q^2)_n vanish for n >= 2
@@ -228,8 +229,17 @@ class TestGClosedGeometric:
         alpha1, alpha2 = -0.7, 0.8
         p = bp.BipartiteParams(alpha1, alpha2, 1.0, 1.0, QParam(q))
         assert p.eta * 1.0 == pytest.approx(q ** -2, rel=1e-12)
+        block = bp.g_closed_block(1.0, p, 5, 1)
         for n in (2, 3, 5):
-            assert abs(bp.g_closed_geometric(n, 1, 1.0, p)) < 1e-12
+            assert abs(block[n, 1]) < 1e-12
+
+    def test_invalid_inputs_are_named(self):
+        with pytest.raises(DomainError, match="0 < q < 1"):
+            bp.g_closed_block(0.9, bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(1.2)), 2, 2)
+        with pytest.raises(DomainError, match="N1, N2 >= 0"):
+            bp.g_closed_block(0.9, P9, 3, -1)
+        with pytest.raises(DomainError, match="xi = 0"):
+            bp.g_closed_block(0.9, bp.BipartiteParams(0.0, 0.5, 1.0, 1.0, QParam(0.7)), 2, 2)
 
 
 class TestOracleTriangle:
@@ -239,11 +249,13 @@ class TestOracleTriangle:
         p = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(q))
         b = delta
         g = bp.solve_g_recurrence(b, p, 14, 14)
+        ansatz = bp.g_ansatz_block(b, p, 14, 14)
+        closed = bp.g_closed_block(delta, p, 14, 14)
         for n in range(15):
             for m in range(15):
                 ref = g[n, m]
-                assert bp.g_ansatz_eval(n, m, b, p) == pytest.approx(ref, rel=1e-11)
-                assert bp.g_closed_geometric(n, m, delta, p) == pytest.approx(ref, rel=1e-11)
+                assert ansatz[n, m] == pytest.approx(ref, rel=1e-11)
+                assert closed[n, m] == pytest.approx(ref, rel=1e-11)
 
     @given(q=st.floats(0.4, 0.95), delta=st.floats(0.8, 1.2),
            a1r=st.floats(0.1, 1.0), a1i=st.floats(-0.5, 0.5),
@@ -254,11 +266,13 @@ class TestOracleTriangle:
         p = bp.BipartiteParams(complex(a1r, a1i), a2r, k1, k2, QParam(q))
         b = delta
         g = bp.solve_g_recurrence(b, p, 8, 8)
+        ansatz = bp.g_ansatz_block(b, p, 8, 8)
+        closed = bp.g_closed_block(delta, p, 8, 8)
         for n in (0, 3, 8):
             for m in (0, 4, 8):
                 ref = g[n, m]
-                assert bp.g_ansatz_eval(n, m, b, p) == pytest.approx(ref, rel=1e-10)
-                assert bp.g_closed_geometric(n, m, delta, p) == pytest.approx(ref, rel=1e-10)
+                assert ansatz[n, m] == pytest.approx(ref, rel=1e-10)
+                assert closed[n, m] == pytest.approx(ref, rel=1e-10)
 
 
 class TestHTable:
@@ -534,6 +548,52 @@ class TestSchmidt:
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a.dtype) or svd(a, **kw))
         bp.schmidt_entropy(M)
         assert seen == [np.complex128]
+
+    @staticmethod
+    def mp_spectrum(a1, a2, k1, k2, delta, q, N):
+        """(entropy, sigma_2) of the normalized (N+1) x (N+1) geometric-boundary
+        block at 60 digits: the Gram matrix's eigenvalues are the s_i^2."""
+        with mpmath.workdps(60):
+            q, a1, a2 = mpmath.mpf(q), mpmath.mpf(a1), mpmath.mpf(a2)
+            alpha = a1 + a2
+            xi, eta = a1 / alpha * q ** -k2, a2 / alpha * q ** k1
+
+            def qn(x):
+                return (q ** x - q ** -x) / (q - 1 / q)
+
+            def profile(a, k):
+                p = [mpmath.mpf(1)]
+                for n in range(1, N + 1):
+                    p.append(p[-1] * a / mpmath.sqrt(qn(n) * qn(n + 2 * k - 1)))
+                return p
+
+            p1, p2 = profile(a1, k1), profile(a2, k2)
+            poch = [mpmath.mpf(1)]
+            for n in range(N):
+                poch.append(poch[-1] * (1 - delta * eta * q ** (2 * n)))
+            c = mpmath.matrix(N + 1, N + 1)
+            for n in range(N + 1):
+                for m in range(N + 1):
+                    c[n, m] = p1[n] * p2[m] * q ** (n * m) * delta ** m * xi ** -n * poch[n]
+            ev = sorted(mpmath.eigsy(c.T * c, eigvals_only=True), reverse=True)
+            s_sq = [e / sum(ev) for e in ev if e > 0]
+            return float(-sum(x * mpmath.log(x) for x in s_sq)), float(mpmath.sqrt(s_sq[1]))
+
+    @pytest.mark.parametrize("q", [0.9999, 0.999, 0.99])
+    def test_near_product_against_mpmath(self, q):
+        # as q -> 1 the state nears a product; the entropy summed as
+        # -s_1^2 ln s_1^2 - ... was 3e-8 off at q = 0.9999
+        M = bp.build_q_bipartite(bp.BipartiteParams(0.9, 0.5, 1.0, 1.5, QParam(q)),
+                                 1.0, 30, 30)
+        spec = bp.schmidt_entropy(M)
+        entropy, sigma2 = self.mp_spectrum(0.9, 0.5, 1.0, 1.5, 1, q, 30)
+        assert spec.entropy == pytest.approx(entropy, rel=1e-10, abs=0)
+        assert spec.singular_values[1] == pytest.approx(sigma2, rel=1e-10, abs=0)
+
+    def test_product_entropy_is_not_negative(self):
+        # s_1^2 rounds above 1 on this product state
+        M = bp.classical_bipartite(1.1581, 1.7994, 0.5, 0.5, 50, 50)
+        assert 0.0 <= bp.schmidt_entropy(M).entropy <= 1e-15
 
     def test_unnormalized_rejected(self):
         params = bp.BipartiteParams(0.1, 0.1, 1.0, 1.0, CLASSICAL)

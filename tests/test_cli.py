@@ -11,6 +11,7 @@ import pytest
 
 from bgstates import bipartite as bp
 from bgstates import cli
+from bgstates import qspecial as qs
 from bgstates import repalg as ra
 from bgstates.errors import SeriesConvergenceError
 
@@ -127,6 +128,21 @@ class TestStateSingle:
         assert run_cli(args) == 0
         assert json.loads(out.read_text())["residual"] <= 1e-10
 
+    @pytest.mark.filterwarnings("error")      # a RuntimeWarning fails the test
+    @pytest.mark.parametrize("argv", [
+        "q=0.00105 alpha=0.3 k=1 N=101", "q=0.001 alpha=3 k=0.75 N=101",
+        "q=0.01 alpha=0.3 k=1 N=101", "q=0.01 alpha=3 k=0.75 N=101",
+        "q=0.2 alpha=0.3 k=1 N=400", "q=0.2 alpha=3 k=0.75 N=400"])
+    def test_small_q_residual_is_finite(self, argv, capsys):
+        # the lowering table overflows past the coefficients' underflowed tail
+        def no_constant(name):
+            raise AssertionError(f"non-finite {name} in output")
+
+        assert run_cli(["state-single", *argv.split()]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out, parse_constant=no_constant)["residual"] <= 1e-9
+        assert "Warning" not in err
+
 
 class TestVerifyMoments:
     def test_classical(self, tmp_path):
@@ -202,7 +218,8 @@ NON_FINITE = [
 
 class TestTableBuilds:
     """Each q-table is formed once per call: one lowering table per node and
-    state, one q-binomial triangle per g-oracle."""
+    state, one q-binomial triangle per g-oracle; and the closed-form g block
+    once per scalar-delta state or g-oracle."""
 
     PAIR = ["a1=0.5", "a2=0.3", "k1=1", "k2=1", "N=30"]
 
@@ -235,6 +252,27 @@ class TestTableBuilds:
         assert run_cli(["g-oracle", "q=0.7", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "delta=0.9",
                         "nmax=14", f"out={tmp_path / 'g.json'}"]) == 0
         assert len(calls) == 120 == len(set(calls))
+
+    @pytest.mark.parametrize("argv, blocks", [
+        (["g-oracle", "q=0.7", *PAIR[:4], "delta=0.9", "nmax=14"], 1),
+        (["state-bipartite", "q=0.9", *PAIR], 1),
+        (["state-bipartite", "q=1.25", *PAIR], 1),
+        (["sweep-q", "from=0.9", "to=0.8", "steps=3", *PAIR], 3),
+    ], ids=["g-oracle", "pair", "pair-crossing", "sweep-3-steps"])
+    def test_one_closed_form_block_per_g(self, argv, blocks, monkeypatch, tmp_path):
+        calls = []
+        block, pochhammer = bp.g_closed_block, qs.q_pochhammer
+        monkeypatch.setattr(bp, "g_closed_block",
+                            lambda *a: calls.append("block") or block(*a))
+
+        def counted(*a):
+            calls.append("pochhammer")
+            return pochhammer(*a)
+
+        monkeypatch.setattr(qs, "q_pochhammer", counted)
+        monkeypatch.setattr(bp, "q_pochhammer", counted, raising=False)
+        assert run_cli(argv + [f"out={tmp_path / 'a.json'}"]) == 0
+        assert calls == ["block"] * blocks
 
 
 class TestExitCodes:
