@@ -19,8 +19,8 @@ The assembled coefficient matrix
 
 is an eigen-matrix of the q-coproduct lowering operator with eigenvalue
 alpha = alpha1 + alpha2 and its q^{n1 n2} content is what forbids
-factorization for q != 1.  q > 1 is reached exclusively through the crossing
-substitution (swap the nodes, invert q, transpose).
+factorization for q != 1.  A q > 1 state takes g from the crossing
+substitution (swap the nodes, invert q, transpose) and its profiles at q.
 
 A boundary row is a plain value: a real scalar delta is the geometric row
 d_m = delta^m, a sequence is d_0..d_M itself.
@@ -130,7 +130,7 @@ class BipartiteMatrix:
     tables (e1, e2) of the two nodes at ``params``, levels 0..N1 and 0..N2
     at least, that the coefficients were formed from;
     :func:`repalg.apply_coproduct` reads them instead of building them again
-    (None for a matrix not built from tables at its own q)."""
+    (None for a matrix not built by this module)."""
 
     coeffs: np.ndarray
     params: BipartiteParams
@@ -264,46 +264,38 @@ def build_q_bipartite(params: BipartiteParams, boundary,
     """Assemble and normalize the q-deformed bipartite eigenstate.
 
     A scalar boundary delta takes g from :func:`g_closed_block`; a sequence
-    d_0..d_M propagates the recurrence.  q > 1 parameters are routed through
-    the crossing substitution and the solution transposed back.
+    d_0..d_M propagates the recurrence.  For q > 1, g is solved on the
+    crossing mirror, truncated at (N2, N1), and transposed.  Both profiles
+    and their lowering tables are formed at the state's own q.
     """
     if params.q.is_classical:
         raise DomainError("use classical_bipartite for the undeformed case")
-    if params.q.value > 1.0:
-        try:
-            mirror = build_q_bipartite(crossing_transform(params), boundary, N2, N1)
-        except DomainError as exc:
-            # a q-number is the same at q and 1/q: name the q that was given
-            mirror_q = f"at q={1.0 / params.q.value!r}"
-            if mirror_q not in str(exc):
-                raise
-            raise DomainError(str(exc).replace(mirror_q, f"at q={params.q.value!r}")) from exc
-        return BipartiteMatrix(coeffs=mirror.coeffs.T.copy(), params=params,
-                               normalized=True,
-                               truncation_loss=mirror.truncation_loss,
-                               norm_before_truncation=mirror.norm_before_truncation)
-    if params.alpha1 == 0:
-        raise DomainError("alpha1 = 0 makes xi = 0 and the boundary-row "
+    # the recurrence propagates from node 1 of the configuration it solves:
+    # node 2 of a q > 1 state, whose g is its crossing mirror's transposed
+    crossed = params.q.value > 1.0
+    g_params, n1, n2, node = ((crossing_transform(params), N2, N1, "alpha2") if crossed
+                              else (params, N1, N2, "alpha1"))
+    if g_params.alpha1 == 0:
+        raise DomainError(f"{node} = 0 makes xi = 0 and the boundary-row "
                           "propagation undefined; the state degenerates to "
                           "vacuum (x) single-node")
     q = params.q
     # an overflow here is caught and named by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.ndim(boundary) == 0:
-            g = g_closed_block(boundary, params, N1, N2)
-        else:
-            g = solve_g_recurrence(boundary, params, N1, N2)
+        route = g_closed_block if np.ndim(boundary) == 0 else solve_g_recurrence
+        g = route(boundary, g_params, n1, n2)
         p1, e1 = _profile_with_table(params.alpha1, params.k1, q, N1, N1 + 1)
         p2, e2 = _profile_with_table(params.alpha2, params.k2, q, N2, N2 + 1)
-        c = p1[:, None] * p2[None, :] * g
+        c = np.ascontiguousarray(p1[:, None] * p2[None, :] * (g.T if crossed else g))
     if not np.all(np.isfinite(c.view(float))):
-        raise DomainError("coefficient assembly overflowed; |alpha/alpha1| is "
+        raise DomainError(f"coefficient assembly overflowed; |alpha/{node}| is "
                           "too large for this truncation (xi^{-n} exceeds "
                           "double range before the factorial decay sets in)")
     c_sq = np.abs(c) ** 2
     total = float(np.sum(c_sq))
     if total == 0.0:
-        raise DomainError("state vanished: alpha1 = alpha2 = 0 is not a coherent state")
+        raise DomainError("state vanished: the boundary row d_0..d_M makes every "
+                          "|c|^2 zero")
     tail = _edge_tail_estimate(c_sq)
     if not tail <= TAIL_MASS_LIMIT * total:
         raise TruncationError(
@@ -356,9 +348,9 @@ def crossing_transform(params: BipartiteParams) -> BipartiteParams:
     The recurrence's crossing symmetry says a solution at (xi, eta, q) can be
     read off a solution at (eta, xi, 1/q) with the indices transposed; in the
     (alpha_i, k_i) parametrization that is exactly swapping the two nodes and
-    inverting q, so a q > 1 state is its q < 1 mirror transposed.  Applying
-    the transform twice is the identity, up to the rounding of 1/(1/q) (exact
-    at q = 1.25, one ulp off at q = 0.9).
+    inverting q, so the g of a q > 1 state is its q < 1 mirror's transposed.
+    Applying the transform twice is the identity, up to the rounding of
+    1/(1/q) (exact at q = 1.25, one ulp off at q = 0.9).
     """
     params._require_deformed("crossing_transform")
     return BipartiteParams(alpha1=params.alpha2, alpha2=params.alpha1,

@@ -360,7 +360,9 @@ def _run_g_oracle(cfg: RunConfig) -> dict:
     p.reject_unread(cfg.command)
     _check_budget(nmax, nmax, f"nmax={nmax}")
     params = bp.BipartiteParams(a1, a2, k1, k2, q)
-    g = bp.solve_g_recurrence(delta, params, nmax, nmax)
+    # an overflow here is caught and named by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = bp.solve_g_recurrence(delta, params, nmax, nmax)
     # the relative errors divide by |g|; delta = 0 or a large nmax makes them 0/0
     bad = np.argwhere(~(np.isfinite(g) & (np.abs(g) >= np.finfo(float).tiny)))
     if bad.size:

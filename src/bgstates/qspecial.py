@@ -84,9 +84,9 @@ class QParam:
 
     ``QParam(q)`` takes any finite q > 0 other than 1.  The series evaluated
     here converge only for 0 < q < 1 and reject q > 1 by name
-    (:func:`_series_value`); a q > 1 state is the bipartite crossing mirror
-    at 1/q.  ``QParam.classical()`` marks the undeformed algebra and is never
-    represented as a float near 1.
+    (:func:`_series_value`); a q > 1 bipartite state takes its g from the
+    crossing mirror at 1/q.  ``QParam.classical()`` marks the undeformed
+    algebra and is never represented as a float near 1.
     """
 
     __slots__ = ("value", "is_classical")

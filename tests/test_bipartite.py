@@ -354,6 +354,16 @@ class TestBuildQBipartite:
         pc = bp.BipartiteParams(0.0, 0.5, 1.0, 1.0, QParam(1.25))
         M = bp.build_q_bipartite(pc, GEOM1, 40, 40)
         assert bp.eigen_residual(M) <= 1e-8
+        # and there alpha2 is the node that propagates
+        pc = bp.BipartiteParams(0.5, 0.0, 1.0, 1.0, QParam(1.25))
+        with pytest.raises(DomainError, match="^alpha2 = 0 makes xi = 0"):
+            bp.build_q_bipartite(pc, GEOM1, 20, 20)
+
+    @pytest.mark.parametrize("q", [0.9, 1.25])
+    def test_zero_boundary_row_named(self, q):
+        p = bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(q))
+        with pytest.raises(DomainError, match="^state vanished: the boundary row"):
+            bp.build_q_bipartite(p, [0.0] * 41, 20, 20)
 
     def test_boundary_family_unique_classical_limit(self):
         # d_m = delta^m with delta = q^s all collapse to the same classical state

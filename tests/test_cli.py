@@ -231,8 +231,7 @@ class TestTableBuilds:
         (["state-bipartite", "q=0.9", *PAIR], [31] * 2),
         (["state-bipartite", "q=0.9", *PAIR, "perturb=0.01"], [31] * 2),
         (["state-bipartite", "q=classical", *PAIR], []),
-        # the crossing mirror's tables are at 1/q; the residual builds q's
-        (["state-bipartite", "q=1.25", *PAIR], [31] * 4),
+        (["state-bipartite", "q=1.25", *PAIR], [31] * 2),
         (["state-single", "q=0.9", "alpha=0.8", "k=1", "N=30"], [32]),
         (["g-oracle", "q=0.7", *PAIR[:4], "delta=0.9", "nmax=14"], []),
     ], ids=["sweep-step", "sweep-3-steps", "pair", "pair-perturbed", "pair-classical",
@@ -331,6 +330,17 @@ class TestExitCodes:
         assert "Warning" not in err
 
     @pytest.mark.filterwarnings("error")      # a RuntimeWarning fails the test
+    def test_g_oracle_overflow_is_2_without_warnings(self, capsys):
+        code = run_cli(["g-oracle", "q=0.99", "a1=0.05", "a2=1", "k1=1", "k2=1", "delta=1",
+                        "nmax=240"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == ("invalid configuration: g-oracle at delta=1.0, nmax=240: "
+                       "|g[235,0]| = inf is zero, subnormal or not finite, so its "
+                       "relative errors are undefined\n")
+        assert out == ""
+
+    @pytest.mark.filterwarnings("error")      # a RuntimeWarning fails the test
     @pytest.mark.parametrize("argv, bad", NON_FINITE, ids=[bad for _, bad in NON_FINITE])
     def test_unparsable_or_non_finite_value_is_2(self, argv, bad, capsys):
         code = run_cli(argv + [bad])
@@ -345,9 +355,22 @@ class TestExitCodes:
         assert code == 2
         assert "]_q overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["q=1.25", "a1=0.5", "a2=0", "N=20"], "alpha2 = 0 makes xi = 0"),
+        (["q=1.1", "a1=0.9", "a2=0.05", "N=800"],
+         "coefficient assembly overflowed; |alpha/alpha2| is too large"),
+    ], ids=["zero-alpha2", "overflow"])
+    def test_crossing_names_the_propagating_node(self, argv, message, capsys):
+        # g of a q > 1 state propagates from node 2, its crossing mirror's node 1
+        code = run_cli(["state-bipartite", *argv, "k1=1", "k2=1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("invalid configuration: " + message)
+        assert out == ""
+
     def test_crossing_overflow_names_the_q_given(self, capsys):
-        # the crossing mirror is built at 1/q = 1e-300; [2]_q is the same at
-        # q and 1/q, so the message names the q of the argv
+        # only g is solved at 1/q = 1e-300; the profiles are formed at q, so
+        # the message names the q of the argv without any rewriting
         code = run_cli(["state-bipartite", "q=1e300", "a1=0.3", "a2=0.5", "k1=1", "k2=1",
                         "N=50"])
         out, err = capsys.readouterr()

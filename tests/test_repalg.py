@@ -208,9 +208,11 @@ class TestStoredTables:
             assert got.truncation_loss == want.truncation_loss
 
     def test_tables_at_the_state_q_only(self):
-        # the crossing mirror's tables are at 1/q, so a q > 1 state has none
+        # a q > 1 state is assembled at q: its tables are q's, not its mirror's
         M = build_q_bipartite(BipartiteParams(0.3, 0.6, 1.0, 1.0, QParam(1.25)), 1.0, 10, 10)
-        assert M.ladders is None
+        want = ra.lowering_elements(QParam(1.25), 1.0, 11)
+        assert [e.tobytes() for e in M.ladders] == [want.tobytes()] * 2
+        assert M.coeffs.flags.c_contiguous
         M = build_q_bipartite(BipartiteParams(0.6, 0.3, 1.0, 2.0, QParam(0.8)), 1.0, 10, 12)
         assert [len(e) for e in M.ladders] == [11, 13]
 
