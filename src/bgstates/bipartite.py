@@ -159,6 +159,17 @@ def classical_bipartite(alpha1: complex, alpha2: complex, k1: float, k2: float,
                            ladders=(s1.ladder, s2.ladder))
 
 
+def _g_block_setup(params: BipartiteParams, N1: int, N2: int, where: str):
+    """q, xi and eta of an (N1+1) x (N2+1) g block, after checking that
+    N1, N2 >= 0, 0 < q < 1 and xi != 0."""
+    if N1 < 0 or N2 < 0:
+        raise DomainError(f"{where} requires N1, N2 >= 0, got {N1}, {N2}")
+    q = qspecial._series_value(params.q, where=where)
+    if params.xi == 0:
+        raise DomainError("xi = 0 (alpha1 = 0): the recurrence cannot be propagated")
+    return q, params.xi, params.eta
+
+
 def solve_g_recurrence(boundary, params: BipartiteParams,
                        N1: int, N2: int) -> np.ndarray:
     """Propagate g row by row from the boundary row (delta or d_0..d_M):
@@ -167,10 +178,7 @@ def solve_g_recurrence(boundary, params: BipartiteParams,
 
     Returns the (N1+1) x (N2+1) block; the boundary must cover m <= N1+N2.
     """
-    q = qspecial._series_value(params.q, where="solve_g_recurrence")
-    xi, eta = params.xi, params.eta
-    if xi == 0:
-        raise DomainError("xi = 0 (alpha1 = 0): the recurrence cannot be propagated")
+    q, xi, eta = _g_block_setup(params, N1, N2, "solve_g_recurrence")
     width = N1 + N2 + 1
     row = _first_row(boundary, N1 + N2)
     out = np.zeros((N1 + 1, N2 + 1), dtype=complex)
@@ -192,10 +200,7 @@ def g_ansatz_block(boundary, params: BipartiteParams, N1: int, N2: int) -> np.nd
     over the (N1+1) x (N2+1) block, each row [n, 0..n]_{q^2} of the
     q-binomial triangle formed once; the boundary (delta or d_0..d_M) must
     cover m <= N1+N2."""
-    if N1 < 0 or N2 < 0:
-        raise DomainError(f"g_ansatz_block requires N1, N2 >= 0, got {N1}, {N2}")
-    q = qspecial._series_value(params.q, where="g_ansatz_block")
-    xi, eta = params.xi, params.eta
+    q, xi, eta = _g_block_setup(params, N1, N2, "g_ansatz_block")
     d = _first_row(boundary, N1 + N2)
     base = q * q
     # the factor (-1)^j eta^j q^{j(j-1)} of term j, the same in every cell
@@ -218,17 +223,13 @@ def g_closed_block(delta: float, params: BipartiteParams, N1: int, N2: int) -> n
 
     over the (N1+1) x (N2+1) block: the g that :func:`build_q_bipartite`
     assembles a scalar-delta state from."""
-    if N1 < 0 or N2 < 0:
-        raise DomainError(f"g_closed_block requires N1, N2 >= 0, got {N1}, {N2}")
-    q = qspecial._series_value(params.q, where="g_closed_block")
-    if params.xi == 0:
-        raise DomainError("xi = 0 (alpha1 = 0)")
+    q, xi, eta = _g_block_setup(params, N1, N2, "g_closed_block")
     delta = float(delta)
     # row-scaled: poch[n] = (delta eta; q^2)_n
-    de = delta * params.eta
+    de = delta * eta
     poch = np.array(list(itertools.accumulate(
         (1.0 - de * q ** (2 * n) for n in range(N1)), operator.mul, initial=1 + 0j)))
-    return (poch[:, None] * np.asarray(params.xi) ** -np.arange(N1 + 1)[:, None]
+    return (poch[:, None] * np.asarray(xi) ** -np.arange(N1 + 1)[:, None]
             * delta ** np.arange(N2 + 1)[None, :]
             * q ** np.outer(np.arange(N1 + 1), np.arange(N2 + 1)))
 

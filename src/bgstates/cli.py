@@ -41,8 +41,6 @@ from .repalg import apply_ladder
 
 __all__ = ["main", "RunConfig", "run", "load_state_json"]
 
-_COMMANDS = ("state-single", "state-bipartite", "verify-moments", "sweep-q", "g-oracle")
-
 # most coefficients one state or g-oracle block may hold (a state of that size
 # is about 40 MB of JSON): a larger N or nmax is rejected before any work
 MAX_COEFFICIENTS = 1 << 20
@@ -77,14 +75,14 @@ class RunConfig:
 
 def _parse_argv(argv) -> RunConfig:
     if not argv:
-        raise DomainError("missing subcommand; expected one of " + ", ".join(_COMMANDS))
+        raise DomainError("missing subcommand; expected one of " + ", ".join(_RUNNERS))
     command = argv[0]
     if command in ("-h", "--help", "help"):
         print(__doc__)
         raise SystemExit(0)
-    if command not in _COMMANDS:
+    if command not in _RUNNERS:
         raise DomainError(f"unknown subcommand {command!r}; expected one of "
-                          + ", ".join(_COMMANDS))
+                          + ", ".join(_RUNNERS))
     params = {}
     for tok in argv[1:]:
         if "=" not in tok:
@@ -209,38 +207,18 @@ def _run_state_single(cfg: RunConfig) -> dict:
     }
 
 
-def _bipartite_from_params(p: dict):
-    q = _as_q(p)
-    a1 = _num(p, "a1", complex)
-    a2 = _num(p, "a2", complex)
-    k1 = _num(p, "k1")
-    k2 = _num(p, "k2")
-    n1 = _num(p, "N", int)
-    n2 = _num(p, "N2", int, n1)
-    delta = _num(p, "delta", float, "1")
-    return q, a1, a2, k1, k2, n1, n2, delta
-
-
-def _state_bipartite_payload(M, params_block: dict) -> dict:
-    spec = bp.schmidt_entropy(M)
-    interior, edge = bp.eigen_residual_parts(M)
-    return {
-        "command": "state-bipartite",
-        "params": params_block,
-        "coefficients": _jc_array(np.asarray(M.coeffs)),
-        "schmidt": {
-            "singular_values": [_jf(s) for s in spec.singular_values],
-            "entropy": _jf(spec.entropy),
-            "rank_eps": spec.rank_eps,
-        },
-        "residual_interior": _jf(interior),
-        "residual_edge": _jf(edge),
-    }
+def _nodes(p: dict):
+    """The node keys a1, a2, k1, k2 of a bipartite command, read in that order."""
+    return _num(p, "a1", complex), _num(p, "a2", complex), _num(p, "k1"), _num(p, "k2")
 
 
 def _run_state_bipartite(cfg: RunConfig) -> dict:
     p = cfg.params
-    q, a1, a2, k1, k2, n1, n2, delta = _bipartite_from_params(p)
+    q = _as_q(p)
+    a1, a2, k1, k2 = _nodes(p)
+    n1 = _num(p, "N", int)
+    n2 = _num(p, "N2", int, n1)
+    delta = _num(p, "delta", float, "1")
     eps = _num(p, "perturb") if "perturb" in p else None
     seed = None if eps is None else _num(p, "seed", int, "0")
     p.reject_unread(cfg.command)
@@ -250,11 +228,22 @@ def _run_state_bipartite(cfg: RunConfig) -> dict:
     else:
         params = bp.BipartiteParams(a1, a2, k1, k2, q)
         M = bp.build_q_bipartite(params, delta, n1, n2)
-    payload = _state_bipartite_payload(M, {
-        "q": None if q.is_classical else q.value,
-        "a1": _jc(a1), "a2": _jc(a2), "k1": k1, "k2": k2,
-        "delta": delta, "N1": n1, "N2": n2,
-    })
+    spec = bp.schmidt_entropy(M)
+    interior, edge = bp.eigen_residual_parts(M)
+    payload = {
+        "command": "state-bipartite",
+        "params": {"q": None if q.is_classical else q.value,
+                   "a1": _jc(a1), "a2": _jc(a2), "k1": k1, "k2": k2,
+                   "delta": delta, "N1": n1, "N2": n2},
+        "coefficients": _jc_array(np.asarray(M.coeffs)),
+        "schmidt": {
+            "singular_values": [_jf(s) for s in spec.singular_values],
+            "entropy": _jf(spec.entropy),
+            "rank_eps": spec.rank_eps,
+        },
+        "residual_interior": _jf(interior),
+        "residual_edge": _jf(edge),
+    }
     if not q.is_classical:
         sp = M.params if q.value < 1 else bp.crossing_transform(M.params)
         ns = bp.norm_series(sp, delta)
@@ -310,10 +299,7 @@ def _run_sweep_q(cfg: RunConfig) -> dict:
     steps = _num(p, "steps", int, "12")
     if steps < 1:
         raise DomainError(f"steps= must be >= 1, got {steps}")
-    a1 = _num(p, "a1", complex)
-    a2 = _num(p, "a2", complex)
-    k1 = _num(p, "k1")
-    k2 = _num(p, "k2")
+    a1, a2, k1, k2 = _nodes(p)
     n = _num(p, "N", int)
     delta_spec = p.get("delta", "1")
     delta_power = delta_spec.startswith("q^")
@@ -349,10 +335,7 @@ def _run_sweep_q(cfg: RunConfig) -> dict:
 def _run_g_oracle(cfg: RunConfig) -> dict:
     p = cfg.params
     q = _series_q(p, "q")
-    a1 = _num(p, "a1", complex)
-    a2 = _num(p, "a2", complex)
-    k1 = _num(p, "k1")
-    k2 = _num(p, "k2")
+    a1, a2, k1, k2 = _nodes(p)
     delta = _num(p, "delta", float, "1")
     nmax = _num(p, "nmax", int, "12")
     if nmax < 0:

@@ -13,14 +13,14 @@ is
 with nu = 2k-1, and classically g = 2 I_nu(2 rho) K_nu(2 rho).  In the
 convention of these targets N(rho^2)^{-2} = rho^{-nu} I_nu^{(q)}(2 rho)
 (Barut-Girardello), so the Bessel factor of g cancels against N^2 and the
-integrand is exactly rho^{nu+1} times the bracket, 4 rho^{nu+1} K_nu(2 rho)
-classically; the tests check this against q_measure, classical_measure and
-costate.normalization_series.
+integrand is exactly rho^{nu+1} times the bracket, whose value at the
+classical tag is 4 K_nu(2 rho); the tests check this against q_measure,
+classical_measure and costate.normalization_series.
 
 The bracket is evaluated verbatim except for one pinned coefficient: the
 log series carries a linear-in-l term (2l + nu + c) ln(q)/2 whose
-moment-consistent value is c = -1 (the default here).  c = -3 also appears
-in print; with that choice the measure differs by a multiple of
+moment-consistent value is c = -1 (pinned as LOG_TERM_OFFSET).  c = -3
+also appears in print; with that choice the measure differs by a multiple of
 (I_nu^{(q)})^2, whose moments diverge, and the identity fails at O(1) - the
 regression tests pin this down numerically.
 
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import _dd, qspecial
 from .errors import DomainError, SeriesConvergenceError
-from .qspecial import (CLASSICAL, NOISE_BUDGET, QParam, _bessel_i_series, _bessel_k_dd,
+from .qspecial import (CLASSICAL, NOISE_BUDGET, QParam, _bessel_i_series, _integer_tables,
                        _log_series_dd, bessel_k, q_factorial)
 from .repalg import check_bargmann
 
@@ -69,6 +69,10 @@ def classical_measure(rho: float, nu: int) -> float:
 # --------------------------------------------------------------------------
 # q-measure bracket in double-double arithmetic
 # --------------------------------------------------------------------------
+
+# the c of the log series' (2l + nu + c) ln(q)/2 term, read at call time:
+# -1 is the moment-consistent value (see the module docstring)
+LOG_TERM_OFFSET = -1
 
 _PSI_CACHE: dict = {}     # q -> list of dd psi_{q^2}(m), m = 1..len
 _QNUM_CACHE: dict = {}    # q -> (dd q, dd q - 1/q, list of dd [m]_q, m = 0..len-1)
@@ -144,49 +148,51 @@ def _qnum_dd_table(q: float, count: int):
         return lst
 
 
-def _q_bracket_dd(rho, nu: int, q: float, log_term_offset: int, sizes=None):
+def _q_bracket_dd(rho, nu: int, qp: QParam):
     """The bracketed factor of the q-measure, vectorised over rho, in dd.
 
     Returns (value_dd, noise_floor), both shaped like rho: the shared
     ascending log series (:func:`qspecial._log_series_dd`) with q-numbers,
-    psi_{q^2} and
+    psi_{q^2}, the log-term offset LOG_TERM_OFFSET and
 
         C1 = (q^2-1)/(q ln q),   C2 = (1-q^2)^2 / (q^2 (ln q)^2),
 
-    so that it reduces to 4 K_nu(2 rho) as q -> 1.  Each stopping group
-    (``sizes`` of the flattened rho; without it the whole rho) stops its log
-    series on its own and comes out bit for bit as a call with that group
-    alone.
+    so that it reduces to 4 K_nu(2 rho) as q -> 1.  At the classical tag it
+    is that limit, the series of K_nu with C1 = 2, C2 = 4 and ln q = 0:
+    exactly 4 K_nu(2 rho), since a power of two scales dd exactly.
     """
-    q_dd = _dd.dd(q)
-    lnq = _dd.log(q_dd)
-    q_sq = _dd.sqr(q_dd)
-    one = _dd.dd(1.0)
-    c1 = _dd.div(_dd.sub(q_sq, one), _dd.mul(q_dd, lnq))
-    c2 = _dd.div(_dd.sqr(_dd.sub(one, q_sq)), _dd.mul(q_sq, _dd.sqr(lnq)))
+    if qp.is_classical:
+        tables, c1, c2, lnq = _integer_tables, _dd.dd(2.0), _dd.dd(4.0), _dd.dd(0.0)
+    else:
+        q = qp.value
+        q_dd = _dd.dd(q)
+        lnq = _dd.log(q_dd)
+        q_sq = _dd.sqr(q_dd)
+        one = _dd.dd(1.0)
+        c1 = _dd.div(_dd.sub(q_sq, one), _dd.mul(q_dd, lnq))
+        c2 = _dd.div(_dd.sqr(_dd.sub(one, q_sq)), _dd.mul(q_sq, _dd.sqr(lnq)))
 
-    def tables(count):
-        return _qnum_dd_table(q, count), _psi_q2_table(q, count)
+        def tables(count):
+            return _qnum_dd_table(q, count), _psi_q2_table(q, count)
 
-    return _log_series_dd(rho, nu, tables, c1, c2, lnq, log_term_offset, sizes)
+    return _log_series_dd(rho, nu, tables, c1, c2, lnq, LOG_TERM_OFFSET)
 
 
-def q_measure(rho: float, nu: int, q, log_term_offset: int = -1) -> float:
+def q_measure(rho: float, nu: int, q) -> float:
     """The q-deformed completeness measure g_q(rho^2), rho > 0, 0 < q < 1.
 
-    ``log_term_offset`` is the constant c in the (2l + nu + c) ln(q)/2 term
-    of the log series; the default c = -1 is the value under which the
-    moment relations hold (c = -3 makes them diverge; kept available for the
-    regression tests).  Raises :class:`SeriesConvergenceError` where the
-    roundoff floor exceeds NOISE_BUDGET of the value.
+    The log series carries the pinned offset LOG_TERM_OFFSET.  Raises
+    :class:`SeriesConvergenceError` where the roundoff floor exceeds
+    NOISE_BUDGET of the value.
     """
     if not rho > 0:
         raise DomainError("q_measure requires rho > 0")
     if nu < 0 or nu != int(nu):
         raise DomainError("q_measure requires nonnegative integer nu = 2k-1")
     qv = qspecial._series_value(q, where="q_measure")
-    bracket, noise = _q_bracket_dd(rho, int(nu), qv, log_term_offset)
-    i_val = float(_bessel_i_series(int(nu), rho, QParam(qv)))
+    qp = QParam(qv)
+    bracket, noise = _q_bracket_dd(rho, int(nu), qp)
+    i_val = float(_bessel_i_series(int(nu), rho, qp))
     out = 0.5 * i_val * float(_dd.to_float(bracket))
     if not float(noise) * 0.5 * i_val < NOISE_BUDGET * max(abs(out), 1e-300):
         raise SeriesConvergenceError("q_measure",
@@ -267,10 +273,10 @@ def _q_panels(integrand):
     """Yield (x, w, base, noise) for the [_LOWER, 6] grid, then for each
     2-wide panel from 6 up to 40, in order.
 
-    ``integrand(x, sizes)`` gives (base, noise) on the flat nodes ``x``, one
-    stopping group per entry of ``sizes``.  The adaptive loop always reaches
-    the first _PANEL_BATCH panels, so they share one call with the grid; each
-    later batch is evaluated only once the caller asks for its first panel.
+    ``integrand(x)`` gives (base, noise) on the flat nodes ``x``.  The
+    adaptive loop always reaches the first _PANEL_BATCH panels, so they share
+    one call with the grid; each later batch is evaluated only once the
+    caller asks for its first panel.
     """
     x, w = _gl_grid(np.arange(6.0, 41.0, 2.0))
     blocks = [_gl_grid(_panel_edges(6.0)),
@@ -278,9 +284,8 @@ def _q_panels(integrand):
     bounds = [0, *range(1 + _PANEL_BATCH, len(blocks), _PANEL_BATCH), len(blocks)]
     for lo, hi in zip(bounds, bounds[1:]):
         batch = blocks[lo:hi]
-        sizes = [len(bx) for bx, _ in batch]
-        base, noise = integrand(np.concatenate([bx for bx, _ in batch]), sizes)
-        cuts = np.cumsum(sizes)[:-1]
+        base, noise = integrand(np.concatenate([bx for bx, _ in batch]))
+        cuts = np.cumsum([len(bx) for bx, _ in batch])[:-1]
         yield from ((bx, bw, b, nz) for (bx, bw), b, nz
                     in zip(batch, np.split(base, cuts), np.split(noise, cuts)))
 
@@ -299,25 +304,16 @@ def _k_asymptotic(nu: int, two_rho: np.ndarray, terms: int = 6):
     return pref * series, pref * a_next
 
 
-def _base_integrand_classical(rho: np.ndarray, nu: int):
-    """2 rho g(rho^2) N(rho^2)^2 = 4 rho^{nu+1} K_nu(2 rho) on the grid, with
-    its noise floor."""
-    k_dd, k_noise = _bessel_k_dd(nu, 2.0 * rho)
-    scale = 4.0 * rho ** (nu + 1)
-    return scale * _dd.to_float(k_dd), scale * k_noise
-
-
-def _base_integrand_q(rho: np.ndarray, nu: int, qp: QParam, log_term_offset: int,
-                      sizes=None):
+def _base_integrand_q(rho: np.ndarray, nu: int, qp: QParam):
     """2 rho g_q(rho^2) N(rho^2)^2 = rho^{nu+1} times the bracket on the grid,
-    with its noise floor; ``sizes`` are the bracket's stopping groups (see
-    :func:`qspecial._log_series_dd`)."""
-    bracket, noise = _q_bracket_dd(rho, nu, qp.value, log_term_offset, sizes)
+    with its noise floor; at the classical tag 2 rho g(rho^2) N(rho^2)^2 =
+    4 rho^{nu+1} K_nu(2 rho)."""
+    bracket, noise = _q_bracket_dd(rho, nu, qp)
     scale = rho ** (nu + 1)
     return scale * _dd.to_float(bracket), scale * noise
 
 
-def moment_check(n_max: int, k: float, mode, log_term_offset: int = -1) -> MomentReport:
+def moment_check(n_max: int, k: float, mode) -> MomentReport:
     """Verify the completeness moment relations for n = 0..n_max.
 
     ``mode`` is the string "classical" or a deformed QParam (or plain float
@@ -336,12 +332,15 @@ def moment_check(n_max: int, k: float, mode, log_term_offset: int = -1) -> Momen
                           "(Bessel orders of the measures)")
     nu = int(nu_f)
     classical = (mode == "classical") or (isinstance(mode, QParam) and mode.is_classical)
+    if not classical and not isinstance(mode, (QParam, float, int)):
+        raise DomainError("moment_check: mode must be \"classical\", a QParam or a "
+                          f"float q, got {mode!r}")
     powers = np.arange(n_max + 1)
 
     if classical:
         upper = 12.0
         x, w = _gl_grid(_panel_edges(upper))
-        base, noise = _base_integrand_classical(x, nu)
+        base, noise = _base_integrand_q(x, nu, CLASSICAL)
         lhs = np.array([float(np.dot(w, base * x ** (2 * n))) for n in powers])
         # restore the tail with the large-argument K form on [R, R+40]
         tail_edges = np.arange(upper, upper + 40.0 + 1e-9, 2.0)
@@ -359,8 +358,7 @@ def moment_check(n_max: int, k: float, mode, log_term_offset: int = -1) -> Momen
         qp = QParam(qspecial._series_value(mode, where="moment_check"))
         # grow the cutoff past rho = 6 until the n_max panel contribution is
         # negligible or the compensated-arithmetic noise floor is reached
-        panels = _q_panels(lambda x, sizes: _base_integrand_q(x, nu, qp, log_term_offset,
-                                                              sizes))
+        panels = _q_panels(lambda x: _base_integrand_q(x, nu, qp))
         x, w, base, noise = next(panels)
         lhs = np.array([float(np.dot(w, base * x ** (2 * n))) for n in powers])
         noise_tally = float(np.dot(np.abs(w), noise * x ** (2 * n_max)))

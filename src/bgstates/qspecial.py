@@ -364,8 +364,7 @@ def bessel_i_q(m: int, two_z: float, q) -> float:
     return float(_bessel_i_series(m, two_z / 2.0, q))
 
 
-def _log_series_dd(rho, nu: int, tables, c1, c2, lnq, log_term_offset: int,
-                   sizes=None):
+def _log_series_dd(rho, nu: int, tables, c1, c2, lnq, log_term_offset: int):
     """The ascending log series of K_nu and of the q-measure bracket, in dd.
 
     Vectorised over rho > 0; returns ``(value_dd, noise)``, both shaped like
@@ -382,19 +381,17 @@ def _log_series_dd(rho, nu: int, tables, c1, c2, lnq, log_term_offset: int,
     with c1, c2 and ln q given as dd constants and ``tables(count)`` returning
     dd lists of the numbers [m], m = 0..count-1, and of psi(m), m = 1..count
     (integers and the digamma function for K_nu, q-numbers and psi_{q^2} for
-    the bracket).  At ln q = 0 the numbers are integers, and each term is
+    the bracket).  The bracket's offset is ``measure.LOG_TERM_OFFSET``; at
+    ln q = 0 the offset is idle.  At ln q = 0 the numbers are integers, and each term is
     divided by the double l(l+nu), exact for them, instead of by the dd
     product [l][l+nu].
 
-    The log series stops per group of nodes.  ``sizes`` splits the flattened
-    rho into consecutive groups of those sizes; without it the whole array is
-    one group.  A group stops at the first l > 4 where every one of its nodes
-    meets the roundoff test, so each group comes out bit for bit as it would
-    from a call with that group alone.
+    Each node stops its own log series, at the first l > 4 where its term
+    meets the roundoff test, so a node comes out bit for bit the same in any
+    batch of nodes.
     """
     rho = np.asarray(rho, dtype=float)
     shape = rho.shape
-    sizes = np.asarray([rho.size] if sizes is None else sizes, dtype=np.intp)
     integer = lnq[0] == 0.0
     rho = rho.ravel()
     rho_dd = (rho, np.zeros_like(rho))
@@ -420,14 +417,13 @@ def _log_series_dd(rho, nu: int, tables, c1, c2, lnq, log_term_offset: int,
     fact_nu = _dd.dd(1.0)
     for m in range(1, nu + 1):
         fact_nu = _dd.mul(fact_nu, qnum[m])
-    # the working arrays (suffix _w) hold the groups still summing, `where`
-    # their nodes' positions; a group that stops moves its sums into s_a,
-    # s_b, max_opmag and leaves them
+    # the working arrays (suffix _w) hold the nodes still summing, `where`
+    # their positions; a node that stops moves its sums into s_a, s_b,
+    # max_opmag and leaves them
     s_a = (np.empty_like(rho), np.empty_like(rho))
     s_b = (np.empty_like(rho), np.empty_like(rho))
     max_opmag = np.empty_like(rho)
     where = np.arange(rho.size)
-    starts = np.cumsum(sizes) - sizes
     t = _dd.div(_dd.pow_int(rho_dd, nu), fact_nu)
     rho2 = _dd.sqr(rho_dd)
     lnrho_w = np.abs(lnrho[0])
@@ -435,7 +431,7 @@ def _log_series_dd(rho, nu: int, tables, c1, c2, lnq, log_term_offset: int,
     s_b_w = _dd.dd(np.zeros_like(rho))
     max_w = np.zeros_like(rho)
     l = 0
-    while True:
+    while where.size:
         if l + nu + 2 > psi_needed:
             psi_needed *= 2
             qnum, psi = tables(psi_needed + nu + 2)
@@ -453,20 +449,14 @@ def _log_series_dd(rho, nu: int, tables, c1, c2, lnq, log_term_offset: int,
         else:
             t = _dd.div(_dd.mul(t, rho2), _dd.mul(qnum[l], qnum[l + nu]))
         if l > 4:
-            met = t[0] * wmag <= 1e-34 * max_w
-            done = np.logical_and.reduceat(met, starts)
-            if done.any():
-                leaving = np.repeat(done, sizes)
+            leaving = t[0] * wmag <= 1e-34 * max_w
+            if leaving.any():
                 finished = where[leaving]
                 s_a[0][finished], s_a[1][finished] = s_a_w[0][leaving], s_a_w[1][leaving]
                 s_b[0][finished], s_b[1][finished] = s_b_w[0][leaving], s_b_w[1][leaving]
                 max_opmag[finished] = max_w[leaving]
-                if done.all():
-                    break
                 keep = ~leaving
                 where = where[keep]
-                sizes = sizes[~done]
-                starts = np.cumsum(sizes) - sizes
                 t, rho2, s_a_w, s_b_w = (tuple(part[keep] for part in v)
                                          for v in (t, rho2, s_a_w, s_b_w))
                 lnrho_w, max_w = lnrho_w[keep], max_w[keep]

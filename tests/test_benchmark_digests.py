@@ -54,6 +54,9 @@ def _sample():
     for argv in moments["q"]:
         first_at.setdefault(REFERENCE["moments"][gate.argv_key(argv)]["digest"][-2], argv)
     picked += [("moments", a) for a in first_at.values() if ("moments", a) not in picked]
+    # the q argv whose lhs moved most when each node came to stop its own
+    # log series
+    picked.append(("moments", ["verify-moments", "mode=q", "q=0.95666", "k=2", "nmax=3"]))
     return picked
 
 

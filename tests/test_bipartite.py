@@ -274,6 +274,19 @@ class TestOracleTriangle:
                 assert ansatz[n, m] == pytest.approx(ref, rel=1e-10)
                 assert closed[n, m] == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.parametrize("route", [bp.solve_g_recurrence, bp.g_ansatz_block,
+                                       bp.g_closed_block], ids=lambda f: f.__name__)
+    def test_invalid_inputs_are_named_alike(self, route):
+        # each route names a negative truncation, a q outside (0, 1) and
+        # xi = 0, instead of failing inside its arithmetic
+        for n1, n2 in ((-1, 3), (3, -1)):
+            with pytest.raises(DomainError, match=rf"^{route.__name__} requires N1, N2 >= 0"):
+                route(0.9, P9, n1, n2)
+        with pytest.raises(DomainError, match=rf"^{route.__name__}: .*0 < q < 1"):
+            route(0.9, bp.BipartiteParams(0.3, 0.5, 1.0, 1.0, QParam(1.2)), 2, 2)
+        with pytest.raises(DomainError, match=r"^xi = 0 \(alpha1 = 0\): the recurrence"):
+            route(1.0, bp.BipartiteParams(0, 0.5, 1, 1, QParam(0.8)), 3, 3)
+
 
 class TestHTable:
     @pytest.mark.parametrize("q", [0.5, 0.9])

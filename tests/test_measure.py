@@ -121,10 +121,11 @@ class TestQMoments:
         assert me.moment_check(3, k, "classical").max_rel_err <= 1e-5
         assert me.moment_check(2, k, QParam(0.95)).max_rel_err <= 1e-3
 
-    def test_printed_log_coefficient_fails(self):
+    def test_printed_log_coefficient_fails(self, monkeypatch):
         # the alternative (2l+nu-3) printed form adds a multiple of
         # (I_nu^{(q)})^2 to the measure, whose moments diverge
-        report = me.moment_check(1, 1.0, QParam(0.9), log_term_offset=-3)
+        monkeypatch.setattr(me, "LOG_TERM_OFFSET", -3)
+        report = me.moment_check(1, 1.0, QParam(0.9))
         assert report.max_rel_err > 1.0
 
     def test_float_mode_accepted(self):
@@ -168,13 +169,18 @@ class TestValidation:
         with pytest.raises(DomainError, match="moment_check"):
             me.moment_check(3, 1.0, mode)
 
+    @pytest.mark.parametrize("mode", ["quantum", None])
+    def test_bad_mode_is_named(self, mode):
+        with pytest.raises(DomainError, match="mode must be"):
+            me.moment_check(1, 1.0, mode)
+
 
 def _per_panel_q_moments(n_max, k, qp):
     """The adaptive q-mode quadrature with one integrand call per panel: the
     reference the batched loop in moment_check must reproduce exactly."""
     nu = int(2 * k - 1)
     x, w = me._gl_grid(me._panel_edges(6.0))
-    base, noise = me._base_integrand_q(x, nu, qp, -1)
+    base, noise = me._base_integrand_q(x, nu, qp)
     lhs = np.array([float(np.dot(w, base * x ** (2 * n))) for n in range(n_max + 1)])
     noise_tally = float(np.dot(np.abs(w), noise * x ** (2 * n_max)))
     node_count = len(x)
@@ -183,7 +189,7 @@ def _per_panel_q_moments(n_max, k, qp):
     peak = n_max + nu / 2.0 + 0.25
     while r < 40.0:
         x, w = me._gl_grid(np.array([r, r + 2.0]))
-        base, noise = me._base_integrand_q(x, nu, qp, -1)
+        base, noise = me._base_integrand_q(x, nu, qp)
         node_count += len(x)
         contrib = float(np.dot(w, base * x ** (2 * n_max)))
         panel_noise = float(np.dot(np.abs(w), noise * x ** (2 * n_max)))
@@ -211,31 +217,37 @@ def _per_panel_q_moments(n_max, k, qp):
 
 class TestBatchedPanels:
     """The adaptive q-mode loop evaluates several panels per integrand call;
-    per-panel stopping of the bracket's log series keeps every result bit for
-    bit what one call per panel gives."""
+    each node stops the bracket's log series on its own, so every result is
+    bit for bit what one call per panel gives."""
 
     @pytest.mark.parametrize("q", [0.7, 0.95, 0.999])
     @pytest.mark.parametrize("nu", [0, 1, 3])
     @pytest.mark.parametrize("start", [6.0, 22.0])   # the loop's first two batches
     def test_bracket_rows_match_per_panel_calls(self, start, nu, q):
         x, _ = me._gl_grid(np.arange(start, start + 17.0, 2.0))
-        batch, noise = me._q_bracket_dd(x, nu, q, -1, sizes=[16] * 8)
+        batch, noise = me._q_bracket_dd(x, nu, QParam(q))
         for j, row in enumerate(x.reshape(8, 16)):
-            one, one_noise = me._q_bracket_dd(row, nu, q, -1)
+            one, one_noise = me._q_bracket_dd(row, nu, QParam(q))
             assert np.array_equal(batch[0][16 * j:16 * (j + 1)], one[0])
             assert np.array_equal(batch[1][16 * j:16 * (j + 1)], one[1])
             assert np.array_equal(noise[16 * j:16 * (j + 1)], one_noise)
 
     def test_fixed_cutoff_grid_is_one_group(self):
-        # without sizes the whole rho is one stopping group, whatever its
-        # shape: the [lower, 14] grid shaped as panel rows comes out bit for
-        # bit as the flat grid
+        # each node stops on its own, whatever the shape of rho: the
+        # [lower, 14] grid shaped as panel rows comes out bit for bit as the
+        # flat grid
         x, _ = me._gl_grid(me._panel_edges(14.0))
-        flat, flat_noise = me._q_bracket_dd(x, 1, 0.9, -1)
-        rows, rows_noise = me._q_bracket_dd(x.reshape(-1, me._NODES), 1, 0.9, -1)
+        flat, flat_noise = me._q_bracket_dd(x, 1, QParam(0.9))
+        rows, rows_noise = me._q_bracket_dd(x.reshape(-1, me._NODES), 1, QParam(0.9))
         assert np.array_equal(flat[0], rows[0].ravel())
         assert np.array_equal(flat[1], rows[1].ravel())
         assert np.array_equal(flat_noise, rows_noise.ravel())
+
+    @pytest.mark.parametrize("qp", [QParam(0.9), CLASSICAL], ids=["0.9", "classical"])
+    def test_empty_batch(self, qp):
+        # no node to stop: the series ends at once instead of running to MAX_TERMS
+        value, noise = me._q_bracket_dd(np.array([]), 1, qp)
+        assert value[0].shape == value[1].shape == noise.shape == (0,)
 
     CASES = [(1.0, 0.5, 3), (1.0, 0.95, 3), (0.5, 0.999, 3), (2.0, 0.87403, 3),
              (1.0, 0.82014, 3), (0.5, 0.9999, 8)]
@@ -265,8 +277,9 @@ class TestBatchedPanels:
 
 class TestRaggedGroups:
     """The adaptive q-mode loop evaluates the [lower, 6] grid and the first
-    batch of outer panels in one bracket call with ragged stopping groups;
-    each group must come out bit for bit as a call with that group alone."""
+    batch of outer panels in one bracket call; since each node stops on its
+    own, each panel and the grid come out bit for bit as a call with them
+    alone."""
 
     @staticmethod
     def _grid_and_panels():
@@ -280,15 +293,48 @@ class TestRaggedGroups:
         grid, panels = self._grid_and_panels()
         assert len(grid) == 592
         flat = np.concatenate([grid, panels.ravel()])
-        value, noise = me._q_bracket_dd(flat, nu, q, -1,
-                                        sizes=[592] + [16] * 8)
+        value, noise = me._q_bracket_dd(flat, nu, QParam(q))
         groups = [grid, *panels]
         bounds = np.cumsum([0] + [len(g) for g in groups])
         for group, lo, hi in zip(groups, bounds[:-1], bounds[1:]):
-            one, one_noise = me._q_bracket_dd(group, nu, q, -1)
+            one, one_noise = me._q_bracket_dd(group, nu, QParam(q))
             assert np.array_equal(value[0][lo:hi], one[0])
             assert np.array_equal(value[1][lo:hi], one[1])
             assert np.array_equal(noise[lo:hi], one_noise)
+
+    @pytest.mark.parametrize("qp", [QParam(0.83), QParam(0.96), CLASSICAL],
+                             ids=["0.83", "0.96", "classical"])
+    def test_any_batch_gives_the_same_bits(self, qp):
+        # the first integrand call's 720 nodes come out bit for bit as the
+        # same nodes reversed and split into even and odd halves, as each
+        # 16-node panel alone, and as each node of the [4, 4.5] panel alone
+        # (a node there stops its series well before the batch's last node)
+        grid, panels = self._grid_and_panels()
+        flat = np.concatenate([grid, panels.ravel()])
+        value, noise = me._q_bracket_dd(flat, 0, qp)
+        parts = [slice(None, None, -2), slice(-2, None, -2),
+                 *(slice(lo, lo + me._NODES) for lo in range(0, len(flat), me._NODES)),
+                 *(slice(i, i + 1) for i in np.flatnonzero((flat > 4.0) & (flat < 4.5)))]
+        for part in parts:
+            alone, alone_noise = me._q_bracket_dd(flat[part], 0, qp)
+            assert np.array_equal(value[0][part], alone[0])
+            assert np.array_equal(value[1][part], alone[1])
+            assert np.array_equal(noise[part], alone_noise)
+
+    @pytest.mark.parametrize("k,q,sizes", [(1.0, 0.95, [720]), (2.0, 0.87403, [720, 128])])
+    def test_integrand_calls(self, monkeypatch, k, q, sizes):
+        # the grid and the first batch of panels share one call; a later
+        # batch is evaluated only once the loop reaches it
+        calls = []
+        integrand = me._base_integrand_q
+
+        def counted(rho, nu, qp):
+            calls.append(len(rho))
+            return integrand(rho, nu, qp)
+
+        monkeypatch.setattr(me, "_base_integrand_q", counted)
+        me.moment_check(3, k, QParam(q))
+        assert calls == sizes
 
 
 class TestIntegrandIdentity:
@@ -303,7 +349,7 @@ class TestIntegrandIdentity:
     @pytest.mark.parametrize("nu", [0, 1, 3])
     def test_q_integrand(self, nu, q):
         qp, k = QParam(q), (nu + 1) / 2.0
-        base, _ = me._base_integrand_q(self.RHO, nu, qp, -1)
+        base, _ = me._base_integrand_q(self.RHO, nu, qp)
         norm = cs.normalization_series(self.RHO, k, qp)
         scale = qs.q_factorial(nu, qp) / math.gamma(2 * k)
         for rho, got, s in zip(self.RHO, base, norm):
@@ -313,11 +359,20 @@ class TestIntegrandIdentity:
     @pytest.mark.parametrize("nu", [0, 1, 3])
     def test_classical_integrand(self, nu):
         k = (nu + 1) / 2.0
-        base, _ = me._base_integrand_classical(self.RHO, nu)
+        base, _ = me._base_integrand_q(self.RHO, nu, CLASSICAL)
         norm = cs.normalization_series(self.RHO, k, CLASSICAL)
         for rho, got, s in zip(self.RHO, base, norm):
             want = 2 * rho * me.classical_measure(rho, nu) / s
             assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("nu", [0, 1, 3])
+    def test_classical_integrand_is_4_rho_k(self, nu):
+        # the bracket at the classical tag is exactly 4 K_nu(2 rho)
+        x, _ = me._gl_grid(me._panel_edges(12.0))
+        base, noise = me._base_integrand_q(x, nu, CLASSICAL)
+        k_dd, k_noise = qs._bessel_k_dd(nu, 2.0 * x)
+        assert np.array_equal(base, 4.0 * x ** (nu + 1) * _dd.to_float(k_dd))
+        assert np.array_equal(noise, 4.0 * x ** (nu + 1) * k_noise)
 
 
 def _scalar_qnum_table(q, count):
