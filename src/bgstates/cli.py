@@ -11,13 +11,14 @@ Subcommands:
                      delta=1 N=50
     g-oracle         q=0.7 a1=0.3 a2=0.5 k1=1 k2=1 delta=0.9 nmax=12
 
-Common keys: out=FILE (default stdout), format=json|csv (default json).
-Floats are serialized with 17 significant digits, lowercase scientific;
-complex numbers as [re, im] pairs.  Exit codes: 0 success, 2 invalid
-configuration (the diagnostic names the violated precondition), 3 numerical
-failure (the diagnostic names the failing series).  A state or g block of
-more than MAX_COEFFICIENTS coefficients, or a sweep of more than
-MAX_COEFFICIENTS steps, is an invalid configuration.
+Common keys: out=FILE (default stdout), format=json|csv (default json).  JSON
+is strict, floats as their shortest round-trip repr; CSV floats have 17
+significant digits, lowercase scientific; complex numbers are [re, im] pairs.
+Exit codes: 0 success, 2 invalid configuration (the diagnostic names the
+violated precondition), 3 numerical failure (it names the failing series, or
+the field of a NaN or infinite result).  A state or g block of more than
+MAX_COEFFICIENTS coefficients, or a sweep of more than MAX_COEFFICIENTS steps,
+is an invalid configuration.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import sys
 from typing import Optional
 
@@ -48,11 +50,6 @@ MAX_COEFFICIENTS = 1 << 20
 
 def _fmt(x: float) -> str:
     return f"{float(x):.16e}"
-
-
-def _jf(x) -> float:
-    # floats round-trip exactly through repr; keep native float in JSON
-    return float(x)
 
 
 def _jc(z) -> list:
@@ -202,8 +199,8 @@ def _run_state_single(cfg: RunConfig) -> dict:
         "params": {"q": None if q.is_classical else q.value,
                    "alpha": _jc(alpha), "k": k, "N": n},
         "coefficients": _jc_array(state.coeffs),
-        "residual": _jf(residual),
-        "norm_before_truncation": _jf(state.norm_before_truncation),
+        "residual": float(residual),
+        "norm_before_truncation": float(state.norm_before_truncation),
     }
 
 
@@ -237,12 +234,12 @@ def _run_state_bipartite(cfg: RunConfig) -> dict:
                    "delta": delta, "N1": n1, "N2": n2},
         "coefficients": _jc_array(np.asarray(M.coeffs)),
         "schmidt": {
-            "singular_values": [_jf(s) for s in spec.singular_values],
-            "entropy": _jf(spec.entropy),
+            "singular_values": [float(s) for s in spec.singular_values],
+            "entropy": float(spec.entropy),
             "rank_eps": spec.rank_eps,
         },
-        "residual_interior": _jf(interior),
-        "residual_edge": _jf(edge),
+        "residual_interior": float(interior),
+        "residual_edge": float(edge),
     }
     if not q.is_classical:
         sp = M.params if q.value < 1 else bp.crossing_transform(M.params)
@@ -250,9 +247,9 @@ def _run_state_bipartite(cfg: RunConfig) -> dict:
         # the c_0 = 1 block sum, rescaled to the ansatz scale of norm_series
         raw = M.norm_before_truncation / (q_factorial(2 * sp.k1 - 1, sp.q)
                                           * q_factorial(2 * sp.k2 - 1, sp.q))
-        payload["norm_series_value"] = _jf(ns)
-        payload["norm_double_sum"] = _jf(raw)
-        payload["norm_rel_err"] = _jf(abs(ns - raw) / abs(raw))
+        payload["norm_series_value"] = float(ns)
+        payload["norm_double_sum"] = float(raw)
+        payload["norm_rel_err"] = float(abs(ns - raw) / abs(raw))
     if eps is not None:
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal(M.coeffs.shape) + 1j * rng.standard_normal(M.coeffs.shape)
@@ -260,8 +257,9 @@ def _run_state_bipartite(cfg: RunConfig) -> dict:
         s = max(1.0, abs(eps))
         noisy = M.coeffs / s + (eps / s) * noise / np.linalg.norm(noise)
         noisy /= np.linalg.norm(noisy)
-        M2 = dataclasses.replace(M, coeffs=noisy)
-        payload["perturbed_residual"] = _jf(bp.eigen_residual(M2))
+        with np.errstate(over="ignore", invalid="ignore"):    # _emit names a non-finite residual
+            M2 = dataclasses.replace(M, coeffs=noisy)
+            payload["perturbed_residual"] = float(bp.eigen_residual(M2))
         payload["perturb"] = eps
         payload["seed"] = seed
     return payload
@@ -281,14 +279,14 @@ def _run_verify_moments(cfg: RunConfig) -> dict:
     return {
         "command": "verify-moments",
         "params": {"mode": report.mode, "k": report.k, "q": report.q, "nmax": nmax},
-        "records": [{"n": r.n, "lhs": _jf(r.lhs), "rhs": _jf(r.rhs),
-                     "rel_err": _jf(r.rel_err)} for r in report.records],
-        "lower_cutoff": _jf(report.lower_cutoff),
-        "upper_cutoff": _jf(report.upper_cutoff),
+        "records": [{"n": r.n, "lhs": float(r.lhs), "rhs": float(r.rhs),
+                     "rel_err": float(r.rel_err)} for r in report.records],
+        "lower_cutoff": float(report.lower_cutoff),
+        "upper_cutoff": float(report.upper_cutoff),
         "node_count": report.node_count,
-        "tail_estimate": _jf(report.tail_estimate),
-        "tail_bound_residual": _jf(report.tail_bound_residual),
-        "max_rel_err": _jf(report.max_rel_err),
+        "tail_estimate": float(report.tail_estimate),
+        "tail_bound_residual": float(report.tail_bound_residual),
+        "max_rel_err": float(report.max_rel_err),
     }
 
 
@@ -319,10 +317,10 @@ def _run_sweep_q(cfg: RunConfig) -> dict:
         rows.append({
             "q": qv,
             "delta": delta,
-            "entropy": _jf(spec.entropy),
-            "sigma2": _jf(spec.singular_values[1]),
-            "fidelity_classical": _jf(bp.fidelity(classical, M)),
-            "residual_interior": _jf(bp.eigen_residual(M)),
+            "entropy": float(spec.entropy),
+            "sigma2": float(spec.singular_values[1]),
+            "fidelity_classical": float(bp.fidelity(classical, M)),
+            "residual_interior": float(bp.eigen_residual(M)),
         })
     return {
         "command": "sweep-q",
@@ -358,14 +356,14 @@ def _run_g_oracle(cfg: RunConfig) -> dict:
     rel_ansatz, rel_closed = (np.hypot(d.real, d.imag) / ref for d in (
         bp.g_ansatz_block(delta, params, nmax, nmax) - g,
         bp.g_closed_block(delta, params, nmax, nmax) - g))
-    rows = [{"n": n, "m": m, "g": _jc(g[n, m]), "rel_ansatz": _jf(rel_ansatz[n, m]),
-             "rel_closed": _jf(rel_closed[n, m])} for n, m in np.ndindex(g.shape)]
+    rows = [{"n": n, "m": m, "g": _jc(g[n, m]), "rel_ansatz": float(rel_ansatz[n, m]),
+             "rel_closed": float(rel_closed[n, m])} for n, m in np.ndindex(g.shape)]
     return {
         "command": "g-oracle",
         "params": {"q": q.value, "a1": _jc(a1), "a2": _jc(a2), "k1": k1,
                    "k2": k2, "delta": delta, "nmax": nmax},
-        "max_rel_recurrence_vs_ansatz": _jf(np.max(rel_ansatz)),
-        "max_rel_recurrence_vs_closed": _jf(np.max(rel_closed)),
+        "max_rel_recurrence_vs_ansatz": float(np.max(rel_ansatz)),
+        "max_rel_recurrence_vs_closed": float(np.max(rel_closed)),
         "rows": rows,
     }
 
@@ -407,78 +405,70 @@ def _to_csv(payload: dict) -> str:
     return buf.getvalue()
 
 
-# json.dumps spells the non-finite floats so
-_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+def _layout(value, pad: str, depth: int = -1) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it at indentation
+    ``pad``, with ``%s`` for each scalar and for each value ``depth`` levels
+    down.  A list repeats its first item's layout, so every item must be
+    shaped like the first."""
+    if not depth or not isinstance(value, (dict, list)):
+        return "%s"
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(value, dict):
+        return "{" + inner + ("," + inner).join([json.dumps(key).replace("%", "%%") + ": "
+                                                 + _layout(v, inner, depth - 1)
+                                                 for key, v in value.items()]) + pad + "}"
+    return ("[" + inner + ("," + inner).join([_layout(value[0], inner, depth - 1)] * len(value))
+            + pad + "]")
 
 
-def _json_pairs(pairs: list, level: int) -> str:
-    """``json.dumps(pairs, indent=2)`` nested ``level`` deep in a document,
-    for a list of [re, im] float pairs or a list of such lists.  It formats
-    floats as json does, with ``float.__repr__``, but joins precomputed
-    indentation instead of running json's pure-Python indenting encoder."""
-    if not pairs:
-        return "[]"
-    pad = "\n" + "  " * (level + 1)
-    if isinstance(pairs[0][0], list):
-        body = ("," + pad).join([_json_pairs(row, level + 1) for row in pairs])
-    else:
-        inner = pad + "  "
-        floats = map(float.__repr__, itertools.chain.from_iterable(pairs))
-        body = ("," + pad).join([f"[{inner}%s,{inner}%s{pad}]"] * len(pairs)) % tuple(
-            [_JSON_CONSTANTS.get(text, text) for text in floats])
-    return "[" + pad + body + pad[:-2] + "]"
+def _scalars(items: list) -> list:
+    """The scalars of ``items``, each shaped like the first, in document order."""
+    if items and isinstance(items[0], list):
+        return _scalars(list(itertools.chain.from_iterable(items)))
+    if items and isinstance(items[0], dict):
+        return [s for item in items for v in item.values()
+                for s in (_scalars([v]) if isinstance(v, (dict, list)) else (v,))]
+    return items
 
 
-def _json_rows(rows: list, level: int) -> str:
-    """``json.dumps(rows, indent=2)`` nested ``level`` deep in a document, for
-    a list of flat dicts whose values are ints, floats or nonempty lists of
-    floats, all with the first row's keys and list lengths.  One row
-    template, built from the first row, is filled with every row's values at
-    once."""
-    if not rows:
-        return "[]"
-    pad = "\n" + "  " * (level + 1)
-    field_pad = pad + "  "
-    item_pad = field_pad + "  "
-    fields = []
-    for key, value in rows[0].items():
-        slot = "%s"
-        if isinstance(value, list):
-            slot = "[" + item_pad + ("," + item_pad).join([slot] * len(value)) + field_pad + "]"
-        fields.append(json.dumps(key).replace("%", "%%") + ": " + slot)
-    template = "{" + field_pad + ("," + field_pad).join(fields) + pad + "}"
-    values = [v for row in rows for value in row.values()
-              for v in (value if isinstance(value, list) else (value,))]
-    body = ("," + pad).join([template] * len(rows)) % tuple(map(_json_scalar, values))
-    return "[" + pad + body + pad[:-2] + "]"
+def _to_json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, but a NaN or infinity
+    raises ValueError.  A dict or a list of lists of lists (a 2-D coefficient
+    block) fills its one-level :func:`_layout` with its items' texts; any other
+    value fills its layout with all its scalars, formatted by one call of
+    json's C encoder and split at "\\x00", which encoded JSON never holds."""
+    first = value[0] if isinstance(value, list) and value else None
+    if isinstance(value, dict) or isinstance(first, list) and first and isinstance(first[0], list):
+        items = value.values() if isinstance(value, dict) else value
+        return _layout(value, pad, 1) % tuple([_to_json(v, pad + "  ") for v in items])
+    scalars = _scalars([value])
+    texts = json.dumps(scalars, allow_nan=False, separators=("\x00", ":"))[1:-1].split("\x00")
+    return _layout(value, pad) % tuple(texts if scalars else ())
 
 
-def _json_scalar(value) -> str:
-    """A scalar as json.dumps writes it."""
-    if type(value) is float:
-        text = float.__repr__(value)
-        return _JSON_CONSTANTS.get(text, text)
-    if type(value) is int:
-        return int.__repr__(value)
-    return json.dumps(value)
-
-
-# the list-valued payload keys written without json's pure-Python encoder
-_BLOCK_WRITERS = {"coefficients": _json_pairs, "rows": _json_rows, "records": _json_rows}
-
-
-def _to_json(payload: dict) -> str:
-    """``json.dumps(payload, indent=2)``, byte for byte, with a
-    ``coefficients`` block written by :func:`_json_pairs` and a ``rows`` or
-    ``records`` list by :func:`_json_rows`."""
-    return "{\n" + ",\n".join(
-        f"  {json.dumps(key)}: " + (_BLOCK_WRITERS[key](value, 1) if key in _BLOCK_WRITERS else
-                                     json.dumps(value, indent=2).replace("\n", "\n  "))
-        for key, value in payload.items()) + "\n}"
+def _non_finite(value, path: str = ""):
+    """Yield ``path = value`` for each NaN or infinity in ``value``, in document order."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from _non_finite(v, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _non_finite(v, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield f"{path} = {value}"
 
 
 def _emit(payload: dict, cfg: RunConfig) -> None:
-    text = _to_json(payload) if cfg.fmt == "json" else _to_csv(payload)
+    """Write the artifact; both formats refuse what strict JSON cannot hold."""
+    try:
+        if cfg.fmt == "csv":
+            json.dumps(payload, allow_nan=False)
+        text = _to_json(payload) if cfg.fmt == "json" else _to_csv(payload)
+    except ValueError:
+        raise ArithmeticError(f"{next(_non_finite(payload))} is not finite; "
+                              "artifacts are strict JSON") from None
     if not text.endswith("\n"):
         text += "\n"
     if cfg.out:

@@ -308,9 +308,14 @@ def _base_integrand_q(rho: np.ndarray, nu: int, qp: QParam):
     """2 rho g_q(rho^2) N(rho^2)^2 = rho^{nu+1} times the bracket on the grid,
     with its noise floor; at the classical tag 2 rho g(rho^2) N(rho^2)^2 =
     4 rho^{nu+1} K_nu(2 rho)."""
-    bracket, noise = _q_bracket_dd(rho, nu, qp)
-    scale = rho ** (nu + 1)
-    return scale * _dd.to_float(bracket), scale * noise
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow is named below
+        bracket, noise = _q_bracket_dd(rho, nu, qp)
+        scale = rho ** (nu + 1)
+        base, noise = scale * _dd.to_float(bracket), scale * noise
+    bad = rho[~(np.isfinite(base) & np.isfinite(noise))]
+    if bad.size:
+        raise SeriesConvergenceError("moment integrand", f"nu={nu}: not finite at rho={bad[0]:g}")
+    return base, noise
 
 
 def moment_check(n_max: int, k: float, mode) -> MomentReport:
@@ -331,6 +336,10 @@ def moment_check(n_max: int, k: float, mode) -> MomentReport:
         raise DomainError("moment_check requires integer nu = 2k-1 "
                           "(Bessel orders of the measures)")
     nu = int(nu_f)
+    nu_max = int(math.log(np.finfo(float).max) / math.log(1.0 / _LOWER))
+    if nu > nu_max:    # rejected before any work, which would need absurd memory or time
+        raise DomainError(f"moment_check requires k <= {(nu_max + 1) / 2:g}, where rho^-nu at "
+                          f"the lower cutoff rho = {_LOWER:g} is a double, got k={k}")
     classical = (mode == "classical") or (isinstance(mode, QParam) and mode.is_classical)
     if not classical and not isinstance(mode, (QParam, float, int)):
         raise DomainError("moment_check: mode must be \"classical\", a QParam or a "

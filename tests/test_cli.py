@@ -562,6 +562,40 @@ class TestExitCodes:
         assert run_cli(_PAIR) == 0
         assert run_cli(["state-single", "q=0.9", "alpha=0.8", "k=1", "N=440"]) == 0
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv,field", [
+        (["state-bipartite", "q=0.2", "a1=0.3", "a2=0.5", "k1=1", "k2=3", "N=400",
+          "perturb=0.01"], "perturbed_residual = nan"),
+        (["state-bipartite", "q=30", "a1=0", "a2=1e-300", "k1=2.5", "k2=1.25", "N=20",
+          "N2=30", "delta=-1", "perturb=-1e300", "seed=7"], "perturbed_residual = inf"),
+        (["verify-moments", "mode=q", "q=0.82", "k=11", "nmax=0"], "tail_estimate = inf"),
+    ], ids=["perturbed-overflow", "perturbed-infinite", "panels-exhausted"])
+    def test_non_finite_result_is_3_naming_its_field(self, argv, field, fmt, tmp_path,
+                                                      capsys):
+        # artifacts are strict JSON: the field is named, nothing is written,
+        # and the overflow behind it prints no RuntimeWarning
+        out = tmp_path / "a.out"
+        assert run_cli(argv + [f"format={fmt}", f"out={out}"]) == 3
+        stdout, err = capsys.readouterr()
+        assert err == f"numerical failure: {field} is not finite; artifacts are strict JSON\n"
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["mode=q", "q=0.5", "k=1e10", "nmax=8"], 2,
+         "invalid configuration: moment_check requires k <= 19.5, where rho^-nu at the "
+         "lower cutoff rho = 1e-08 is a double, got k=10000000000.0"),
+        (["mode=classical", "k=1000", "nmax=3"], 2,
+         "invalid configuration: moment_check requires k <= 19.5, where rho^-nu at the "
+         "lower cutoff rho = 1e-08 is a double, got k=1000.0"),
+        (["mode=q", "q=0.9", "k=19.5", "nmax=3"], 3,
+         "numerical failure: series failed to converge: moment integrand (nu=38: not "
+         "finite at rho=1.0053e-08)"),
+    ], ids=["q-huge-k", "classical-large-k", "q-overflowing-integrand"])
+    def test_moments_past_double_range_are_named(self, argv, code, message, capsys):
+        assert run_cli(["verify-moments", *argv]) == code
+        assert capsys.readouterr() == ("", message + "\n")
+
     def test_below_bargmann_bound_is_2(self, capsys):
         # k = 0 gives nu = -1, which has no measure; unchecked, this argv never ends
         assert run_cli(["verify-moments", "mode=q", "q=0.9", "k=0", "nmax=1"]) == 2
@@ -572,19 +606,32 @@ class TestExitCodes:
 
 
 class TestJsonEmitter:
-    """The coefficient blocks and the rows and records lists are written
-    without json's pure-Python encoder; the bytes must be those of
-    json.dumps(payload, indent=2)."""
+    """Every artifact is written by one template writer; the bytes must be
+    those of json.dumps(payload, indent=2), and a NaN or infinity anywhere in
+    the payload is refused in both formats, naming its field."""
 
-    SPECIAL = [-0.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, np.inf, -np.inf]
+    SPECIAL = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308]
+    NON_FINITE = [np.nan, np.inf, -np.inf]
 
     @staticmethod
     def payload(coeffs):
         return {"command": "state-bipartite",
-                "params": {"q": None, "a1": [0.3, -0.0], "N1": 3, "delta": "q^2"},
+                "params": {"q": None, "a1": [0.3, -0.0], "N1": 3, "delta": "q^2",
+                           "flags": [True, False], "note": 'a%sb "\n'},
                 "coefficients": coeffs,
-                "schmidt": {"singular_values": [1.0, np.nan, 1e-300], "rank_eps": 2},
-                "residual": np.inf}
+                "schmidt": {"singular_values": [1.0, 5e-324, 1e-300], "rank_eps": 2},
+                "residual": 7.0 ** 40}
+
+    @staticmethod
+    def rows(count, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((count, 5)) * 10.0 ** rng.integers(-300, 300, (count, 5))
+        flat = values.reshape(-1)
+        for x in rng.choice(TestJsonEmitter.SPECIAL, size=flat.size // 3 + 1):
+            flat[rng.integers(flat.size)] = x
+        return [{"n": int(i), "m": -int(i) * 7 ** 30, "g": [float(v[0]), float(v[1])],
+                 "rel_ansatz": float(v[2]), "sigma %s": float(v[3]), "q": [float(v[4])]}
+                for i, v in enumerate(values)]
 
     @pytest.mark.parametrize("shape", [(1,), (2,), (51,), (1, 1), (7, 1), (1, 7), (6, 9)],
                              ids=str)
@@ -608,24 +655,41 @@ class TestJsonEmitter:
     def test_payload_without_coefficients_is_json_dumps(self):
         payload = {"command": "sweep-q", "rows": [{"q": 0.9, "entropy": -0.0}]}
         assert cli._to_json(payload) == json.dumps(payload, indent=2)
-        assert cli._json_pairs([], 1) == "[]"
-        assert cli._json_rows([], 1) == "[]"
+        empty = {"coefficients": [], "rows": [], "records": [[], []], "params": {},
+                 "block": [[[]]], "nested": [{}]}
+        assert cli._to_json(empty) == json.dumps(empty, indent=2)
 
     @pytest.mark.parametrize("key", ["rows", "records"])
     @pytest.mark.parametrize("count", [1, 2, 225])
     def test_random_rows_match_json_dumps(self, key, count):
-        rng = np.random.default_rng(count)
-        for _ in range(10):
-            values = rng.standard_normal((count, 5)) * 10.0 ** rng.integers(-300, 300, (count, 5))
-            flat = values.reshape(-1)
-            for x in rng.choice(self.SPECIAL, size=flat.size // 3 + 1):
-                flat[rng.integers(flat.size)] = x
-            rows = [{"n": int(i), "m": -int(i) * 7 ** 30, "g": [float(v[0]), float(v[1])],
-                     "rel_ansatz": float(v[2]), "sigma %s": float(v[3]), "q": [float(v[4])]}
-                    for i, v in enumerate(values)]
-            payload = {"command": "g-oracle", "max_rel": np.nan, key: rows,
+        for seed in range(10):
+            payload = {"command": "g-oracle", "max_rel": 5e-324, key: self.rows(count, seed),
                        "params": {"delta": "q^2"}}
             assert cli._to_json(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=str)
+    def test_non_finite_is_refused_naming_its_field(self, bad, fmt, tmp_path):
+        block = np.random.default_rng(3).standard_normal((6, 9)) + 0j
+        cases = []
+        payload = self.payload(cli._jc_array(block))
+        payload["schmidt"]["singular_values"][1] = bad
+        cases.append((payload, "schmidt.singular_values[1]"))
+        block[2, 7] = complex(0.5, bad)
+        cases.append((self.payload(cli._jc_array(block)), "coefficients[2][7][1]"))
+        rows = self.rows(5, 0)
+        rows[3]["g"][0] = bad
+        cases.append(({"command": "g-oracle", "rows": rows}, "rows[3].g[0]"))
+        for payload, path in cases:
+            with pytest.raises(ValueError):
+                json.dumps(payload, allow_nan=False)
+            out = tmp_path / "a.out"
+            cfg = cli.RunConfig(command=payload["command"], params={}, out=str(out), fmt=fmt)
+            with pytest.raises(ArithmeticError) as err:
+                cli._emit(payload, cfg)
+            assert str(err.value) == (f"{path} = {bad} is not finite; "
+                                      "artifacts are strict JSON")
+            assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["g-oracle", "q=0.7", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "delta=0.9", "nmax=14"],
@@ -633,7 +697,16 @@ class TestJsonEmitter:
         ["sweep-q", "from=0.999", "to=0.5", "steps=12", "a1=0.3", "a2=0.5", "k1=1", "k2=1",
          "delta=q^2", "N=30"],
         ["verify-moments", "mode=classical", "k=1", "nmax=3"],
-    ], ids=["readme-g-oracle", "g-oracle-1x1", "sweep", "moments"])
+        ["verify-moments", "mode=q", "q=0.95", "k=1", "nmax=3"],
+        ["state-single", "q=0.9", "alpha=0.8+0.1j", "k=1.5", "N=30"],
+        ["state-single", "q=classical", "alpha=0.8", "k=1", "N=30"],
+        ["state-bipartite", "q=0.9", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "N=20"],
+        ["state-bipartite", "q=1.25", "a1=0.0001", "a2=0.3", "k1=1", "k2=1.5", "N=20"],
+        ["state-bipartite", "q=classical", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "N=20"],
+        ["state-bipartite", "q=0.9", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "N=20",
+         "perturb=0.01", "seed=7"],
+    ], ids=["readme-g-oracle", "g-oracle-1x1", "sweep", "moments", "moments-q", "single",
+            "single-classical", "pair", "pair-crossing", "pair-classical", "pair-perturbed"])
     def test_row_artifacts_match_json_dumps(self, argv, tmp_path):
         payload = cli.run(cli._parse_argv(argv))
         out = tmp_path / "a.json"

@@ -164,6 +164,29 @@ class TestValidation:
         with pytest.raises(DomainError, match=r"k >= 1/2"):
             me.moment_check(1, k, mode)
 
+    @pytest.mark.parametrize("mode", ["classical", QParam(0.5), QParam(0.9)])
+    @pytest.mark.parametrize("k", [20.0, 1000.0, 1e10])
+    def test_absurd_k_rejected_before_any_work(self, k, mode, monkeypatch):
+        # rho^-nu at rho = _LOWER leaves double range once nu = 2k-1 >= 39;
+        # unchecked, q = 0.5 at k = 1e10 asks for a 149 GiB q-number table
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before k was checked")
+
+        monkeypatch.setattr(me, "_q_bracket_dd", no_work)
+        monkeypatch.setattr(me, "_gl_grid", no_work)
+        with pytest.raises(DomainError, match=r"requires k <= 19\.5, .* got k="):
+            me.moment_check(3, k, mode)
+
+    @pytest.mark.parametrize("mode", ["classical", QParam(0.9)], ids=["classical", "0.9"])
+    @pytest.mark.parametrize("k", [17.5, 19.5])
+    def test_overflowing_integrand_is_named(self, k, mode):
+        # the integrand leaves double range near the lower cutoff: a named
+        # failure, not NaN moments and RuntimeWarnings
+        nu = int(2 * k - 1)
+        with pytest.raises(SeriesConvergenceError,
+                           match=rf"moment integrand \(nu={nu}: not finite at rho=1\.0053e-08\)"):
+            me.moment_check(3, k, mode)
+
     @pytest.mark.parametrize("mode", [QParam(1.2), 1.2])
     def test_q_above_one_is_named(self, mode):
         with pytest.raises(DomainError, match="moment_check"):
