@@ -154,10 +154,15 @@ def build_f_coherent(alpha: complex, k: float, f, N: int) -> LadderState:
     """K- eigenstate for the deformation f (a QParam or a callable of the K0
     eigenvalue, see :func:`repalg.map_value`), by the coefficient recurrence.
 
-    Raises TruncationError unless the estimated dropped tail mass is below
-    TAIL_MASS_LIMIT of the total.
+    Raises DomainError, naming alpha and N, where the profile's squared norm
+    leaves double range, and TruncationError unless the estimated dropped
+    tail mass is below TAIL_MASS_LIMIT of the total.
     """
-    c, e = _profile_with_table(alpha, k, f, N, N + 2)
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow is named below
+        c, e = _profile_with_table(alpha, k, f, N, N + 2)
+        squared_norm = np.sum(np.abs(c) ** 2)
+    if not np.isfinite(squared_norm):
+        raise DomainError(f"the profile's squared norm leaves double range at alpha={alpha}, N={N}")
     state = _finish(c, k, alpha, f, e)
     _crosscheck_bessel_norm(state)
     return state

@@ -26,10 +26,12 @@ regression tests pin this down numerically.
 
 Everything cancels by roughly exp(4 rho) at large rho, so the bracket is
 carried in compensated double-double arithmetic with an explicit roundoff
-floor.  The q-mode quadrature cutoff R grows panel by panel until the
-estimated tail or the noise floor stops it; the classical grid ends at
-R = 12 and the tail beyond it is restored from the standard large-argument
-form of K_nu (the first omitted correction is reported as
+floor, by one evaluator that reads its tables and constants from the
+deformation alone (:func:`_log_series_dd`); :func:`bessel_k` is a quarter of
+it at the classical tag.  The q-mode quadrature cutoff R grows panel by
+panel until the estimated tail or the noise floor stops it; the classical
+grid ends at R = 12 and the tail beyond it is restored from the standard
+large-argument form of K_nu (the first omitted correction is reported as
 ``tail_bound_residual``).
 """
 
@@ -45,17 +47,22 @@ import numpy as np
 
 from . import _dd, qspecial
 from .errors import DomainError, SeriesConvergenceError
-from .qspecial import (CLASSICAL, NOISE_BUDGET, QParam, _bessel_i_series, _integer_tables,
-                       _log_series_dd, bessel_k, q_factorial)
+from .qspecial import CLASSICAL, QParam, _bessel_i_series, q_factorial
 from .repalg import check_bargmann
 
 __all__ = [
     "MomentRecord",
     "MomentReport",
+    "bessel_k",
     "classical_measure",
     "q_measure",
     "moment_check",
+    "NOISE_BUDGET",
 ]
+
+# largest relative roundoff floor a cancelling dd series result may carry
+# (bessel_k, q_measure); past it they raise instead of returning the value
+NOISE_BUDGET = 1e-10
 
 
 def classical_measure(rho: float, nu: int) -> float:
@@ -85,14 +92,18 @@ def _psi_q2_table(q: float, count: int):
     psi_Q(1) is summed once (vectorised dd blocks); successive integer
     arguments follow from psi_Q(z+1) = psi_Q(z) - ln(Q) Q^z/(1-Q^z).  An
     extension forms its steps ln(Q) Q^m/(1-Q^m) in one array pass; the Q^m
-    chain and the running subtraction stay scalar.
+    chain and the running subtraction stay scalar.  Raises
+    :class:`DomainError` naming q where ln Q leaves double range.
     """
     with _CACHE_LOCK:
         table = _PSI_CACHE.get(q)
         if table is None:
             q_dd = _dd.dd(q)
             big_q = _dd.sqr(q_dd)
-            ln_big_q = _dd.log(big_q)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ln_big_q = _dd.log(big_q) if big_q[0] > 0.0 else (math.nan, 0.0)
+            if not np.isfinite(ln_big_q).all():
+                raise DomainError(f"ln q^2 of the psi_{{q^2}} table leaves double range at q={q}")
             s = _dd.dd(0.0)
             # Q^n falls below e^-90 (past the 1e-36 stop) within 90/|ln Q| terms
             block = min(8192, 1 << max(0, math.ceil(math.log2(90.0 / abs(ln_big_q[0])))))
@@ -103,7 +114,7 @@ def _psi_q2_table(q: float, count: int):
                 p = _dd.exp(_dd.mul_d(ln_big_q, n))          # Q^n
                 terms = _dd.div(p, _dd.sub(_dd.dd(np.ones_like(n)), p))
                 s = _dd.add(s, _dd.sum_pairwise(terms[0], terms[1]))
-                if terms[0][-1] < 1e-36 * abs(s[0]):
+                if not terms[0][-1] > 1e-36 * abs(s[0]):      # an underflowed Q^n stops too
                     converged = True
                     break
                 n0 += block
@@ -132,7 +143,8 @@ def _psi_q2_table(q: float, count: int):
 def _qnum_dd_table(q: float, count: int):
     """dd values of the symmetric q-numbers [m]_q, m = 0..count-1, extended
     on demand in one array pass with the operations of the scalar formula
-    (q^m - 1/q^m) / (q - 1/q)."""
+    (q^m - 1/q^m) / (q - 1/q).  Raises :class:`DomainError` naming q where
+    an entry leaves double range."""
     with _CACHE_LOCK:
         entry = _QNUM_CACHE.get(q)
         if entry is None:
@@ -141,25 +153,56 @@ def _qnum_dd_table(q: float, count: int):
             _QNUM_CACHE[q] = entry
         q_dd, denom, lst = entry
         if len(lst) < count:
-            power = _dd.pow_ints(q_dd, np.arange(len(lst), count))
-            num = _dd.sub(power, _dd.recip(power))
-            hi, lo = _dd.div(num, denom)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                power = _dd.pow_ints(q_dd, np.arange(len(lst), count))
+                num = _dd.sub(power, _dd.recip(power))
+                hi, lo = _dd.div(num, denom)
+            bad = np.flatnonzero(~(np.isfinite(hi) & np.isfinite(lo)))
+            if bad.size:
+                raise DomainError(f"q-number [{len(lst) + bad[0]}]_q = (q^m - q^-m)/(q - 1/q) "
+                                  f"leaves double range at q={q}")
             lst.extend(zip(hi.tolist(), lo.tolist()))
         return lst
 
 
-def _q_bracket_dd(rho, nu: int, qp: QParam):
-    """The bracketed factor of the q-measure, vectorised over rho, in dd.
+@functools.lru_cache(maxsize=None)
+def _integer_tables(count: int):
+    """dd integers m, m = 0..count-1, and psi(m) = H_{m-1} - EulerGamma,
+    m = 1..count: the q -> 1 limits of the q-number and psi_{q^2} tables."""
+    psi = [_dd.neg(_dd.EULER_GAMMA)]
+    for m in range(1, count):
+        psi.append(_dd.add(psi[-1], _dd.div_d(_dd.dd(1.0), float(m))))
+    return [_dd.dd(float(m)) for m in range(count)], psi
 
-    Returns (value_dd, noise_floor), both shaped like rho: the shared
-    ascending log series (:func:`qspecial._log_series_dd`) with q-numbers,
-    psi_{q^2}, the log-term offset LOG_TERM_OFFSET and
+
+def _log_series_dd(rho, nu: int, qp: QParam):
+    """The bracketed factor of the q-measure at ``qp``, vectorised over
+    rho > 0, in dd: the ascending log series
+
+        C1 sum_{l<nu} (-1)^l [nu-l-1]!/[l]! rho^{2l-nu}
+        + (-1)^{nu+1} C2 [ (ln rho) S_A - S_B ],
+
+        S_A = sum_l T_l,         S_B = sum_l T_l W_l,
+        T_l = rho^{2l+nu} / ([l]! [l+nu]!),
+        W_l = psi(l+1)/2 + psi(l+nu+1)/2 - (2l + nu + LOG_TERM_OFFSET) ln(q)/2,
+
+    with q-numbers, psi = psi_{q^2} and
 
         C1 = (q^2-1)/(q ln q),   C2 = (1-q^2)^2 / (q^2 (ln q)^2),
 
     so that it reduces to 4 K_nu(2 rho) as q -> 1.  At the classical tag it
-    is that limit, the series of K_nu with C1 = 2, C2 = 4 and ln q = 0:
-    exactly 4 K_nu(2 rho), since a power of two scales dd exactly.
+    is that limit, with integers, the digamma function, C1 = 2, C2 = 4 and
+    ln q = 0: exactly 4 K_nu(2 rho) (:func:`bessel_k`), since a power of two
+    scales dd exactly.  There each term is divided by the double l(l+nu),
+    exact for integers, instead of by the dd product [l][l+nu].
+
+    Returns ``(value_dd, noise)``, both shaped like rho, where ``noise`` is
+    the estimated absolute roundoff floor (largest uncancelled operand times
+    dd ulp).  Each node stops its own log series, at the first l > 4 where
+    its term meets the roundoff test (a NaN term ends it), so a node comes
+    out bit for bit the same in any batch of nodes.  The finite part's
+    coefficients stay in dd: rounded to doubles, their error outlives the
+    e^{4 rho} cancellation from nu = 4 on.
     """
     if qp.is_classical:
         tables, c1, c2, lnq = _integer_tables, _dd.dd(2.0), _dd.dd(4.0), _dd.dd(0.0)
@@ -175,15 +218,115 @@ def _q_bracket_dd(rho, nu: int, qp: QParam):
         def tables(count):
             return _qnum_dd_table(q, count), _psi_q2_table(q, count)
 
-    return _log_series_dd(rho, nu, tables, c1, c2, lnq, LOG_TERM_OFFSET)
+    rho = np.asarray(rho, dtype=float)
+    shape = rho.shape
+    rho = rho.ravel()
+    rho_dd = (rho, np.zeros_like(rho))
+
+    psi_needed = 64
+    qnum, psi = tables(psi_needed + nu + 2)
+    # c1 * finite alternating sum
+    total = _dd.dd(np.zeros_like(rho))
+    if nu > 0:
+        qfact = [_dd.dd(1.0)]
+        for m in range(1, nu):
+            qfact.append(_dd.mul(qfact[-1], qnum[m]))
+        t = _dd.pow_int(rho_dd, -nu)
+        rho2 = _dd.sqr(rho_dd)
+        for l in range(nu):
+            coeff = _dd.mul_d(_dd.div(qfact[nu - l - 1], qfact[l]), float((-1) ** l))
+            total = _dd.add(total, _dd.mul(t, _dd.mul(c1, coeff)))
+            t = _dd.mul(t, rho2)
+
+    # log series
+    sign = float((-1) ** (nu + 1))
+    lnrho = _dd.log(rho_dd)
+    fact_nu = _dd.dd(1.0)
+    for m in range(1, nu + 1):
+        fact_nu = _dd.mul(fact_nu, qnum[m])
+    # the working arrays (suffix _w) hold the nodes still summing, `where`
+    # their positions; a node that stops moves its sums into s_a, s_b,
+    # max_opmag and leaves them
+    s_a = (np.empty_like(rho), np.empty_like(rho))
+    s_b = (np.empty_like(rho), np.empty_like(rho))
+    max_opmag = np.empty_like(rho)
+    where = np.arange(rho.size)
+    t = _dd.div(_dd.pow_int(rho_dd, nu), fact_nu)
+    rho2 = _dd.sqr(rho_dd)
+    lnrho_w = np.abs(lnrho[0])
+    s_a_w = _dd.dd(np.zeros_like(rho))
+    s_b_w = _dd.dd(np.zeros_like(rho))
+    max_w = np.zeros_like(rho)
+    l = 0
+    while where.size:
+        if l + nu + 2 > psi_needed:
+            psi_needed *= 2
+            qnum, psi = tables(psi_needed + nu + 2)
+        w = _dd.mul_d(_dd.add(psi[l], psi[l + nu]), 0.5)   # psi(l+1), psi(l+nu+1)
+        w = _dd.sub(w, _dd.mul_d(lnq, (2 * l + nu + LOG_TERM_OFFSET) / 2.0))
+        s_a_w = _dd.add(s_a_w, t)
+        s_b_w = _dd.add(s_b_w, _dd.mul(t, w))
+        wmag = lnrho_w + abs(_dd.to_float(w)) + 1.0
+        np.maximum(max_w, np.abs(t[0]) * wmag, out=max_w)
+        l += 1
+        if l >= qspecial.MAX_TERMS:
+            raise SeriesConvergenceError("ascending log series", f"nu={nu}")
+        if qp.is_classical:
+            t = _dd.div_d(_dd.mul(t, rho2), float(l * (l + nu)))
+        else:
+            t = _dd.div(_dd.mul(t, rho2), _dd.mul(qnum[l], qnum[l + nu]))
+        if l > 4:
+            leaving = ~(t[0] * wmag > 1e-34 * max_w)
+            if leaving.any():
+                finished = where[leaving]
+                s_a[0][finished], s_a[1][finished] = s_a_w[0][leaving], s_a_w[1][leaving]
+                s_b[0][finished], s_b[1][finished] = s_b_w[0][leaving], s_b_w[1][leaving]
+                max_opmag[finished] = max_w[leaving]
+                keep = ~leaving
+                where = where[keep]
+                t, rho2, s_a_w, s_b_w = (tuple(part[keep] for part in v)
+                                         for v in (t, rho2, s_a_w, s_b_w))
+                lnrho_w, max_w = lnrho_w[keep], max_w[keep]
+    log_part = _dd.sub(_dd.mul(lnrho, s_a), s_b)
+    total = _dd.add(total, _dd.mul_d(_dd.mul(c2, log_part), sign))
+    noise = max_opmag * abs(_dd.to_float(c2)) * 2.0 ** -98
+    return (total[0].reshape(shape), total[1].reshape(shape)), noise.reshape(shape)
+
+
+def bessel_k(nu: int, two_rho: float) -> float:
+    """Modified Bessel function of the second kind K_nu(2 rho), rho > 0:
+    1/4 of :func:`_log_series_dd` at the classical tag,
+
+        K_nu(2r) = 1/2 sum_{l<nu} (-1)^l (nu-l-1)!/l! r^{2l-nu}
+                   + (-1)^{nu+1} sum_{l>=0} [ln r - psi(l+1)/2 - psi(l+nu+1)/2]
+                     r^{2l+nu} / (l! (l+nu)!).
+
+    Raises :class:`SeriesConvergenceError` where the value leaves double
+    range, and once the e^{4 rho} cancellation leaves a roundoff floor above
+    NOISE_BUDGET of the value (2 rho beyond roughly 24).
+    """
+    if nu < 0 or nu != int(nu):
+        raise DomainError(f"bessel_k requires nonnegative integer order, got {nu!r}")
+    rho = np.asarray(two_rho, dtype=float) / 2.0
+    if np.any(rho <= 0.0):
+        raise DomainError("bessel_k requires rho > 0")
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow is named below
+        value, noise = _log_series_dd(rho, int(nu), CLASSICAL)
+        out, noise = 0.25 * float(_dd.to_float(value)), 0.25 * float(noise)
+    if not (math.isfinite(out) and math.isfinite(noise)):
+        raise SeriesConvergenceError("bessel_k", f"not finite at 2rho={two_rho}")
+    if not noise < NOISE_BUDGET * abs(out):
+        raise SeriesConvergenceError(
+            "bessel_k", f"cancellation floor reached at 2rho={two_rho} (noise {noise:.2e})")
+    return out
 
 
 def q_measure(rho: float, nu: int, q) -> float:
     """The q-deformed completeness measure g_q(rho^2), rho > 0, 0 < q < 1.
 
     The log series carries the pinned offset LOG_TERM_OFFSET.  Raises
-    :class:`SeriesConvergenceError` where the roundoff floor exceeds
-    NOISE_BUDGET of the value.
+    :class:`SeriesConvergenceError` where the value leaves double range or
+    its roundoff floor exceeds NOISE_BUDGET of it.
     """
     if not rho > 0:
         raise DomainError("q_measure requires rho > 0")
@@ -191,10 +334,13 @@ def q_measure(rho: float, nu: int, q) -> float:
         raise DomainError("q_measure requires nonnegative integer nu = 2k-1")
     qv = qspecial._series_value(q, where="q_measure")
     qp = QParam(qv)
-    bracket, noise = _q_bracket_dd(rho, int(nu), qp)
-    i_val = float(_bessel_i_series(int(nu), rho, qp))
-    out = 0.5 * i_val * float(_dd.to_float(bracket))
-    if not float(noise) * 0.5 * i_val < NOISE_BUDGET * max(abs(out), 1e-300):
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow is named below
+        bracket, noise = _log_series_dd(rho, int(nu), qp)
+        i_val = float(_bessel_i_series(int(nu), rho, qp))
+        out, noise = 0.5 * i_val * float(_dd.to_float(bracket)), float(noise) * 0.5 * i_val
+    if not (math.isfinite(out) and math.isfinite(noise)):
+        raise SeriesConvergenceError("q_measure", f"not finite at rho={rho}, q={qv}")
+    if not noise < NOISE_BUDGET * max(abs(out), 1e-300):
         raise SeriesConvergenceError("q_measure",
                                      f"cancellation floor at rho={rho}, q={qv}")
     return out
@@ -309,7 +455,7 @@ def _base_integrand_q(rho: np.ndarray, nu: int, qp: QParam):
     with its noise floor; at the classical tag 2 rho g(rho^2) N(rho^2)^2 =
     4 rho^{nu+1} K_nu(2 rho)."""
     with np.errstate(over="ignore", invalid="ignore"):    # an overflow is named below
-        bracket, noise = _q_bracket_dd(rho, nu, qp)
+        bracket, noise = _log_series_dd(rho, nu, qp)
         scale = rho ** (nu + 1)
         base, noise = scale * _dd.to_float(bracket), scale * noise
     bad = rho[~(np.isfinite(base) & np.isfinite(noise))]

@@ -13,22 +13,19 @@ where Gamma_Q is the standard base-Q q-Gamma function; the normalization is
 validated against the plain product on integers 0..20 the first time each q
 is used (see :func:`q_factorial_cont`).
 
-The modified Bessel function of the second kind is evaluated from its
-ascending log-series, which cancels by ~e^{4 rho}; terms are therefore
-carried in compensated double-double pairs (:mod:`._dd`).  The same
-evaluator, with q-numbers and psi_{q^2} in place of integers and digamma,
-gives the bracket of the q-measure (:mod:`.measure`).
+Everything here is plain double arithmetic.  The modified Bessel function
+of the second kind, whose ascending log series cancels by ~e^{4 rho}, is the
+q-measure bracket at the classical tag and lives with it in
+:mod:`.measure`, in compensated double-double arithmetic.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
 import numpy as np
 
-from . import _dd
 from .errors import DomainError, PoleError, SeriesConvergenceError
 
 __all__ = [
@@ -42,8 +39,6 @@ __all__ = [
     "q_gamma",
     "q_digamma",
     "bessel_i_q",
-    "bessel_k",
-    "NOISE_BUDGET",
 ]
 
 
@@ -72,11 +67,6 @@ def _sum_series(terms, what: str, detail: str):
         else:
             below = 0
     raise SeriesConvergenceError(what, detail)
-
-
-# largest relative roundoff floor a cancelling dd series result may carry
-# (bessel_k, q_measure); past it they raise instead of returning the value
-NOISE_BUDGET = 1e-10
 
 
 class QParam:
@@ -325,7 +315,7 @@ def q_digamma(z: float, q) -> float:
 
 
 # --------------------------------------------------------------------------
-# modified Bessel functions
+# modified Bessel functions of the first kind
 # --------------------------------------------------------------------------
 
 def _bessel_i_series(m, z, q):
@@ -362,153 +352,3 @@ def bessel_i_q(m: int, two_z: float, q) -> float:
     if two_z < 0:
         raise DomainError(f"bessel_i_q requires 2z >= 0, got {two_z!r}")
     return float(_bessel_i_series(m, two_z / 2.0, q))
-
-
-def _log_series_dd(rho, nu: int, tables, c1, c2, lnq, log_term_offset: int):
-    """The ascending log series of K_nu and of the q-measure bracket, in dd.
-
-    Vectorised over rho > 0; returns ``(value_dd, noise)``, both shaped like
-    rho, where ``noise`` is the estimated absolute roundoff floor (largest
-    uncancelled operand times dd ulp).  The value is
-
-        c1 sum_{l<nu} (-1)^l [nu-l-1]!/[l]! rho^{2l-nu}
-        + (-1)^{nu+1} c2 [ (ln rho) S_A - S_B ],
-
-        S_A = sum_l T_l,         S_B = sum_l T_l W_l,
-        T_l = rho^{2l+nu} / ([l]! [l+nu]!),
-        W_l = psi(l+1)/2 + psi(l+nu+1)/2 - (2l + nu + log_term_offset) ln(q)/2,
-
-    with c1, c2 and ln q given as dd constants and ``tables(count)`` returning
-    dd lists of the numbers [m], m = 0..count-1, and of psi(m), m = 1..count
-    (integers and the digamma function for K_nu, q-numbers and psi_{q^2} for
-    the bracket).  The bracket's offset is ``measure.LOG_TERM_OFFSET``; at
-    ln q = 0 the offset is idle.  At ln q = 0 the numbers are integers, and each term is
-    divided by the double l(l+nu), exact for them, instead of by the dd
-    product [l][l+nu].
-
-    Each node stops its own log series, at the first l > 4 where its term
-    meets the roundoff test, so a node comes out bit for bit the same in any
-    batch of nodes.
-    """
-    rho = np.asarray(rho, dtype=float)
-    shape = rho.shape
-    integer = lnq[0] == 0.0
-    rho = rho.ravel()
-    rho_dd = (rho, np.zeros_like(rho))
-
-    psi_needed = 64
-    qnum, psi = tables(psi_needed + nu + 2)
-    # c1 * finite alternating sum
-    total = _dd.dd(np.zeros_like(rho))
-    if nu > 0:
-        qfact = [_dd.dd(1.0)]
-        for m in range(1, nu):
-            qfact.append(_dd.mul(qfact[-1], qnum[m]))
-        t = _dd.pow_int(rho_dd, -nu)
-        rho2 = _dd.sqr(rho_dd)
-        for l in range(nu):
-            coeff = _dd.mul_d(_dd.div(qfact[nu - l - 1], qfact[l]), float((-1) ** l))
-            total = _dd.add(total, _dd.mul(t, _dd.mul(c1, coeff)))
-            t = _dd.mul(t, rho2)
-
-    # log series
-    sign = float((-1) ** (nu + 1))
-    lnrho = _dd.log(rho_dd)
-    fact_nu = _dd.dd(1.0)
-    for m in range(1, nu + 1):
-        fact_nu = _dd.mul(fact_nu, qnum[m])
-    # the working arrays (suffix _w) hold the nodes still summing, `where`
-    # their positions; a node that stops moves its sums into s_a, s_b,
-    # max_opmag and leaves them
-    s_a = (np.empty_like(rho), np.empty_like(rho))
-    s_b = (np.empty_like(rho), np.empty_like(rho))
-    max_opmag = np.empty_like(rho)
-    where = np.arange(rho.size)
-    t = _dd.div(_dd.pow_int(rho_dd, nu), fact_nu)
-    rho2 = _dd.sqr(rho_dd)
-    lnrho_w = np.abs(lnrho[0])
-    s_a_w = _dd.dd(np.zeros_like(rho))
-    s_b_w = _dd.dd(np.zeros_like(rho))
-    max_w = np.zeros_like(rho)
-    l = 0
-    while where.size:
-        if l + nu + 2 > psi_needed:
-            psi_needed *= 2
-            qnum, psi = tables(psi_needed + nu + 2)
-        w = _dd.mul_d(_dd.add(psi[l], psi[l + nu]), 0.5)   # psi(l+1), psi(l+nu+1)
-        w = _dd.sub(w, _dd.mul_d(lnq, (2 * l + nu + log_term_offset) / 2.0))
-        s_a_w = _dd.add(s_a_w, t)
-        s_b_w = _dd.add(s_b_w, _dd.mul(t, w))
-        wmag = lnrho_w + abs(_dd.to_float(w)) + 1.0
-        np.maximum(max_w, np.abs(t[0]) * wmag, out=max_w)
-        l += 1
-        if l >= MAX_TERMS:
-            raise SeriesConvergenceError("ascending log series", f"nu={nu}")
-        if integer:
-            t = _dd.div_d(_dd.mul(t, rho2), float(l * (l + nu)))
-        else:
-            t = _dd.div(_dd.mul(t, rho2), _dd.mul(qnum[l], qnum[l + nu]))
-        if l > 4:
-            leaving = t[0] * wmag <= 1e-34 * max_w
-            if leaving.any():
-                finished = where[leaving]
-                s_a[0][finished], s_a[1][finished] = s_a_w[0][leaving], s_a_w[1][leaving]
-                s_b[0][finished], s_b[1][finished] = s_b_w[0][leaving], s_b_w[1][leaving]
-                max_opmag[finished] = max_w[leaving]
-                keep = ~leaving
-                where = where[keep]
-                t, rho2, s_a_w, s_b_w = (tuple(part[keep] for part in v)
-                                         for v in (t, rho2, s_a_w, s_b_w))
-                lnrho_w, max_w = lnrho_w[keep], max_w[keep]
-    log_part = _dd.sub(_dd.mul(lnrho, s_a), s_b)
-    total = _dd.add(total, _dd.mul_d(_dd.mul(c2, log_part), sign))
-    noise = max_opmag * abs(_dd.to_float(c2)) * 2.0 ** -98
-    return (total[0].reshape(shape), total[1].reshape(shape)), noise.reshape(shape)
-
-
-@functools.lru_cache(maxsize=None)
-def _integer_tables(count: int):
-    """dd integers m, m = 0..count-1, and psi(m) = H_{m-1} - EulerGamma,
-    m = 1..count: the q -> 1 limits of the bracket's tables."""
-    psi = [_dd.neg(_dd.EULER_GAMMA)]
-    for m in range(1, count):
-        psi.append(_dd.add(psi[-1], _dd.div_d(_dd.dd(1.0), float(m))))
-    return [_dd.dd(float(m)) for m in range(count)], psi
-
-
-def _bessel_k_dd(nu: int, two_rho):
-    """K_nu(2 rho) and its noise floor: :func:`_log_series_dd` at q = 1,
-
-        K_nu(2r) = 1/2 sum_{l<nu} (-1)^l (nu-l-1)!/l! r^{2l-nu}
-                   + (-1)^{nu+1} sum_{l>=0} [ln r - psi(l+1)/2 - psi(l+nu+1)/2]
-                     r^{2l+nu} / (l! (l+nu)!).
-
-    Callers decide whether the cancellation left anything meaningful.  The
-    finite part's coefficients stay in dd: rounded to doubles, their error
-    outlives the e^{4 rho} cancellation from nu = 4 on.
-    """
-    if nu < 0 or nu != int(nu):
-        raise DomainError(f"bessel_k requires nonnegative integer order, got {nu!r}")
-    rho = np.asarray(two_rho, dtype=float) / 2.0
-    if np.any(rho <= 0.0):
-        raise DomainError("bessel_k requires rho > 0")
-    return _log_series_dd(rho, int(nu), _integer_tables, _dd.dd(0.5), _dd.dd(1.0),
-                          _dd.dd(0.0), 0)
-
-
-def bessel_k(nu: int, two_rho: float) -> float:
-    """Modified Bessel function of the second kind K_nu(2 rho), rho > 0.
-
-    Evaluated from the two-part ascending series (finite sum plus log series).
-    Raises :class:`SeriesConvergenceError` once the e^{4 rho} cancellation
-    leaves a roundoff floor above NOISE_BUDGET of the value (2 rho beyond
-    roughly 24).
-    """
-    value, noise = _bessel_k_dd(nu, two_rho)
-    out = float(_dd.to_float(value))
-    if not float(noise) < NOISE_BUDGET * abs(out):
-        raise SeriesConvergenceError(
-            "bessel_k",
-            f"cancellation floor reached at 2rho={two_rho} (noise {float(noise):.2e})",
-        )
-    return out

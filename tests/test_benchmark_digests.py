@@ -3,13 +3,15 @@ and checks each against the digest recorded in perfbench/reference.json, with
 the benchmark's own gate: a speed-up that moves a result past the digest
 tolerance fails here, not only in the benchmark run."""
 
+import ast
+import importlib
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-from bgstates import cli
+from bgstates import cli, qspecial
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,3 +76,23 @@ def test_digest_matches_reference(workload, argv, tmp_path):
     assert reason is None
     assert gate.digests_match(digest, ref["digest"]), (digest, ref["digest"])
 
+
+def _bench_caches():
+    """perfbench/run.py's CACHES, read from its source without importing it."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "CACHES" for t in node.targets))
+
+
+@pytest.mark.parametrize("module,attr", _bench_caches(), ids=lambda v: v)
+def test_benchmark_clears_a_live_cache(module, attr, tmp_path):
+    # the benchmark empties each (module, attr) by name before every op and
+    # skips a missing one silently: a cache that moved would skew the
+    # measured work instead of failing
+    cli.main(["verify-moments", "mode=q", "q=0.9", "k=1", "nmax=0", f"out={tmp_path / 'a'}"])
+    qspecial.q_factorial_cont(1.5, 0.9)
+    cache = getattr(importlib.import_module(f"bgstates.{module}"), attr)
+    assert len(cache) > 0
+    cache.clear()
+    assert len(cache) == 0

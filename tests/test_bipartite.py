@@ -625,6 +625,45 @@ class TestSchmidt:
             bp.schmidt_entropy(M)
 
 
+class TestVanishingEntanglementLaw:
+    """Near q = 1 the block is a near product whose entropy follows the law
+    S = lam (1 - ln lam)(1 + O(eps)) at q = e^{-+eps}, with lam = eps^2 V1 V2
+    and V_i the number variance of the classical BG(beta_i, k_i):
+    (beta1, beta2) = (alpha - delta a2, delta a2) for q < 1 and
+    (delta a1, alpha - delta a1) for q > 1."""
+
+    @staticmethod
+    def number_variance(beta, k):
+        """<n^2> - <n>^2 of the classical BG(beta, k) state at 40 digits: with
+        x = beta^2 and z = 2 sqrt(x), <n> = sqrt(x) I_{nu+1}(z)/I_nu(z) and
+        <n(n-1)> = x I_{nu+2}(z)/I_nu(z), nu = 2k - 1."""
+        with mpmath.workdps(40):
+            x = mpmath.mpf(beta) ** 2
+            z, nu = 2 * mpmath.sqrt(x), 2 * k - 1
+            i_nu = mpmath.besseli(nu, z)
+            mean = mpmath.sqrt(x) * mpmath.besseli(nu + 1, z) / i_nu
+            return float(mean + x * mpmath.besseli(nu + 2, z) / i_nu - mean * mean)
+
+    # (a1, a2, k1, k2, delta); the O(eps) coefficient of S/pred - 1 is
+    # -2.4 ... 2.4 on these (it depends on the configuration: 8.9 for
+    # (1.2, 0.4, 0.5, 2, 1) at q > 1)
+    CONFIGS = [(0.9, 0.5, 1.0, 1.5, 1.0), (0.9, 0.5, 1.0, 1.5, 0.8),
+               (0.9, 0.5, 1.25, 0.75, 0.9)]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["-".join(map(str, c)) for c in CONFIGS])
+    @pytest.mark.parametrize("side", [-1, 1], ids=["q<1", "q>1"])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
+    def test_entropy_follows_the_law(self, eps, side, config):
+        a1, a2, k1, k2, delta = config
+        q = math.exp(side * eps)
+        alpha = a1 + a2
+        b1, b2 = (alpha - delta * a2, delta * a2) if q < 1 else (delta * a1, alpha - delta * a1)
+        lam = eps ** 2 * self.number_variance(b1, k1) * self.number_variance(b2, k2)
+        pred = lam * (1.0 - math.log(lam))
+        M = bp.build_q_bipartite(bp.BipartiteParams(a1, a2, k1, k2, QParam(q)), delta, 30, 30)
+        assert abs(bp.schmidt_entropy(M).entropy / pred - 1.0) <= 5.0 * eps
+
+
 class TestEigenResidual:
     def test_vacuum_zero(self):
         M = bp.classical_bipartite(0.0, 0.0, 1.0, 1.0, 10, 10)

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -594,6 +596,38 @@ class TestExitCodes:
     ], ids=["q-huge-k", "classical-large-k", "q-overflowing-integrand"])
     def test_moments_past_double_range_are_named(self, argv, code, message, capsys):
         assert run_cli(["verify-moments", *argv]) == code
+        assert capsys.readouterr() == ("", message + "\n")
+
+    QNUM = ("invalid configuration: q-number [{}]_q = (q^m - q^-m)/(q - 1/q) leaves double "
+            "range at q={}")
+    NORM = ("invalid configuration: the profile's squared norm leaves double range at "
+            "alpha=(1e+{}+0j), N={}")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify-moments", "mode=q", "q=1e-50", "k=1", "nmax=0"], QNUM.format(7, "1e-50")),
+        (["verify-moments", "mode=q", "q=1e-100", "k=1", "nmax=3"], QNUM.format(4, "1e-100")),
+        (["verify-moments", "mode=q", "q=1e-300", "k=1", "nmax=3"], QNUM.format(2, "1e-300")),
+        (["verify-moments", "mode=q", "q=1e-160", "k=1", "nmax=3"], QNUM.format(2, "1e-160")),
+        (["verify-moments", "mode=q", "q=1e-10", "k=1", "nmax=3"], QNUM.format(31, "1e-10")),
+        (["state-single", "q=classical", "alpha=1e300", "k=1e10", "N=20"], NORM.format(300, 20)),
+        (["state-single", "q=classical", "alpha=1e200", "k=1", "N=20"], NORM.format(200, 20)),
+        (["state-single", "q=0.5", "alpha=1e200", "k=1", "N=20"], NORM.format(200, 20)),
+        (["sweep-q", "from=0.999999", "to=0.5", "steps=1", "a1=1e200", "a2=0", "k1=2.5",
+          "k2=0.5", "N=1"], NORM.format(200, 1)),
+        (["state-bipartite", "q=classical", "a1=1e200", "a2=-0.3", "k1=1", "k2=1.25", "N=2",
+          "N2=30"], NORM.format(200, 2)),
+    ], ids=["q1e-50", "q1e-100", "q1e-300", "q1e-160", "q1e-10", "alpha1e300-k1e10",
+            "alpha1e200", "alpha1e200-q0.5", "sweep-alpha1e200", "pair-alpha1e200"])
+    def test_out_of_double_range_is_named_at_once(self, argv, message, capsys):
+        # a q-number table or a single-node profile past double range is
+        # named before any series runs on it: no RuntimeWarning, no
+        # float OverflowError, and no series heading for MAX_TERMS
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
         assert capsys.readouterr() == ("", message + "\n")
 
     def test_below_bargmann_bound_is_2(self, capsys):

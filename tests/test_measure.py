@@ -21,7 +21,7 @@ class TestClassicalMeasure:
     @pytest.mark.parametrize("nu", [0, 1])
     def test_product_definition(self, nu):
         got = me.classical_measure(1.0, nu)
-        want = 2.0 * qs.bessel_i_q(nu, 2.0, CLASSICAL) * qs.bessel_k(nu, 2.0)
+        want = 2.0 * qs.bessel_i_q(nu, 2.0, CLASSICAL) * me.bessel_k(nu, 2.0)
         assert got == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("nu", [0, 1, 2])
@@ -172,7 +172,7 @@ class TestValidation:
         def no_work(*args, **kwargs):
             raise AssertionError("work started before k was checked")
 
-        monkeypatch.setattr(me, "_q_bracket_dd", no_work)
+        monkeypatch.setattr(me, "_log_series_dd", no_work)
         monkeypatch.setattr(me, "_gl_grid", no_work)
         with pytest.raises(DomainError, match=r"requires k <= 19\.5, .* got k="):
             me.moment_check(3, k, mode)
@@ -248,9 +248,9 @@ class TestBatchedPanels:
     @pytest.mark.parametrize("start", [6.0, 22.0])   # the loop's first two batches
     def test_bracket_rows_match_per_panel_calls(self, start, nu, q):
         x, _ = me._gl_grid(np.arange(start, start + 17.0, 2.0))
-        batch, noise = me._q_bracket_dd(x, nu, QParam(q))
+        batch, noise = me._log_series_dd(x, nu, QParam(q))
         for j, row in enumerate(x.reshape(8, 16)):
-            one, one_noise = me._q_bracket_dd(row, nu, QParam(q))
+            one, one_noise = me._log_series_dd(row, nu, QParam(q))
             assert np.array_equal(batch[0][16 * j:16 * (j + 1)], one[0])
             assert np.array_equal(batch[1][16 * j:16 * (j + 1)], one[1])
             assert np.array_equal(noise[16 * j:16 * (j + 1)], one_noise)
@@ -260,8 +260,8 @@ class TestBatchedPanels:
         # [lower, 14] grid shaped as panel rows comes out bit for bit as the
         # flat grid
         x, _ = me._gl_grid(me._panel_edges(14.0))
-        flat, flat_noise = me._q_bracket_dd(x, 1, QParam(0.9))
-        rows, rows_noise = me._q_bracket_dd(x.reshape(-1, me._NODES), 1, QParam(0.9))
+        flat, flat_noise = me._log_series_dd(x, 1, QParam(0.9))
+        rows, rows_noise = me._log_series_dd(x.reshape(-1, me._NODES), 1, QParam(0.9))
         assert np.array_equal(flat[0], rows[0].ravel())
         assert np.array_equal(flat[1], rows[1].ravel())
         assert np.array_equal(flat_noise, rows_noise.ravel())
@@ -269,7 +269,7 @@ class TestBatchedPanels:
     @pytest.mark.parametrize("qp", [QParam(0.9), CLASSICAL], ids=["0.9", "classical"])
     def test_empty_batch(self, qp):
         # no node to stop: the series ends at once instead of running to MAX_TERMS
-        value, noise = me._q_bracket_dd(np.array([]), 1, qp)
+        value, noise = me._log_series_dd(np.array([]), 1, qp)
         assert value[0].shape == value[1].shape == noise.shape == (0,)
 
     CASES = [(1.0, 0.5, 3), (1.0, 0.95, 3), (0.5, 0.999, 3), (2.0, 0.87403, 3),
@@ -316,11 +316,11 @@ class TestRaggedGroups:
         grid, panels = self._grid_and_panels()
         assert len(grid) == 592
         flat = np.concatenate([grid, panels.ravel()])
-        value, noise = me._q_bracket_dd(flat, nu, QParam(q))
+        value, noise = me._log_series_dd(flat, nu, QParam(q))
         groups = [grid, *panels]
         bounds = np.cumsum([0] + [len(g) for g in groups])
         for group, lo, hi in zip(groups, bounds[:-1], bounds[1:]):
-            one, one_noise = me._q_bracket_dd(group, nu, QParam(q))
+            one, one_noise = me._log_series_dd(group, nu, QParam(q))
             assert np.array_equal(value[0][lo:hi], one[0])
             assert np.array_equal(value[1][lo:hi], one[1])
             assert np.array_equal(noise[lo:hi], one_noise)
@@ -334,12 +334,12 @@ class TestRaggedGroups:
         # (a node there stops its series well before the batch's last node)
         grid, panels = self._grid_and_panels()
         flat = np.concatenate([grid, panels.ravel()])
-        value, noise = me._q_bracket_dd(flat, 0, qp)
+        value, noise = me._log_series_dd(flat, 0, qp)
         parts = [slice(None, None, -2), slice(-2, None, -2),
                  *(slice(lo, lo + me._NODES) for lo in range(0, len(flat), me._NODES)),
                  *(slice(i, i + 1) for i in np.flatnonzero((flat > 4.0) & (flat < 4.5)))]
         for part in parts:
-            alone, alone_noise = me._q_bracket_dd(flat[part], 0, qp)
+            alone, alone_noise = me._log_series_dd(flat[part], 0, qp)
             assert np.array_equal(value[0][part], alone[0])
             assert np.array_equal(value[1][part], alone[1])
             assert np.array_equal(noise[part], alone_noise)
@@ -393,9 +393,12 @@ class TestIntegrandIdentity:
         # the bracket at the classical tag is exactly 4 K_nu(2 rho)
         x, _ = me._gl_grid(me._panel_edges(12.0))
         base, noise = me._base_integrand_q(x, nu, CLASSICAL)
-        k_dd, k_noise = qs._bessel_k_dd(nu, 2.0 * x)
-        assert np.array_equal(base, 4.0 * x ** (nu + 1) * _dd.to_float(k_dd))
-        assert np.array_equal(noise, 4.0 * x ** (nu + 1) * k_noise)
+        bracket, bracket_noise = me._log_series_dd(x, nu, CLASSICAL)
+        scale = x ** (nu + 1)
+        assert np.array_equal(base, scale * _dd.to_float(bracket))
+        assert np.array_equal(noise, scale * bracket_noise)
+        for i in range(0, np.searchsorted(x, 10.0), 25):    # bessel_k's range, 2 rho <= 20
+            assert base[i] == 4.0 * scale[i] * me.bessel_k(nu, 2.0 * x[i])
 
 
 def _scalar_qnum_table(q, count):
@@ -456,3 +459,49 @@ class TestVectorisedTables:
         table = me._psi_q2_table(q, 80)
         for m, (hi, lo) in enumerate(table, start=1):
             assert hi + lo == pytest.approx(qs.q_digamma(m, q * q), rel=1e-13)
+
+
+class TestOutOfDoubleRange:
+    """A log series or a table that leaves double range is named, with no
+    RuntimeWarning on the way (the suite turns them into errors)."""
+
+    @pytest.mark.parametrize("nu", [34, 35, 36, 37, 38])
+    def test_overflowing_bessel_k_is_named(self, nu):
+        # the value is not finite, which is not a cancellation floor
+        with pytest.raises(SeriesConvergenceError,
+                           match=r"bessel_k \(not finite at 2rho=2e-08\)"):
+            me.bessel_k(nu, 2e-8)
+
+    @pytest.mark.parametrize("nu", [34, 38])
+    def test_overflowing_q_measure_is_named(self, nu):
+        with pytest.raises(SeriesConvergenceError,
+                           match=r"q_measure \(not finite at rho=1e-08, q=0\.9\)"):
+            me.q_measure(1e-8, nu, 0.9)
+
+    @pytest.mark.parametrize("q,m", [(1e-10, 31), (1e-300, 2), (5e-324, 2)])
+    def test_qnum_table_names_q(self, q, m):
+        with pytest.raises(DomainError, match=rf"q-number \[{m}\]_q .* at q={q}$"):
+            me._qnum_dd_table(q, 66)
+
+    @pytest.mark.parametrize("q", [1e-160, 1e-300])
+    def test_psi_table_names_q(self, q):
+        with pytest.raises(DomainError, match=rf"psi_\{{q\^2\}} table .* at q={q}$"):
+            me._psi_q2_table(q, 4)
+
+    def test_psi_sum_stops_on_an_underflowed_term(self, monkeypatch):
+        # at Q = q^2 = 4e-297 the stop 1e-36 |s| underflows to 0 and so does
+        # the term Q^2: the sum of psi_Q(1) ends there instead of at MAX_TERMS
+        monkeypatch.setattr(qs, "MAX_TERMS", 64)
+        table = me._psi_q2_table(6.2e-149, 70)
+        assert all(np.isfinite(entry).all() for entry in table)
+
+    @pytest.mark.parametrize("qp", [QParam(0.9), CLASSICAL], ids=["0.9", "classical"])
+    def test_nan_node_ends_its_series(self, qp, monkeypatch):
+        # a NaN term meets no roundoff test: the stop is written so that it
+        # ends its node's series at once instead of running to MAX_TERMS
+        monkeypatch.setattr(qs, "MAX_TERMS", 64)
+        with np.errstate(invalid="ignore"):    # dd's exp casts the NaN node's exponent
+            value, noise = me._log_series_dd(np.array([np.nan, 1.0]), 1, qp)
+        alone, alone_noise = me._log_series_dd(np.array([1.0]), 1, qp)
+        assert np.isnan(value[0][0]) and np.isnan(noise[0])
+        assert (value[0][1], value[1][1], noise[1]) == (alone[0][0], alone[1][0], alone_noise[0])

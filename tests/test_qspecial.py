@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from bgstates import measure as me
 from bgstates import qspecial as qs
 from bgstates.errors import DomainError, PoleError, SeriesConvergenceError
 
@@ -241,7 +242,7 @@ class TestBesselK:
     def test_leading_small_rho(self):
         # first sum's l=0 term is (1/2) rho^{-1} for nu=1
         rho = 1e-6
-        assert qs.bessel_k(1, 2 * rho) == pytest.approx(0.5 / rho, rel=1e-5)
+        assert me.bessel_k(1, 2 * rho) == pytest.approx(0.5 / rho, rel=1e-5)
 
     def test_quadrature_oracle(self):
         # oracle: K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt at x = 2
@@ -249,21 +250,21 @@ class TestBesselK:
             ref, err = quad(lambda t: math.exp(-2.0 * math.cosh(t)) * math.cosh(nu * t),
                             0, 30, limit=400, epsabs=1e-14, epsrel=1e-13)
             assert err < 1e-10
-            assert qs.bessel_k(nu, 2.0) == pytest.approx(ref, rel=1e-11)
+            assert me.bessel_k(nu, 2.0) == pytest.approx(ref, rel=1e-11)
 
     def test_frozen_value(self):
         # oracle: quadrature of the integral representation, frozen
-        assert qs.bessel_k(0, 2.0) == pytest.approx(0.11389387274953344, rel=1e-12)
+        assert me.bessel_k(0, 2.0) == pytest.approx(0.11389387274953344, rel=1e-12)
 
     def test_against_scipy_range(self):
         import scipy.special as sp
         for nu in (0, 1, 2, 4):
             for tz in (0.1, 1.0, 6.0, 20.0):
-                assert qs.bessel_k(nu, tz) == pytest.approx(float(sp.kv(nu, tz)), rel=1e-11)
+                assert me.bessel_k(nu, tz) == pytest.approx(float(sp.kv(nu, tz)), rel=1e-11)
 
     def test_cancellation_floor_raises(self):
         with pytest.raises(SeriesConvergenceError):
-            qs.bessel_k(2, 60.0)
+            me.bessel_k(2, 60.0)
 
     @pytest.mark.parametrize("nu", [4, 5, 7])
     @pytest.mark.parametrize("two_rho", [20.0, 26.0, 30.0, 33.0])
@@ -271,22 +272,22 @@ class TestBesselK:
         # oracle: mpmath at 40 digits.  The finite part's coefficients
         # (nu-l-1)!/(2 l!) must not be rounded to doubles: from nu = 4 on that
         # rounding survives the e^{4 rho} cancellation and exceeds the noise
-        value, noise = qs._bessel_k_dd(nu, two_rho)
+        value, noise = me._log_series_dd(two_rho / 2.0, nu, qs.CLASSICAL)   # 4 K_nu
         with mpmath.workdps(40):
             ref = mpmath.besselk(nu, two_rho)
-        got = mpmath.mpf(float(value[0])) + mpmath.mpf(float(value[1]))
-        assert abs(float(got - ref)) <= float(noise)
+        got = (mpmath.mpf(float(value[0])) + mpmath.mpf(float(value[1]))) / 4
+        assert abs(float(got - ref)) <= float(noise) / 4
 
     def test_rounded_coefficients_do_not_pass_the_floor(self):
         # the true value is 9.43e-17, below what the series can resolve here
         with pytest.raises(SeriesConvergenceError):
-            qs.bessel_k(7, 36.0)
+            me.bessel_k(7, 36.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            qs.bessel_k(1, 0.0)
+            me.bessel_k(1, 0.0)
         with pytest.raises(DomainError):
-            qs.bessel_k(-1, 2.0)
+            me.bessel_k(-1, 2.0)
 
 
 class TestClassicalLimits:
@@ -343,14 +344,14 @@ class TestNoiseBudget:
         # these carry a roundoff floor of 2.0 % and 2.7 % of the value and
         # are 0.15 % off mpmath: far past the budget
         with pytest.raises(SeriesConvergenceError):
-            qs.bessel_k(nu, two_rho)
+            me.bessel_k(nu, two_rho)
 
     @pytest.mark.parametrize("nu", [0, 1, 4, 8])
     @pytest.mark.parametrize("two_rho", [0.5, 6.0, 20.0])
     def test_accepted_range_is_far_inside_the_budget(self, nu, two_rho):
-        value, noise = qs._bessel_k_dd(nu, two_rho)
-        assert float(noise) <= 0.01 * qs.NOISE_BUDGET * abs(float(value[0]))
-        assert qs.bessel_k(nu, two_rho) == float(value[0] + value[1])
+        value, noise = me._log_series_dd(two_rho / 2.0, nu, qs.CLASSICAL)   # 4 K_nu
+        assert float(noise) <= 0.01 * me.NOISE_BUDGET * abs(float(value[0]))
+        assert me.bessel_k(nu, two_rho) == 0.25 * float(value[0] + value[1])
 
 
 class TestBesselIRealOrder:
