@@ -14,7 +14,8 @@ Layers:
 * :mod:`bgstates.bipartite` - the entangled two-node state: three block
   routes to g (propagation, q-binomial ansatz, geometric closed form; a
   boundary row is delta or the row d_0..d_M itself), norm series, the
-  crossing (nodes swapped, q inverted) that reaches q > 1, Schmidt analysis.
+  crossing (nodes swapped, q inverted) that reaches q > 1, Schmidt analysis,
+  and the sweep along q, assembled and measured as stacks of states.
 * :mod:`bgstates.measure` - the double-double log series that gives the
   q-measure bracket and, at the classical tag, K_nu; completeness measures
   and moment-relation quadrature.
@@ -31,7 +32,8 @@ from .costate import (LadderState, build_by_operator_series, build_f_coherent,
 from .bipartite import (BipartiteMatrix, BipartiteParams, SchmidtSpectrum,
                         build_q_bipartite, classical_bipartite, crossing_transform,
                         eigen_residual, eigen_residual_parts, fidelity, g_ansatz_block,
-                        g_closed_block, norm_series, schmidt_entropy, solve_g_recurrence)
+                        g_closed_block, norm_series, schmidt_entropy, solve_g_recurrence,
+                        sweep_q)
 from .measure import (MomentRecord, MomentReport, bessel_k, classical_measure,
                       moment_check, q_measure)
 

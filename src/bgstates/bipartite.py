@@ -24,13 +24,18 @@ substitution (swap the nodes, invert q, transpose) and its profiles at q.
 
 A boundary row is a plain value: a real scalar delta is the geometric row
 d_m = delta^m, a sequence is d_0..d_M itself.
+
+Deformed states are assembled, in real arithmetic for real alphas, as
+stacks c[block, n1, n2] (a sweep along q, :func:`sweep_q`) that the measures
+act on as c[..., :, :]: one state is the stack of one, and each block has
+the bits it has alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -41,7 +46,7 @@ from .errors import DomainError, ShapeError, TruncationError
 from . import qspecial
 from .qspecial import (CLASSICAL, QParam, _bessel_i_series, _sum_series, q_factorial,
                        q_number, q_binomial)
-from .repalg import apply_coproduct, check_bargmann
+from .repalg import _blocks, apply_coproduct, check_bargmann
 
 __all__ = [
     "BipartiteParams",
@@ -58,10 +63,20 @@ __all__ = [
     "eigen_residual_parts",
     "fidelity",
     "SchmidtSpectrum",
+    "SweepRow",
+    "sweep_q",
 ]
 
 # edge-mass threshold certifying the double-series truncation
 TAIL_MASS_LIMIT = 1e-12
+# q steps of a sweep assembled and measured as one stack of states: four
+# N = 50 blocks keep a sweep's peak memory below an N = 50 pair's
+SWEEP_CHUNK = 4
+# a block holding subnormal entries (a deformed block's far corner below q of
+# about 0.87) takes its SVD scaled by this exact power of two, and its
+# singular values back, which keeps most of LAPACK's work out of slow
+# subnormal arithmetic
+SVD_SCALE = 2.0 ** 600
 
 
 def _first_row(boundary, m_max: int) -> np.ndarray:
@@ -130,13 +145,18 @@ class BipartiteMatrix:
     tables (e1, e2) of the two nodes at ``params``, levels 0..N1 and 0..N2
     at least, that the coefficients were formed from;
     :func:`repalg.apply_coproduct` reads them instead of building them again
-    (None for a matrix not built by this module)."""
+    (None for a matrix not built by this module).
+
+    A stack of states over one pair of nodes has coefficients c[block, n1,
+    n2], ``params`` a tuple (one per block), ladders over [block, level] and
+    ``norm_before_truncation`` an array; the measures give one result per
+    block, the one it gives alone."""
 
     coeffs: np.ndarray
     params: BipartiteParams
     normalized: bool = False
     truncation_loss: float = 0.0
-    norm_before_truncation: float = 0.0
+    norm_before_truncation: float | np.ndarray = 0.0
     ladders: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -144,6 +164,10 @@ class SchmidtSpectrum(NamedTuple):
     singular_values: list
     entropy: float
     rank_eps: int
+
+
+SweepRow = NamedTuple("SweepRow", [(name, float) for name in (
+    "q", "delta", "entropy", "sigma2", "fidelity_classical", "residual_interior")])
 
 
 def classical_bipartite(alpha1: complex, alpha2: complex, k1: float, k2: float,
@@ -222,16 +246,19 @@ def g_closed_block(delta: float, params: BipartiteParams, N1: int, N2: int) -> n
         g_{n,m} = q^{nm} delta^m xi^{-n} (delta eta; q^2)_n
 
     over the (N1+1) x (N2+1) block: the g that :func:`build_q_bipartite`
-    assembles a scalar-delta state from."""
+    assembles a scalar-delta state from.  Real alphas (floats) give a real
+    block."""
     q, xi, eta = _g_block_setup(params, N1, N2, "g_closed_block")
     delta = float(delta)
-    # row-scaled: poch[n] = (delta eta; q^2)_n
-    de = delta * eta
-    poch = np.array(list(itertools.accumulate(
-        (1.0 - de * q ** (2 * n) for n in range(N1)), operator.mul, initial=1 + 0j)))
+    # row-scaled: poch[n] = (delta eta; q^2)_n, its factors from Python float
+    # powers (numpy's round differently)
+    poch = np.cumprod([1.0] + [1.0 - delta * eta * q ** (2 * n) for n in range(N1)])
+    # a power q^{nm} below 2^-1076 rounds to zero, and forming it is slow
+    # subnormal arithmetic: such powers are left zero
+    nm = np.outer(np.arange(N1 + 1.0), np.arange(N2 + 1.0))
+    powers = np.power(q, nm, out=np.zeros_like(nm), where=nm <= 1076 / -math.log2(q))
     return (poch[:, None] * np.asarray(xi) ** -np.arange(N1 + 1)[:, None]
-            * delta ** np.arange(N2 + 1)[None, :]
-            * q ** np.outer(np.arange(N1 + 1), np.arange(N2 + 1)))
+            * delta ** np.arange(N2 + 1) * powers)
 
 
 def _single_node_prefactors(alpha: complex, k: float, q: QParam, N: int) -> np.ndarray:
@@ -241,23 +268,76 @@ def _single_node_prefactors(alpha: complex, k: float, q: QParam, N: int) -> np.n
             / math.sqrt(q_factorial(2 * k - 1, q)))
 
 
-def _edge_tail_estimate(c_sq: np.ndarray) -> float:
-    """Dropped-mass bound from row/column ratio tests on |c|^2.
+def _edge_tail_estimate(c_sq: np.ndarray) -> np.ndarray:
+    """Dropped-mass bounds from row/column ratio tests on |c|^2, per block
+    of c_sq[..., :, :].
 
     For each edge line the decay ratio of the last two entries bounds the
     geometric tail beyond the truncation; ratios >= 1 make the bound infinite.
     """
-    tail = 0.0
-    for line_prev, line_last in ((c_sq[-2, :], c_sq[-1, :]), (c_sq[:, -2], c_sq[:, -1])):
-        mass = float(np.sum(line_last))
-        prev = float(np.sum(line_prev))
-        if mass == 0.0:
-            continue
-        r = mass / prev if prev > 0 else math.inf
-        if r >= 1.0:
-            return math.inf
-        tail += mass * r / (1.0 - r)
-    return tail
+    mass, prev = (np.stack([np.sum(c_sq[..., i, :], axis=-1), np.sum(c_sq[..., :, i], axis=-1)])
+                  for i in (-1, -2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(prev > 0, mass / prev, math.inf)
+        tail = np.where(mass == 0.0, 0.0, np.where(r >= 1.0, math.inf, mass * r / (1.0 - r)))
+    return tail[0] + tail[1]
+
+
+def _assemble(params: list, boundaries: list, N1: int, N2: int) -> BipartiteMatrix:
+    """The normalized deformed states of a batch of configurations over one
+    pair of nodes, all on one side of q = 1, as a stack (see
+    :class:`BipartiteMatrix`): per state, g (the closed form for a scalar
+    boundary), both profiles from the state's lowering tables, c and its
+    checks.  Raises the error of the first state that fails one."""
+    a1, a2 = complex(params[0].alpha1), complex(params[0].alpha2)
+    real = not (a1.imag or a2.imag)
+    if real:                            # real nodes take real arithmetic
+        params = [BipartiteParams(a1.real, a2.real, p.k1, p.k2, p.q) for p in params]
+    # the recurrence propagates from node 1 of the configuration it solves:
+    # node 2 of a q > 1 state, whose g is its crossing mirror's transposed
+    crossed = params[0].q.value > 1.0
+    node = "alpha2" if crossed else "alpha1"
+    g_params, n1, n2 = ([crossing_transform(p) for p in params], N2, N1) if crossed \
+        else (params, N1, N2)
+    if g_params[0].alpha1 == 0:
+        raise DomainError(f"{node} = 0 makes xi = 0 and the boundary-row "
+                          "propagation undefined; the state degenerates to "
+                          "vacuum (x) single-node")
+    # an overflow here (xi^{-n} included, formed as 1/xi^n and so as 1/0 once
+    # xi^n underflows) is caught and named by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        route = g_closed_block if np.ndim(boundaries[0]) == 0 else solve_g_recurrence
+        g = np.array([route(boundary, p, n1, n2) for boundary, p in zip(boundaries, g_params)])
+        profiles, tables = [], []
+        for alpha, k, n in ((params[0].alpha1, params[0].k1, N1),
+                            (params[0].alpha2, params[0].k2, N2)):
+            profile, table = zip(*(_profile_with_table(alpha, k, p.q, n, n + 1) for p in params))
+            # a real node's profile has zero imaginary parts, and its real
+            # parts are the real arithmetic's bits
+            profiles.append(np.array(profile).real if real else np.array(profile))
+            tables.append(np.array(table))
+        if crossed:
+            g = np.ascontiguousarray(g.swapaxes(1, 2))
+        c = profiles[0][:, :, None] * profiles[1][:, None, :] * g
+        finite = np.isfinite(c).all(axis=(-2, -1))
+        c_sq = np.abs(c) ** 2
+        total = np.sum(c_sq, axis=(-2, -1))
+        tail = _edge_tail_estimate(c_sq)
+    for b in range(len(c)):
+        if not finite[b]:
+            raise DomainError(f"coefficient assembly overflowed; |alpha/{node}| is "
+                              "too large for this truncation (xi^{-n} exceeds "
+                              "double range before the factorial decay sets in)")
+        if total[b] == 0.0:
+            raise DomainError("state vanished: the boundary row d_0..d_M makes every "
+                              "|c|^2 zero")
+        if not tail[b] <= TAIL_MASS_LIMIT * total[b]:
+            raise TruncationError(
+                f"truncation insufficient: edge-ratio tail estimate {tail[b]:.3e} "
+                f"exceeds {TAIL_MASS_LIMIT:.0e} of the total; increase N1/N2")
+    c /= np.sqrt(total)[:, None, None]
+    return BipartiteMatrix(coeffs=c, params=tuple(params), normalized=True,
+                           norm_before_truncation=total, ladders=tuple(tables))
 
 
 def build_q_bipartite(params: BipartiteParams, boundary,
@@ -267,44 +347,16 @@ def build_q_bipartite(params: BipartiteParams, boundary,
     A scalar boundary delta takes g from :func:`g_closed_block`; a sequence
     d_0..d_M propagates the recurrence.  For q > 1, g is solved on the
     crossing mirror, truncated at (N2, N1), and transposed.  Both profiles
-    and their lowering tables are formed at the state's own q.
+    and their lowering tables are formed at the state's own q.  Real alphas
+    give a real block.  This is the batch of one of a sweep along q
+    (:func:`sweep_q`), and gives the same bits as a step of one.
     """
     if params.q.is_classical:
         raise DomainError("use classical_bipartite for the undeformed case")
-    # the recurrence propagates from node 1 of the configuration it solves:
-    # node 2 of a q > 1 state, whose g is its crossing mirror's transposed
-    crossed = params.q.value > 1.0
-    g_params, n1, n2, node = ((crossing_transform(params), N2, N1, "alpha2") if crossed
-                              else (params, N1, N2, "alpha1"))
-    if g_params.alpha1 == 0:
-        raise DomainError(f"{node} = 0 makes xi = 0 and the boundary-row "
-                          "propagation undefined; the state degenerates to "
-                          "vacuum (x) single-node")
-    q = params.q
-    # an overflow here is caught and named by the finiteness check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        route = g_closed_block if np.ndim(boundary) == 0 else solve_g_recurrence
-        g = route(boundary, g_params, n1, n2)
-        p1, e1 = _profile_with_table(params.alpha1, params.k1, q, N1, N1 + 1)
-        p2, e2 = _profile_with_table(params.alpha2, params.k2, q, N2, N2 + 1)
-        c = np.ascontiguousarray(p1[:, None] * p2[None, :] * (g.T if crossed else g))
-    if not np.all(np.isfinite(c.view(float))):
-        raise DomainError(f"coefficient assembly overflowed; |alpha/{node}| is "
-                          "too large for this truncation (xi^{-n} exceeds "
-                          "double range before the factorial decay sets in)")
-    c_sq = np.abs(c) ** 2
-    total = float(np.sum(c_sq))
-    if total == 0.0:
-        raise DomainError("state vanished: the boundary row d_0..d_M makes every "
-                          "|c|^2 zero")
-    tail = _edge_tail_estimate(c_sq)
-    if not tail <= TAIL_MASS_LIMIT * total:
-        raise TruncationError(
-            f"truncation insufficient: edge-ratio tail estimate {tail:.3e} "
-            f"exceeds {TAIL_MASS_LIMIT:.0e} of the total; increase N1/N2")
-    return BipartiteMatrix(coeffs=c / math.sqrt(total), params=params,
-                           normalized=True,
-                           norm_before_truncation=total, ladders=(e1, e2))
+    M = _assemble([params], [boundary], N1, N2)
+    return BipartiteMatrix(coeffs=M.coeffs[0], params=M.params[0], normalized=True,
+                           norm_before_truncation=float(M.norm_before_truncation[0]),
+                           ladders=tuple(e[0] for e in M.ladders))
 
 
 def norm_series(params: BipartiteParams, delta: float) -> float:
@@ -361,26 +413,41 @@ def crossing_transform(params: BipartiteParams) -> BipartiteParams:
 def schmidt_entropy(M: BipartiteMatrix) -> SchmidtSpectrum:
     """Singular values, entanglement entropy -sum s^2 ln s^2, and eps-rank;
     s_1^2 ln s_1^2 is taken as (1 - lam) log1p(-lam), lam = sum_{i>=2} s_i^2,
-    which keeps lam's digits as q -> 1 and every term >= 0."""
+    which keeps lam's digits as q -> 1 and every term >= 0.  For a stack of
+    states each is an array over the blocks."""
     if not M.normalized:
         raise DomainError("schmidt_entropy requires a normalized state")
     c = np.asarray(M.coeffs)
     # a block with no imaginary part (real alphas) takes the real SVD, about
     # twice as fast; its singular values differ from the complex one's at
     # rounding level
-    sv = np.linalg.svd(c if c.imag.any() else c.real, compute_uv=False)
+    c = c if np.iscomplexobj(c) and c.imag.any() else c.real
+    size = np.abs(c)
+    scale = np.where(((size > 0) & (size < sys.float_info.min)).any(axis=(-2, -1)), SVD_SCALE, 1.0)
+    sv = np.linalg.svd(c * scale[..., None, None], compute_uv=False) / scale[..., None]
     s_sq = sv ** 2
-    if abs(float(np.sum(s_sq)) - 1.0) > 1e-9:
+    if np.any(np.abs(np.sum(s_sq, axis=-1) - 1.0) > 1e-9):
         raise DomainError("coefficient matrix is not normalized to 1e-9")
-    rest = s_sq[1:][s_sq[1:] > 0]
-    lam = float(np.sum(rest))
-    entropy = -(1.0 - lam) * math.log1p(-lam) - float(np.sum(rest * np.log(rest)))
-    return SchmidtSpectrum(singular_values=sv.tolist(), entropy=entropy,
-                           rank_eps=int(np.sum(sv > 1e-10)))
+    rest = s_sq[..., 1:]
+    lam = np.sum(rest, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):     # 0 ln 0 is taken as 0
+        entropy = -(1.0 - lam) * np.log1p(-lam) - np.sum(
+            np.where(rest > 0, rest * np.log(rest), 0.0), axis=-1)
+    rank = np.sum(sv > 1e-10, axis=-1)
+    if c.ndim == 2:
+        return SchmidtSpectrum(singular_values=sv.tolist(), entropy=float(entropy),
+                               rank_eps=int(rank))
+    return SchmidtSpectrum(singular_values=sv, entropy=entropy, rank_eps=rank)
+
+
+def _norms(a: np.ndarray):
+    """np.linalg.norm of each block a[..., :, :], a float for one block."""
+    return float(np.linalg.norm(a)) if a.ndim == 2 else np.array([np.linalg.norm(b) for b in a])
 
 
 def eigen_residual_parts(M: BipartiteMatrix):
-    """(interior, edge) relative eigen-residuals of Delta(K-).
+    """(interior, edge) relative eigen-residuals of Delta(K-), per block for
+    a stack of states.
 
     The top row/column of the output reference coefficients beyond the
     truncation, so they are excluded from the interior figure and reported
@@ -388,28 +455,64 @@ def eigen_residual_parts(M: BipartiteMatrix):
     """
     if not M.normalized:
         raise DomainError("eigen_residual requires a normalized state")
-    alpha = M.params.alpha
+    alpha = _blocks(M)[0].alpha
     c = np.asarray(M.coeffs)
     out = apply_coproduct("K-", M).coeffs
     if alpha == 0:
-        if np.sum(np.abs(c) ** 2) - abs(c[0, 0]) ** 2 > 1e-20:
+        if np.any(np.sum(np.abs(c) ** 2, axis=(-2, -1)) - np.abs(c[..., 0, 0]) ** 2 > 1e-20):
             raise DomainError("alpha = 0 residual is defined only for the vacuum state")
-        norm = float(np.linalg.norm(out))
+        norm = _norms(out)
         return norm, norm
     diff = out - alpha * c
-    interior = float(np.linalg.norm(diff[:-1, :-1])) / abs(alpha)
-    edge_sq = float(np.sum(np.abs(diff) ** 2) - np.sum(np.abs(diff[:-1, :-1]) ** 2))
-    return interior, math.sqrt(max(edge_sq, 0.0)) / abs(alpha)
+    edge_sq = (np.sum(np.abs(diff) ** 2, axis=(-2, -1))
+               - np.sum(np.abs(diff[..., :-1, :-1]) ** 2, axis=(-2, -1)))
+    edge = np.sqrt(np.maximum(edge_sq, 0.0)) / abs(alpha)
+    return _norms(diff[..., :-1, :-1]) / abs(alpha), float(edge) if diff.ndim == 2 else edge
 
 
 def eigen_residual(M: BipartiteMatrix) -> float:
-    """Interior relative residual ||Delta(K-) M - alpha M|| / |alpha|."""
+    """Interior relative residual ||Delta(K-) M - alpha M|| / |alpha|, per
+    block for a stack of states."""
     return eigen_residual_parts(M)[0]
 
 
 def fidelity(A: BipartiteMatrix, B: BipartiteMatrix) -> float:
-    """|<A|B>| for two normalized states on identical truncations."""
+    """|<A|B>| for two normalized states on identical truncations; per block
+    of B for a stack of states."""
     ca, cb = np.asarray(A.coeffs), np.asarray(B.coeffs)
-    if ca.shape != cb.shape:
+    if ca.shape != cb.shape[-2:]:
         raise ShapeError(f"shape mismatch {ca.shape} vs {cb.shape}")
-    return float(abs(np.vdot(ca, cb)))
+    if cb.ndim == 2:
+        return float(abs(np.vdot(ca, cb)))
+    return np.array([abs(np.vdot(ca, block)) for block in cb])
+
+
+def sweep_q(a1: complex, a2: complex, k1: float, k2: float, qs, boundary, N: int) -> list:
+    """The entropy, sigma_2, overlap with :func:`classical_bipartite` and
+    interior eigen-residual of the deformed state of nodes (a1, k1), (a2, k2)
+    on an N x N truncation at each q of ``qs`` (0 < q < 1), with delta =
+    ``boundary(q)``.  The steps are measured as stacks of SWEEP_CHUNK states,
+    each row the bits of its state alone; the first failing step raises what
+    it raises alone."""
+    classical = classical_bipartite(a1, a2, k1, k2, N, N)
+
+    def rows(qs):
+        params = [BipartiteParams(a1, a2, k1, k2, QParam(q)) for q in qs]
+        deltas = [boundary(q) for q in qs]
+        M = _assemble(params, deltas, N, N)
+        spec = schmidt_entropy(M)
+        values = (spec.entropy, spec.singular_values[:, 1], fidelity(classical, M),
+                  eigen_residual(M))
+        return [SweepRow(*row) for row in zip(qs, deltas, *(v.tolist() for v in values))]
+
+    out = []
+    for start in range(0, len(qs), SWEEP_CHUNK):
+        chunk = qs[start:start + SWEEP_CHUNK]
+        try:
+            out += rows(chunk)
+        except (DomainError, TruncationError, ArithmeticError):
+            # the error of the chunk's first failing step, as it raises alone
+            for q in chunk:
+                rows([q])
+            raise
+    return out

@@ -306,27 +306,14 @@ def _run_sweep_q(cfg: RunConfig) -> dict:
     _check_budget(n, n, f"N={n}")
     if steps > MAX_COEFFICIENTS:
         raise DomainError(f"steps={steps} exceeds the budget of {MAX_COEFFICIENTS} steps")
-    classical = bp.classical_bipartite(a1, a2, k1, k2, n, n)
-    rows = []
-    for q in np.linspace(q_from, q_to, steps):
-        qv = float(q)
-        params = bp.BipartiteParams(a1, a2, k1, k2, QParam(qv))
-        delta = qv ** delta_num if delta_power else delta_num
-        M = bp.build_q_bipartite(params, delta, n, n)
-        spec = bp.schmidt_entropy(M)
-        rows.append({
-            "q": qv,
-            "delta": delta,
-            "entropy": float(spec.entropy),
-            "sigma2": float(spec.singular_values[1]),
-            "fidelity_classical": float(bp.fidelity(classical, M)),
-            "residual_interior": float(bp.eigen_residual(M)),
-        })
+    qs = [float(q) for q in np.linspace(q_from, q_to, steps)]
+    rows = bp.sweep_q(a1, a2, k1, k2, qs, (lambda q: q ** delta_num) if delta_power
+                      else (lambda q: delta_num), n)
     return {
         "command": "sweep-q",
         "params": {"from": q_from, "to": q_to, "steps": steps, "a1": _jc(a1),
                    "a2": _jc(a2), "k1": k1, "k2": k2, "delta": delta_spec, "N": n},
-        "rows": rows,
+        "rows": [row._asdict() for row in rows],
     }
 
 

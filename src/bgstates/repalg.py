@@ -174,23 +174,37 @@ def apply_ladder(which: str, state):
     return dataclasses.replace(state, coeffs=out, truncation_loss=loss)
 
 
+def _blocks(M) -> tuple:
+    """The params of each block of M: M.params of a stack, (M.params,) of one."""
+    return M.params if np.ndim(M.coeffs) > 2 else (M.params,)
+
+
 def _coproduct_arrays(M, m1: int, m2: int, raises: bool):
     """Lowering elements of levels 0..m1-1 and 0..m2-1 of both nodes, one
     level more when ``raises`` (the level a K+ raise drops), from the tables
     M was built from where it carries them; plus the q^{+-K0} spectator
-    weights of levels below m1 and m2 (all 1 for a classical q)."""
-    params = M.params
-    q = params.q
-    if q.is_classical:
-        w1 = np.ones(m1)
-        w2 = np.ones(m2)
-    else:
-        w1 = q.value ** (np.arange(m1) + params.k1)      # q^{K0} on node 1
-        w2 = q.value ** -(np.arange(m2) + params.k2)     # q^{-K0} on node 2
-    stored1, stored2 = M.ladders or (None, None)
-    e1 = _table(stored1, q, params.k1, m1 + raises)
-    e2 = _table(stored2, q, params.k2, m2 + raises)
-    return e1, e2, w1, w2
+    weights of levels below m1 and m2 (all 1 for a classical q).  For a
+    stack of states each is an array over [block, level]."""
+    blocks = _blocks(M)
+    params, stack = blocks[0], np.ndim(M.coeffs) > 2
+    q = np.ones((1, 1)) if params.q.is_classical else np.array([[p.q.value] for p in blocks])
+    w1 = q ** (np.arange(m1) + params.k1)      # q^{K0} on node 1
+    w2 = q ** -(np.arange(m2) + params.k2)     # q^{-K0} on node 2
+    tables = []
+    for rows, k, m in zip(M.ladders or (None, None), (params.k1, params.k2), (m1, m2)):
+        rows = rows if stack and rows is not None else [rows] * len(blocks)
+        tables.append(np.array([_table(row, p.q, k, m + raises) for row, p in zip(rows, blocks)]))
+    arrays = (*tables, w1, w2)
+    return arrays if stack else tuple(a[0] for a in arrays)
+
+
+def _reach(nonzero: np.ndarray) -> np.ndarray:
+    """Per block, one past the last line of ``nonzero`` [..., line] that is
+    True, plus one for the line a raise lands on, at most the line count
+    (1 for a block with no True line)."""
+    n = nonzero.shape[-1]
+    last = n - 1 - np.argmax(nonzero[..., ::-1], axis=-1)
+    return np.where(nonzero.any(axis=-1), np.minimum(last + 2, n), 1)
 
 
 def apply_coproduct(which: str, M):
@@ -205,33 +219,40 @@ def apply_coproduct(which: str, M):
 
     where w1 = q^{n1+k1} and w2 = q^{-n2-k2} are the spectator-node weights
     (both 1 for a classical q).  Delta(K+) is its adjoint and drops the raise
-    out of the top row/column into ``truncation_loss``.
+    out of the top row/column into ``truncation_loss``.  Each block of a
+    stack of states (coefficients c[..., :, :]) is acted on as it would be
+    alone, and ``truncation_loss`` is then an array over the blocks.
     """
     _check_which(which)
-    params = M.params
     c = np.asarray(M.coeffs)
     loss = 0.0
     if which == "K0":
-        n1 = np.arange(c.shape[0]) + params.k1
-        n2 = np.arange(c.shape[1]) + params.k2
+        params = _blocks(M)[0]
+        n1 = np.arange(c.shape[-2]) + params.k1
+        n2 = np.arange(c.shape[-1]) + params.k2
         out = (n1[:, None] + n2[None, :]) * c
     else:
         # only the first m1 rows and m2 columns, the support of c plus one row
         # and one column for a K+ raise, can be nonzero: forming the products
         # there alone keeps the weights and matrix elements that overflow at
-        # large N from meeting the zeros past them as inf * 0
-        rows, cols = np.flatnonzero(c.any(axis=1)), np.flatnonzero(c.any(axis=0))
-        m1 = min(int(rows[-1]) + 2 if rows.size else 1, c.shape[0])
-        m2 = min(int(cols[-1]) + 2 if cols.size else 1, c.shape[1])
-        e1, e2, w1, w2 = _coproduct_arrays(M, m1, m2, which == "K+")
+        # large N from meeting the zeros past them as inf * 0.  A stack is
+        # formed on its widest block's, each block's tables and weights
+        # zeroed past its own
+        raises = which == "K+"
+        m1, m2 = _reach(c.any(axis=-1)), _reach(c.any(axis=-2))
+        r1, r2 = int(np.max(m1)), int(np.max(m2))
+        e1, e2, w1, w2 = (np.where(np.arange(a.shape[-1]) < m[..., None] + extra, a, 0.0)
+                          for a, m, extra in zip(_coproduct_arrays(M, r1, r2, raises),
+                                                 (m1, m2, m1, m2), (raises, raises, 0, 0)))
         out = np.zeros_like(c)
-        o, s = out[:m1, :m2], c[:m1, :m2]
+        o, s = out[..., :r1, :r2], c[..., :r1, :r2]
         if which == "K-":
-            o[:-1, :] += w2[None, :] * e1[1:m1, None] * s[1:, :]
-            o[:, :-1] += w1[:, None] * e2[None, 1:m2] * s[:, 1:]
+            o[..., :-1, :] += w2[..., None, :] * e1[..., 1:r1, None] * s[..., 1:, :]
+            o[..., :, :-1] += w1[..., :, None] * e2[..., None, 1:r2] * s[..., :, 1:]
         else:
-            o[1:, :] += w2[None, :] * e1[1:m1, None] * s[:-1, :]
-            o[:, 1:] += w1[:, None] * e2[None, 1:m2] * s[:, :-1]
-            loss = float(np.sum(np.abs(w2 * e1[m1] * s[-1, :]) ** 2)
-                         + np.sum(np.abs(w1 * e2[m2] * s[:, -1]) ** 2))
+            o[..., 1:, :] += w2[..., None, :] * e1[..., 1:r1, None] * s[..., :-1, :]
+            o[..., :, 1:] += w1[..., :, None] * e2[..., None, 1:r2] * s[..., :, :-1]
+            loss = (np.sum(np.abs(w2 * e1[..., r1, None] * s[..., -1, :]) ** 2, axis=-1)
+                    + np.sum(np.abs(w1 * e2[..., r2, None] * s[..., :, -1]) ** 2, axis=-1))
+            loss = float(loss) if c.ndim == 2 else loss
     return dataclasses.replace(M, coeffs=out, truncation_loss=loss, normalized=False)

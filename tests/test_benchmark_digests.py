@@ -59,6 +59,13 @@ def _sample():
     # the q argv whose lhs moved most when each node came to stop its own
     # log series
     picked.append(("moments", ["verify-moments", "mode=q", "q=0.95666", "k=2", "nmax=3"]))
+    # the sweeps that start nearest q = 1, whose first-row entropy is the
+    # most sensitive to rounding, and those that end lowest, whose blocks
+    # hold the most subnormal entries
+    sweeps = scan["sweep_int"] + scan["sweep_nonint"]
+    for key, sign in (("from", -1), ("to", 1)):
+        ranked = sorted(sweeps, key=lambda a: sign * float(dict(t.split("=") for t in a[1:])[key]))
+        picked += [("scan", a) for a in ranked[:5] if ("scan", a) not in picked]
     return picked
 
 

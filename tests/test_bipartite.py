@@ -1,7 +1,9 @@
 """Bipartite entangled-state tests: recurrence solvers and their oracles,
 state assembly, norms, crossing symmetry, and Schmidt analysis."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -700,3 +702,131 @@ def test_fidelity_shape_guard():
     b = bp.classical_bipartite(0.3, 0.5, 1.0, 1.0, 21, 21)
     with pytest.raises(ShapeError):
         bp.fidelity(a, b)
+
+
+def _catalogue_sweeps():
+    """One benchmark catalogue sweep per k kind (integer, non-integer k1) and
+    delta form (1, q^1, q^2, a number), as (a1, a2, k1, k2, qs, boundary, N)."""
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cat = workloads.catalogue("scan")
+    picked = {}
+    for kind in ("sweep_int", "sweep_nonint"):
+        for argv in cat[kind]:
+            p = dict(tok.split("=") for tok in argv[1:])
+            picked.setdefault((kind, p["delta"] if p["delta"] in ("1", "q^1", "q^2") else "x"), p)
+    sweeps = []
+    for p in picked.values():
+        power = p["delta"].startswith("q^")
+        exponent = float(p["delta"][2:] if power else p["delta"])
+        qs = [float(q) for q in np.linspace(float(p["from"]), float(p["to"]), int(p["steps"]))]
+        sweeps.append((complex(p["a1"]), complex(p["a2"]), float(p["k1"]), float(p["k2"]), qs,
+                       (lambda q, e=exponent: q ** e) if power else (lambda q, e=exponent: e),
+                       int(p["N"])))
+    return sweeps
+
+
+SWEEPS = _catalogue_sweeps()
+
+
+class TestSweepStacks:
+    """sweep_q assembles and measures its steps SWEEP_CHUNK at a time as one
+    stack of states; each row is, bit for bit, what its state gives alone
+    (build_q_bipartite and the per-state measures), whatever its chunk."""
+
+    def test_eight_catalogue_sweeps(self):
+        assert len(SWEEPS) == 8
+
+    @pytest.mark.parametrize("sweep", SWEEPS, ids=range(len(SWEEPS)))
+    def test_each_row_is_its_state_alone(self, sweep):
+        a1, a2, k1, k2, qs, boundary, N = sweep
+        rows = bp.sweep_q(a1, a2, k1, k2, qs, boundary, N)
+        classical = bp.classical_bipartite(a1, a2, k1, k2, N, N)
+        for row, q in zip(rows, qs):
+            M = bp.build_q_bipartite(bp.BipartiteParams(a1, a2, k1, k2, QParam(q)),
+                                     boundary(q), N, N)
+            spec = bp.schmidt_entropy(M)
+            assert (row.q, row.delta) == (q, boundary(q))
+            assert row.entropy == spec.entropy
+            assert row.sigma2 == spec.singular_values[1]
+            assert row.fidelity_classical == bp.fidelity(classical, M)
+            assert row.residual_interior == bp.eigen_residual(M)
+        # shifted by one step, every chunk holds other states
+        assert bp.sweep_q(a1, a2, k1, k2, qs[1:], boundary, N) == rows[1:]
+
+    def test_stack_measures_are_each_block_alone(self):
+        # a q > 1 stack (the crossing) and complex nodes, through the
+        # public measures and apply_coproduct on a stack
+        for a1, qs in ((0.8, [1.1, 1.3, 1.7]), (0.3 + 0.2j, [0.6, 0.75, 0.9])):
+            params = [bp.BipartiteParams(a1, 0.5, 1.0, 1.5, QParam(q)) for q in qs]
+            stack = bp._assemble(params, [0.9] * 3, 20, 14)
+            spec = bp.schmidt_entropy(stack)
+            interior, edge = bp.eigen_residual_parts(stack)
+            raised = bp.apply_coproduct("K+", stack)
+            for b, p in enumerate(params):
+                M = bp.build_q_bipartite(p, 0.9, 20, 14)
+                assert np.array_equal(stack.coeffs[b], M.coeffs)
+                alone = bp.schmidt_entropy(M)
+                assert spec.singular_values[b].tolist() == alone.singular_values
+                assert (spec.entropy[b], spec.rank_eps[b]) == (alone.entropy, alone.rank_eps)
+                assert (interior[b], edge[b]) == bp.eigen_residual_parts(M)
+                one = bp.apply_coproduct("K+", M)
+                assert np.array_equal(raised.coeffs[b], one.coeffs)
+                assert raised.truncation_loss[b] == one.truncation_loss
+
+    def test_a_failing_step_raises_what_it_raises_alone(self):
+        # at N = 12 and delta = 4 the truncation fails from q of about 0.8,
+        # naming each step's own tail; q = 1e-30 takes a q-number out of
+        # double range, which a chunk meets first (its lowering tables are
+        # formed before any of its states is checked)
+        def sweep(*qs):
+            bp.sweep_q(1.5, 1.2, 1.0, 1.0, list(qs), lambda q: 4.0, 12)
+
+        with pytest.raises(TruncationError) as first:
+            sweep(0.5, 0.85, 1e-30, 0.95)
+        with pytest.raises(TruncationError) as alone:
+            sweep(0.85)
+        with pytest.raises(TruncationError) as later:
+            sweep(0.95)
+        assert str(first.value) == str(alone.value) != str(later.value)
+        with pytest.raises(DomainError, match=r"^q-number \[\d+\]_q overflows double range at q=1e-30"):
+            sweep(0.5, 1e-30, 0.85)
+
+
+class TestScaledSvd:
+    """A block holding subnormal entries takes its SVD scaled by SVD_SCALE,
+    which keeps most of LAPACK's work out of subnormal arithmetic; the
+    spectrum moves at rounding level from the plain SVD's."""
+
+    @pytest.mark.parametrize("q", np.linspace(0.5, 0.9999, 12).tolist())
+    @pytest.mark.parametrize("nodes", [(1.2, 0.7, 1.0, 1.5, 2.0), (0.9116, 0.4324, 1.25, 2.0, 0.0)],
+                             ids=["q^2", "delta=1"])
+    def test_against_the_plain_svd(self, nodes, q):
+        a1, a2, k1, k2, power = nodes
+        M = bp.build_q_bipartite(bp.BipartiteParams(a1, a2, k1, k2, QParam(q)), q ** power,
+                                 50, 50)
+        plain = np.linalg.svd(M.coeffs, compute_uv=False)
+        spec = bp.schmidt_entropy(M)
+        got = np.array(spec.singular_values)
+        assert np.all(np.abs(got[:3] - plain[:3]) <= 1e-10 * plain[:3])
+        s_sq = plain ** 2
+        rest = s_sq[1:][s_sq[1:] > 0]
+        lam = float(np.sum(rest))
+        entropy = -(1.0 - lam) * math.log1p(-lam) - float(np.sum(rest * np.log(rest)))
+        assert abs(spec.entropy - entropy) <= 1e-15
+
+    def test_only_blocks_with_subnormal_entries_are_scaled(self, monkeypatch):
+        seen = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a.copy()) or svd(a, **kw))
+        blocks = [bp.build_q_bipartite(bp.BipartiteParams(1.2, 0.7, 1.0, 1.5, QParam(q)), 1.0,
+                                       50, 50).coeffs for q in (0.6, 0.99)]
+        blocks.append(bp.classical_bipartite(1.2, 0.7, 1.0, 1.5, 50, 50).coeffs)
+        for c in blocks:
+            bp.schmidt_entropy(bp.BipartiteMatrix(coeffs=c, params=P9, normalized=True))
+        tiny = np.finfo(float).tiny
+        assert [bool(((b != 0) & (np.abs(b) < tiny)).any()) for b in blocks] == [True, False, False]
+        assert np.array_equal(seen[0], blocks[0].real * bp.SVD_SCALE)
+        assert np.array_equal(seen[1], blocks[1]) and np.array_equal(seen[2], blocks[2].real)

@@ -1,15 +1,20 @@
 """CLI surface tests: subcommands, formats, exit codes, round-trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bgstates import bipartite as bp
 from bgstates import cli
@@ -221,7 +226,7 @@ NON_FINITE = [
 class TestTableBuilds:
     """Each q-table is formed once per call: one lowering table per node and
     state, one q-binomial triangle per g-oracle; and the closed-form g block
-    once per scalar-delta state or g-oracle."""
+    once per scalar-delta state or g-oracle, a sweep's steps included."""
 
     PAIR = ["a1=0.5", "a2=0.3", "k1=1", "k2=1", "N=30"]
 
@@ -259,7 +264,8 @@ class TestTableBuilds:
         (["state-bipartite", "q=0.9", *PAIR], 1),
         (["state-bipartite", "q=1.25", *PAIR], 1),
         (["sweep-q", "from=0.9", "to=0.8", "steps=3", *PAIR], 3),
-    ], ids=["g-oracle", "pair", "pair-crossing", "sweep-3-steps"])
+        (["sweep-q", "from=0.9", "to=0.8", "steps=9", *PAIR], 9),
+    ], ids=["g-oracle", "pair", "pair-crossing", "sweep-3-steps", "sweep-9-steps"])
     def test_one_closed_form_block_per_g(self, argv, blocks, monkeypatch, tmp_path):
         calls = []
         block, pochhammer = bp.g_closed_block, qs.q_pochhammer
@@ -274,6 +280,121 @@ class TestTableBuilds:
         monkeypatch.setattr(bp, "q_pochhammer", counted, raising=False)
         assert run_cli(argv + [f"out={tmp_path / 'a.json'}"]) == 0
         assert calls == ["block"] * blocks
+
+
+class TestSweepMemory:
+    def test_peak_stays_below_a_pair(self, tmp_path):
+        # a sweep's chunks of states must not raise the process's peak
+        # memory: an N = 50 state-bipartite op peaks at about 0.61-0.67 MiB
+        argv = ["sweep-q", "from=0.99038", "to=0.76131", "steps=44", "a1=1.8039",
+                "a2=1.3264", "k1=0.75", "k2=1.5", "delta=q^2", "N=50",
+                f"out={tmp_path / 'a.json'}"]
+        assert run_cli(argv) == 0       # first use of every code path
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * 2 ** 20
+
+
+# the keys each subcommand reads, each mostly with a valid value and one time
+# in eight with one that may not be; sizes stay small, so that an example
+# costs milliseconds
+_ODD = st.sampled_from(["0", "-1", "1", "1e-30", "1e-26", "40", "1e200", "nan", "-inf", "x",
+                        "", "0.3+0.2j", "classical", "q^-400", "2.5"])
+
+
+def _value(valid):
+    return st.integers(0, 7).flatmap(lambda i: _ODD if i == 7 else valid)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+_SIZE = _value(st.integers(1, 12).map(str))
+_Q = _value(_floats(0.05, 0.99))
+_ALPHA = _value(_floats(-1.5, 1.5))
+_K = _value(st.one_of(_floats(0.5, 3), st.sampled_from(["0.5", "1", "1.25", "2"])))
+_KEYS = {
+    "state-single": {"q": _Q, "alpha": _ALPHA, "k": _K, "N": _SIZE},
+    "state-bipartite": {"q": _value(st.one_of(_floats(0.05, 0.99), _floats(1.01, 2.0))),
+                        "a1": _ALPHA, "a2": _ALPHA, "k1": _K, "k2": _K,
+                        "delta": _value(_floats(0.3, 1.5)), "N": _SIZE, "N2": _SIZE,
+                        "perturb": _value(_floats(-1, 1)), "seed": _SIZE},
+    "verify-moments": {"mode": _value(st.sampled_from(["q", "classical"])),
+                       "q": _value(_floats(0.6, 0.95)), "k": _K,
+                       "nmax": _value(st.integers(0, 3).map(str))},
+    "sweep-q": {"from": _Q, "to": _Q, "steps": _value(st.integers(1, 8).map(str)),
+                "a1": _ALPHA, "a2": _ALPHA, "k1": _K, "k2": _K,
+                "delta": _value(st.one_of(_floats(0.3, 1.5), st.integers(-2, 3).map("q^{}".format))),
+                "N": _value(st.integers(6, 12).map(str))},
+    "g-oracle": {"q": _Q, "a1": _ALPHA, "a2": _ALPHA, "k1": _K, "k2": _K,
+                 "delta": _value(_floats(0.3, 1.5)), "nmax": _SIZE},
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_KEYS)))
+    keys = _KEYS[command]
+    argv = [command] + [f"{key}={draw(value)}" for key, value in keys.items()
+                        if draw(st.integers(0, 19)) < 19]
+    if draw(st.integers(0, 19)) == 19:
+        argv.append("typo=1")
+    return argv + [f"format={draw(st.sampled_from(['json', 'csv']))}"]
+
+
+def _outcome(argv, out: Path):
+    """(exit code, stderr, artifact text) of one in-process CLI run."""
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")          # a RuntimeWarning fails the example
+        code = cli.main(argv + [f"out={out}"])
+    return code, err.getvalue(), out.read_text() if out.exists() else None
+
+
+@pytest.fixture(scope="module")
+def fuzz_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "artifact"
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argvs())
+def test_any_argv_exits_cleanly(argv, fuzz_out):
+    """Any key=value argv exits 0, 2 or 3 with no traceback and no
+    RuntimeWarning; exit 0 writes strict JSON (CSV free of nan and inf).  A
+    sweep gives what its steps give one at a time: the rows of single-step
+    sweeps, or the error of the first step that fails."""
+    code, err, text = _outcome(argv, fuzz_out)
+    assert code in (0, 2, 3)
+    assert (text is not None) == (code == 0)
+    if code == 0 and "format=json" in argv:
+        json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in {argv}"))
+    elif code == 0:
+        assert "nan" not in text and "inf" not in text
+    p = dict(tok.partition("=")[::2] for tok in argv[1:])
+    if argv[0] != "sweep-q" or code == 0 and "format=csv" in argv:
+        return
+    try:
+        ends, steps = (float(p["from"]), float(p["to"])), int(p.get("steps", "12"))
+    except (KeyError, ValueError):
+        return
+    if steps < 2 or not all(0 < end < 1 for end in ends):
+        return
+    grid = np.linspace(*ends, steps)
+    rows = []
+    for q in grid.tolist():
+        one = [tok for tok in argv if tok.partition("=")[0] not in ("from", "to", "steps")]
+        step = _outcome(one + [f"from={q!r}", f"to={q!r}", "steps=1"], fuzz_out)
+        if step[0]:
+            assert (code, err) == step[:2]
+            return
+        rows += json.loads(step[2])["rows"]
+    assert code == 0 and json.loads(text)["rows"] == rows
 
 
 class TestExitCodes:
