@@ -27,15 +27,15 @@ d_m = delta^m, a sequence is d_0..d_M itself.
 
 Deformed states are assembled, in real arithmetic for real alphas, as
 stacks c[block, n1, n2] (a sweep along q, :func:`sweep_q`) that the measures
-act on as c[..., :, :]: one state is the stack of one, and each block has
-the bits it has alone.
+act on as c[..., :, :]: the tables, profiles and g of a stack are each
+formed in one pass, one state is the stack of one, and each block has the
+bits it has alone.  The Schmidt SVD takes each block on its own support.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -46,7 +46,7 @@ from .errors import DomainError, ShapeError, TruncationError
 from . import qspecial
 from .qspecial import (CLASSICAL, QParam, _bessel_i_series, _sum_series, q_factorial,
                        q_number, q_binomial)
-from .repalg import _blocks, apply_coproduct, check_bargmann
+from .repalg import _blocks, _reach, apply_coproduct, check_bargmann
 
 __all__ = [
     "BipartiteParams",
@@ -72,11 +72,8 @@ TAIL_MASS_LIMIT = 1e-12
 # q steps of a sweep assembled and measured as one stack of states: four
 # N = 50 blocks keep a sweep's peak memory below an N = 50 pair's
 SWEEP_CHUNK = 4
-# a block holding subnormal entries (a deformed block's far corner below q of
-# about 0.87) takes its SVD scaled by this exact power of two, and its
-# singular values back, which keeps most of LAPACK's work out of slow
-# subnormal arithmetic
-SVD_SCALE = 2.0 ** 600
+# entries of a unit-norm state below this take no part in its Schmidt SVD
+SVD_FLOOR = 2.0 ** -64
 
 
 def _first_row(boundary, m_max: int) -> np.ndarray:
@@ -240,25 +237,30 @@ def g_ansatz_block(boundary, params: BipartiteParams, N1: int, N2: int) -> np.nd
     return out
 
 
-def g_closed_block(delta: float, params: BipartiteParams, N1: int, N2: int) -> np.ndarray:
+def g_closed_block(delta, params, N1: int, N2: int) -> np.ndarray:
     """The geometric-boundary closed form
 
         g_{n,m} = q^{nm} delta^m xi^{-n} (delta eta; q^2)_n
 
     over the (N1+1) x (N2+1) block: the g that :func:`build_q_bipartite`
     assembles a scalar-delta state from.  Real alphas (floats) give a real
-    block."""
-    q, xi, eta = _g_block_setup(params, N1, N2, "g_closed_block")
-    delta = float(delta)
-    # row-scaled: poch[n] = (delta eta; q^2)_n, its factors from Python float
-    # powers (numpy's round differently)
-    poch = np.cumprod([1.0] + [1.0 - delta * eta * q ** (2 * n) for n in range(N1)])
+    block.  Sequences of deltas and params (a chunk) give g[block, n, m],
+    each block the bits of its call alone."""
+    chunk = not isinstance(params, BipartiteParams)
+    deltas, params = ([float(d) for d in delta], params) if chunk else ([float(delta)], [params])
+    q, xi, eta = zip(*(_g_block_setup(p, N1, N2, "g_closed_block") for p in params))
+    # row-scaled: poch[b, n] = (delta eta; q^2)_n, its factors from Python
+    # float powers (numpy's round differently)
+    poch = np.cumprod([[1.0] + [1.0 - d * e * b ** (2 * n) for n in range(N1)]
+                       for d, e, b in zip(deltas, eta, q)], axis=-1)
     # a power q^{nm} below 2^-1076 rounds to zero, and forming it is slow
     # subnormal arithmetic: such powers are left zero
     nm = np.outer(np.arange(N1 + 1.0), np.arange(N2 + 1.0))
-    powers = np.power(q, nm, out=np.zeros_like(nm), where=nm <= 1076 / -math.log2(q))
-    return (poch[:, None] * np.asarray(xi) ** -np.arange(N1 + 1)[:, None]
-            * delta ** np.arange(N2 + 1) * powers)
+    powers = np.power(np.array(q)[:, None, None], nm, out=np.zeros((len(q),) + nm.shape),
+                      where=nm <= np.array([1076 / -math.log2(b) for b in q])[:, None, None])
+    g = (poch[:, :, None] * np.array(xi)[:, None, None] ** -np.arange(N1 + 1)[:, None]
+         * np.array(deltas)[:, None, None] ** np.arange(N2 + 1) * powers)
+    return g if chunk else g[0]
 
 
 def _single_node_prefactors(alpha: complex, k: float, q: QParam, N: int) -> np.ndarray:
@@ -306,19 +308,17 @@ def _assemble(params: list, boundaries: list, N1: int, N2: int) -> BipartiteMatr
     # an overflow here (xi^{-n} included, formed as 1/xi^n and so as 1/0 once
     # xi^n underflows) is caught and named by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        route = g_closed_block if np.ndim(boundaries[0]) == 0 else solve_g_recurrence
-        g = np.array([route(boundary, p, n1, n2) for boundary, p in zip(boundaries, g_params)])
-        profiles, tables = [], []
-        for alpha, k, n in ((params[0].alpha1, params[0].k1, N1),
-                            (params[0].alpha2, params[0].k2, N2)):
-            profile, table = zip(*(_profile_with_table(alpha, k, p.q, n, n + 1) for p in params))
-            # a real node's profile has zero imaginary parts, and its real
-            # parts are the real arithmetic's bits
-            profiles.append(np.array(profile).real if real else np.array(profile))
-            tables.append(np.array(table))
+        g = (g_closed_block(boundaries, g_params, n1, n2) if np.ndim(boundaries[0]) == 0 else
+             np.array([solve_g_recurrence(*a, n1, n2) for a in zip(boundaries, g_params)]))
+        profiles, tables = zip(*(_profile_with_table(alpha, k, [p.q for p in params], n, n + 1)
+                                 for alpha, k, n in ((params[0].alpha1, params[0].k1, N1),
+                                                     (params[0].alpha2, params[0].k2, N2))))
+        # a real node's profiles have zero imaginary parts, and their real
+        # parts are the real arithmetic's bits
+        p1, p2 = (p.real if real else p for p in profiles)
         if crossed:
             g = np.ascontiguousarray(g.swapaxes(1, 2))
-        c = profiles[0][:, :, None] * profiles[1][:, None, :] * g
+        c = p1[:, :, None] * p2[:, None, :] * g
         finite = np.isfinite(c).all(axis=(-2, -1))
         c_sq = np.abs(c) ** 2
         total = np.sum(c_sq, axis=(-2, -1))
@@ -337,7 +337,7 @@ def _assemble(params: list, boundaries: list, N1: int, N2: int) -> BipartiteMatr
                 f"exceeds {TAIL_MASS_LIMIT:.0e} of the total; increase N1/N2")
     c /= np.sqrt(total)[:, None, None]
     return BipartiteMatrix(coeffs=c, params=tuple(params), normalized=True,
-                           norm_before_truncation=total, ladders=tuple(tables))
+                           norm_before_truncation=total, ladders=tables)
 
 
 def build_q_bipartite(params: BipartiteParams, boundary,
@@ -414,7 +414,12 @@ def schmidt_entropy(M: BipartiteMatrix) -> SchmidtSpectrum:
     """Singular values, entanglement entropy -sum s^2 ln s^2, and eps-rank;
     s_1^2 ln s_1^2 is taken as (1 - lam) log1p(-lam), lam = sum_{i>=2} s_i^2,
     which keeps lam's digits as q -> 1 and every term >= 0.  For a stack of
-    states each is an array over the blocks."""
+    states each is an array over the blocks.  Entries of the unit-norm state
+    below SVD_FLOOR are dropped and each block's SVD taken on its own leading
+    support, its singular values padded with zeros: the dropped part has
+    Frobenius norm <= 2^10 SVD_FLOOR = 2^-54 in a block of <= 2^20 entries, so
+    (Weyl) no singular value moves by more than that, half an ulp of 1, which
+    is below LAPACK's own error bound of about eps ||c||."""
     if not M.normalized:
         raise DomainError("schmidt_entropy requires a normalized state")
     c = np.asarray(M.coeffs)
@@ -422,9 +427,11 @@ def schmidt_entropy(M: BipartiteMatrix) -> SchmidtSpectrum:
     # twice as fast; its singular values differ from the complex one's at
     # rounding level
     c = c if np.iscomplexobj(c) and c.imag.any() else c.real
-    size = np.abs(c)
-    scale = np.where(((size > 0) & (size < sys.float_info.min)).any(axis=(-2, -1)), SVD_SCALE, 1.0)
-    sv = np.linalg.svd(c * scale[..., None, None], compute_uv=False) / scale[..., None]
+    c = np.where(np.abs(c) >= SVD_FLOOR, c, 0.0)
+    sv = np.zeros(c.shape[:-2] + (min(c.shape[-2:]),))
+    for s, block, r, k in zip(sv.reshape(-1, sv.shape[-1]), c.reshape(-1, *c.shape[-2:]),
+                              *(np.ravel(_reach(c.any(axis), 0)) for axis in (-1, -2))):
+        s[:min(r, k)] = np.linalg.svd(block[:r, :k], compute_uv=False)
     s_sq = sv ** 2
     if np.any(np.abs(np.sum(s_sq, axis=-1) - 1.0) > 1e-9):
         raise DomainError("coefficient matrix is not normalized to 1e-9")

@@ -133,15 +133,19 @@ def _crosscheck_bessel_norm(state: LadderState):
 
 def _profile_with_table(alpha: complex, k: float, f, N: int, count: int):
     """:func:`single_node_profile` together with the lowering table of levels
-    0..count-1 (count > N) it is formed from."""
+    0..count-1 (count > N) it is formed from; for a chunk of deformations (see
+    :func:`repalg.lowering_elements`) both are rows over [block, level]."""
     k = check_bargmann(k)
     if N < 1:
         raise DomainError(f"truncation N must be >= 1, got {N}")
     e = lowering_elements(f, k, count)
-    # alpha/e[n] as scalars: numpy's complex-by-real array division rounds
-    # differently from Python's
-    ratios = np.array([1.0] + [alpha / x for x in e[1:N + 1].tolist()], dtype=complex)
-    return np.cumprod(ratios), e
+    # alpha/e[n] as Python divides a complex by a float: each part of alpha,
+    # as below, over e[n] (numpy's complex array division rounds differently)
+    parts = ((alpha.real + alpha.imag * 0.0, alpha.imag - alpha.real * 0.0)
+             if isinstance(alpha, complex) else (alpha, 0.0))
+    ratios = np.ones(e.shape[:-1] + (N + 1,), dtype=complex)
+    ratios.real[..., 1:], ratios.imag[..., 1:] = (part / e[..., 1:N + 1] for part in parts)
+    return np.cumprod(ratios, axis=-1), e
 
 
 def single_node_profile(alpha: complex, k: float, f, N: int) -> np.ndarray:

@@ -84,11 +84,14 @@ def lowering_elements(f, k: float, count: int) -> np.ndarray:
     """Matrix elements e[n] = f(n+k) sqrt(n(n+2k-1)) for n = 0..count-1.
 
     e[n] is the weight with which K- sends level n to level n-1 (and K+ sends
-    n-1 to n); e[0] = 0.
+    n-1 to n); e[0] = 0.  A chunk, a list of deformed QParams on one side of
+    q = 1, gives rows e[block, n]; a deformed QParam's table is its chunk of one.
     """
     k = check_bargmann(k)
-    if isinstance(f, QParam) and not f.is_classical:
-        return _q_lowering_elements(f.value, k, count)
+    chunk = isinstance(f, list)
+    if chunk or isinstance(f, QParam) and not f.is_classical:
+        e = _q_lowering_elements([p.value for p in (f if chunk else [f])], k, count)
+        return e if chunk else e[0]
     e = np.zeros(count)
     n = np.arange(1, count)
     e[1:] = np.sqrt(n * (n + 2 * k - 1))
@@ -97,36 +100,37 @@ def lowering_elements(f, k: float, count: int) -> np.ndarray:
     return e
 
 
-def _q_lowering_elements(q: float, k: float, count: int) -> np.ndarray:
-    """e[n] = sqrt([n]_q [n+2k-1]_q) with the arithmetic of :func:`q_number`
-    (Python float powers: numpy's round differently), raising its DomainError
-    for the first q-number, in the order [1], [2k], [2], [2k+1], ..., that
-    overflows.  Each distinct argument is evaluated once: with 2k-1 an
-    integer, [n+2k-1]_q is [m]_q of a later level m of the same chunk.  The
-    table stops at the level where q**-n (or q**n for q > 1) leaves double
-    range and is filled _TABLE_CHUNK levels at a time, so an absurd ``count``
-    costs at most 8 bytes per level below that one."""
-    scale = q - 1.0 / q
-    e = np.zeros(min(count, int(_LOG_DBL_MAX / abs(math.log(q))) + 2))
-    for lo in range(1, len(e), _TABLE_CHUNK):
-        hi = min(lo + _TABLE_CHUNK, len(e))
+def _q_lowering_elements(qs, k: float, count: int) -> np.ndarray:
+    """e[b, n] = sqrt([n]_q [n+2k-1]_q) at q = qs[b] with the arithmetic of
+    :func:`q_number` (Python float powers: numpy's round differently),
+    raising its DomainError for the first q-number, q by q in the order [1],
+    [2k], [2], [2k+1], ..., that overflows.  Each distinct argument is
+    evaluated once: with 2k-1 an integer, [n+2k-1]_q is [m]_q of a later
+    level m of the same chunk.  The tables stop at the level where q**-n (or
+    q**n for q > 1) leaves double range at the q farthest from 1 and are
+    filled _TABLE_CHUNK levels at a time, so an absurd ``count`` costs at
+    most 8 bytes per level and q below that one."""
+    e = np.zeros((len(qs), min(count, int(_LOG_DBL_MAX / max(abs(math.log(q)) for q in qs)) + 2)))
+    for lo in range(1, e.shape[1], _TABLE_CHUNK):
+        hi = min(lo + _TABLE_CHUNK, e.shape[1])
         ns = np.arange(lo, hi, dtype=float)
         shifted = ns + 2 * k - 1
         # with 2k-1 an integer the leading shifted arguments, up to hi-1, are
         # levels of this chunk: their q-numbers are not evaluated twice
         reuse = max(0, hi - int(shifted[0])) if shifted[0].is_integer() else 0
+        xs = ns.tolist() + shifted[reuse:].tolist()
         try:
-            qn = np.array([(q ** x - q ** -x) / scale
-                           for x in ns.tolist() + shifted[reuse:].tolist()])
+            qn = np.array([[(q ** x - q ** -x) / scale for x in xs]
+                           for q, scale in ((q, q - 1.0 / q) for q in qs)])
         except OverflowError:
             qn = None
         if qn is None or not np.isfinite(qn).all():
-            for n in ns.tolist():
+            for q, n in ((q, n) for q in qs for n in ns.tolist()):
                 q_number(n, q)          # raises for the first overflowing x
                 q_number(n + 2 * k - 1, q)
         start = hi - lo - reuse         # where [lo+2k-1]_q sits in qn
         with np.errstate(over="ignore"):    # a product past double range is inf
-            e[lo:hi] = np.sqrt(qn[:hi - lo] * qn[start:start + hi - lo])
+            e[:, lo:hi] = np.sqrt(qn[:, :hi - lo] * qn[:, start:start + hi - lo])
     return e
 
 
@@ -198,13 +202,13 @@ def _coproduct_arrays(M, m1: int, m2: int, raises: bool):
     return arrays if stack else tuple(a[0] for a in arrays)
 
 
-def _reach(nonzero: np.ndarray) -> np.ndarray:
+def _reach(nonzero: np.ndarray, extra: int = 1) -> np.ndarray:
     """Per block, one past the last line of ``nonzero`` [..., line] that is
-    True, plus one for the line a raise lands on, at most the line count
-    (1 for a block with no True line)."""
+    True, plus ``extra`` lines (one for the line a raise lands on), at most
+    the line count (``extra`` for a block with no True line)."""
     n = nonzero.shape[-1]
     last = n - 1 - np.argmax(nonzero[..., ::-1], axis=-1)
-    return np.where(nonzero.any(axis=-1), np.minimum(last + 2, n), 1)
+    return np.where(nonzero.any(axis=-1), np.minimum(last + 1 + extra, n), extra)
 
 
 def apply_coproduct(which: str, M):

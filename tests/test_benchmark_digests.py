@@ -66,6 +66,13 @@ def _sample():
     for key, sign in (("from", -1), ("to", 1)):
         ranked = sorted(sweeps, key=lambda a: sign * float(dict(t.split("=") for t in a[1:])[key]))
         picked += [("scan", a) for a in ranked[:5] if ("scan", a) not in picked]
+    # the Schmidt SVD's floor and support: five more classical pairs, and the
+    # five more deformed pairs farthest from q = 1, which drop the most entries
+    classical = [a for a in scan["pair"] if a[1] == "q=classical"]
+    deformed = sorted((a for a in scan["pair"] if a[1] != "q=classical"),
+                      key=lambda a: min(float(a[1][2:]), 1 / float(a[1][2:])))
+    for group in (classical, deformed):
+        picked += [("scan", a) for a in group if ("scan", a) not in picked][:5]
     return picked
 
 

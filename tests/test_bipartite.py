@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from bgstates import bipartite as bp
 from bgstates import costate as cs
 from bgstates import qspecial
+from bgstates import repalg as ra
 from bgstates.errors import (DomainError, SeriesConvergenceError, ShapeError,
                              TruncationError)
 from bgstates.qspecial import CLASSICAL, QParam, bessel_i_q, q_binomial, q_factorial, q_number
@@ -776,6 +777,33 @@ class TestSweepStacks:
                 assert np.array_equal(raised.coeffs[b], one.coeffs)
                 assert raised.truncation_loss[b] == one.truncation_loss
 
+    @pytest.mark.parametrize("a1, k1, qs", [
+        (0.8, 0.75, [0.6, 0.75, 0.9, 0.99]),
+        (0.3 + 0.2j, 1.25, [0.55, 0.7, 0.85, 0.95]),
+        (1.1, 1.0, [1.1, 1.3, 1.7, 2.0]),
+    ], ids=["k1=0.75", "complex-k1=1.25", "crossing"])
+    def test_a_chunk_is_its_chunks_of_one(self, a1, k1, qs):
+        # the chunk-wide lowering tables, profiles and closed-form g, and the
+        # state assembled from them, are bit for bit each q's chunk of one
+        params = [bp.BipartiteParams(a1, 0.5, k1, 1.5, QParam(q)) for q in qs]
+        deltas = [q ** 2 for q in qs]
+        for alpha, k, n in ((a1, k1, 20), (0.5, 1.5, 14)):
+            profiles, tables = cs._profile_with_table(alpha, k, [p.q for p in params], n, n + 1)
+            for b, p in enumerate(params):
+                assert profiles[b].tobytes() == cs.single_node_profile(alpha, k, p.q, n).tobytes()
+                assert tables[b].tobytes() == ra.lowering_elements(p.q, k, n + 1).tobytes()
+        crossed = qs[0] > 1
+        g_params = [bp.crossing_transform(p) for p in params] if crossed else params
+        n1, n2 = (14, 20) if crossed else (20, 14)
+        g = bp.g_closed_block(deltas, g_params, n1, n2)
+        stack = bp._assemble(params, deltas, 20, 14)
+        for b, (p, delta) in enumerate(zip(params, deltas)):
+            assert g[b].tobytes() == bp.g_closed_block(delta, g_params[b], n1, n2).tobytes()
+            M = bp.build_q_bipartite(p, delta, 20, 14)
+            assert stack.coeffs[b].tobytes() == M.coeffs.tobytes()
+            assert [e[b].tobytes() for e in stack.ladders] == [e.tobytes() for e in M.ladders]
+            assert stack.norm_before_truncation[b] == M.norm_before_truncation
+
     def test_a_failing_step_raises_what_it_raises_alone(self):
         # at N = 12 and delta = 4 the truncation fails from q of about 0.8,
         # naming each step's own tail; q = 1e-30 takes a q-number out of
@@ -796,9 +824,10 @@ class TestSweepStacks:
 
 
 class TestScaledSvd:
-    """A block holding subnormal entries takes its SVD scaled by SVD_SCALE,
-    which keeps most of LAPACK's work out of subnormal arithmetic; the
-    spectrum moves at rounding level from the plain SVD's."""
+    """The Schmidt SVD drops the entries of the unit-norm state below
+    SVD_FLOOR and takes each block on its own leading support; the spectrum
+    moves from the plain SVD's by at most the dropped part's norm plus
+    rounding (Weyl's inequality)."""
 
     @pytest.mark.parametrize("q", np.linspace(0.5, 0.9999, 12).tolist())
     @pytest.mark.parametrize("nodes", [(1.2, 0.7, 1.0, 1.5, 2.0), (0.9116, 0.4324, 1.25, 2.0, 0.0)],
@@ -817,16 +846,49 @@ class TestScaledSvd:
         entropy = -(1.0 - lam) * math.log1p(-lam) - float(np.sum(rest * np.log(rest)))
         assert abs(spec.entropy - entropy) <= 1e-15
 
-    def test_only_blocks_with_subnormal_entries_are_scaled(self, monkeypatch):
+    def test_svd_takes_each_blocks_floored_support(self, monkeypatch):
         seen = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a.copy()) or svd(a, **kw))
-        blocks = [bp.build_q_bipartite(bp.BipartiteParams(1.2, 0.7, 1.0, 1.5, QParam(q)), 1.0,
-                                       50, 50).coeffs for q in (0.6, 0.99)]
-        blocks.append(bp.classical_bipartite(1.2, 0.7, 1.0, 1.5, 50, 50).coeffs)
+        params = [bp.BipartiteParams(1.2, 0.7, 1.0, 1.5, QParam(q)) for q in (0.6, 0.8, 0.99)]
+        bp.schmidt_entropy(bp._assemble(params, [1.0] * 3, 50, 50))
+        in_chunk, seen[:] = seen[:], []
+        blocks = [bp.build_q_bipartite(p, 1.0, 50, 50).coeffs for p in params]
+        blocks.append(bp.classical_bipartite(1.2, 0.7, 1.0, 1.5, 50, 50).coeffs.real)
         for c in blocks:
             bp.schmidt_entropy(bp.BipartiteMatrix(coeffs=c, params=P9, normalized=True))
-        tiny = np.finfo(float).tiny
-        assert [bool(((b != 0) & (np.abs(b) < tiny)).any()) for b in blocks] == [True, False, False]
-        assert np.array_equal(seen[0], blocks[0].real * bp.SVD_SCALE)
-        assert np.array_equal(seen[1], blocks[1]) and np.array_equal(seen[2], blocks[2].real)
+        # whatever its chunk, a block reaches LAPACK as it does alone
+        assert len(in_chunk) == 3 and all(np.array_equal(a, b) for a, b in zip(in_chunk, seen))
+        for a, c in zip(seen, blocks):
+            assert not ((a != 0) & (np.abs(a) < bp.SVD_FLOOR)).any()
+            # the leading support: its last row and column hold a nonzero
+            # entry, and the floored block holds none past them
+            floored = np.where(np.abs(c) >= bp.SVD_FLOOR, c, 0.0)
+            r, k = a.shape
+            assert a[-1].any() and a[:, -1].any()
+            assert np.array_equal(a, floored[:r, :k])
+            assert not floored[r:].any() and not floored[:, k:].any()
+        # the q = 0.6 block loses entries to the floor and rows to the support
+        assert seen[0].shape[0] < 51 and np.count_nonzero(seen[0]) < np.count_nonzero(blocks[0])
+
+    @pytest.mark.parametrize("build", [
+        *(lambda a1=a1, a2=a2, k1=k1, k2=k2, power=power, q=q: bp.build_q_bipartite(
+            bp.BipartiteParams(a1, a2, k1, k2, QParam(q)), q ** power, 50, 50)
+          for a1, a2, k1, k2, power in ((1.2, 0.7, 1.0, 1.5, 2.0), (0.9116, 0.4324, 1.25, 2.0, 0.0))
+          for q in np.linspace(0.5, 0.9999, 12).tolist()),
+        *(lambda a=a: bp.classical_bipartite(*a, 50, 50)
+          for a in ((1.2, 0.7, 1.0, 1.5), (0.9116, 0.4324, 1.25, 2.0), (1.7638, 1.79, 0.5, 2.0))),
+        lambda: bp.build_q_bipartite(bp.BipartiteParams(1.9743, 1.4751, 0.5, 1.0, QParam(0.50825)),
+                                     0.6962, 800, 800),
+    ], ids=[*(f"{form}-q={q:.4f}" for form in ("q^2", "delta=1")
+              for q in np.linspace(0.5, 0.9999, 12).tolist()),
+            "classical-0", "classical-1", "classical-2", "N=800"])
+    def test_within_the_floor_bound(self, build):
+        # Weyl: |s_i - s_i(plain)| <= ||E||_2 <= ||E||_F for the dropped part
+        # E, plus the rounding of both SVDs
+        c = build().coeffs
+        plain = np.linalg.svd(c, compute_uv=False)
+        got = np.array(bp.schmidt_entropy(bp.BipartiteMatrix(coeffs=c, params=P9,
+                                                             normalized=True)).singular_values)
+        dropped = np.linalg.norm(np.where(np.abs(c) < bp.SVD_FLOOR, c, 0.0))
+        assert np.all(np.abs(got - plain) <= dropped + 16 * np.finfo(float).eps * plain[0])

@@ -225,8 +225,9 @@ NON_FINITE = [
 
 class TestTableBuilds:
     """Each q-table is formed once per call: one lowering table per node and
-    state, one q-binomial triangle per g-oracle; and the closed-form g block
-    once per scalar-delta state or g-oracle, a sweep's steps included."""
+    state, a sweep's per node and chunk of SWEEP_CHUNK steps, one q-binomial
+    triangle per g-oracle; and the closed-form g block once per scalar-delta
+    state, g-oracle or sweep chunk."""
 
     PAIR = ["a1=0.5", "a2=0.3", "k1=1", "k2=1", "N=30"]
 
@@ -234,7 +235,7 @@ class TestTableBuilds:
     @pytest.mark.parametrize("argv, counts", [
         (["sweep-q", "from=0.9", "to=0.8", "steps=1", *PAIR], [31] * 2),
         (["sweep-q", "from=0.9", "to=0.8", "steps=3", "delta=q^2", *PAIR[:3], "k2=1.5",
-          "N=30"], [31] * 6),
+          "N=30"], [31] * 2),
         (["state-bipartite", "q=0.9", *PAIR], [31] * 2),
         (["state-bipartite", "q=0.9", *PAIR, "perturb=0.01"], [31] * 2),
         (["state-bipartite", "q=classical", *PAIR], []),
@@ -263,8 +264,8 @@ class TestTableBuilds:
         (["g-oracle", "q=0.7", *PAIR[:4], "delta=0.9", "nmax=14"], 1),
         (["state-bipartite", "q=0.9", *PAIR], 1),
         (["state-bipartite", "q=1.25", *PAIR], 1),
-        (["sweep-q", "from=0.9", "to=0.8", "steps=3", *PAIR], 3),
-        (["sweep-q", "from=0.9", "to=0.8", "steps=9", *PAIR], 9),
+        (["sweep-q", "from=0.9", "to=0.8", "steps=3", *PAIR], 1),
+        (["sweep-q", "from=0.9", "to=0.8", "steps=9", *PAIR], 3),
     ], ids=["g-oracle", "pair", "pair-crossing", "sweep-3-steps", "sweep-9-steps"])
     def test_one_closed_form_block_per_g(self, argv, blocks, monkeypatch, tmp_path):
         calls = []
