@@ -501,6 +501,9 @@ def sweep_q(a1: complex, a2: complex, k1: float, k2: float, qs, boundary, N: int
     ``boundary(q)``.  The steps are measured as stacks of SWEEP_CHUNK states,
     each row the bits of its state alone; the first failing step raises what
     it raises alone."""
+    for q in qs:
+        if not 0.0 < q < 1.0:
+            raise DomainError(f"sweep_q requires 0 < q < 1, got {q!r}")
     classical = classical_bipartite(a1, a2, k1, k2, N, N)
 
     def rows(qs):

@@ -13,12 +13,14 @@ Subcommands:
 
 Common keys: out=FILE (default stdout), format=json|csv (default json).  JSON
 is strict, floats as their shortest round-trip repr; CSV floats have 17
-significant digits, lowercase scientific; complex numbers are [re, im] pairs.
+significant digits, lowercase scientific; complex numbers are [re, im] pairs
+in JSON and re+imj or re-imj cells in CSV.  seed= is a nonnegative integer.
 Exit codes: 0 success, 2 invalid configuration (the diagnostic names the
 violated precondition), 3 numerical failure (it names the failing series, or
-the field of a NaN or infinite result).  A state or g block of more than
-MAX_COEFFICIENTS coefficients, or a sweep of more than MAX_COEFFICIENTS steps,
-is an invalid configuration.
+the field of a NaN or infinite result).  A key the subcommand does not use, a
+key given twice, a state or g block of more than MAX_COEFFICIENTS
+coefficients, and a sweep of more than MAX_COEFFICIENTS steps are invalid
+configurations, rejected before any work.
 """
 
 from __future__ import annotations
@@ -85,7 +87,10 @@ def _parse_argv(argv) -> RunConfig:
         if "=" not in tok:
             raise DomainError(f"arguments must be key=value pairs, got {tok!r}")
         key, _, val = tok.partition("=")
-        params[key.strip()] = val.strip()
+        key = key.strip()
+        if key in params:
+            raise DomainError(f"the key {key}= is given more than once")
+        params[key] = val.strip()
     out = params.pop("out", None)
     fmt = params.pop("format", "json")
     if fmt not in ("json", "csv"):
@@ -96,7 +101,7 @@ def _parse_argv(argv) -> RunConfig:
 def _need(params: dict, key: str) -> str:
     if key not in params:
         raise DomainError(f"missing required parameter {key}=")
-    return params[key]
+    return params.pop(key)
 
 
 def _parse(key: str, text, kind=float):
@@ -112,13 +117,14 @@ def _parse(key: str, text, kind=float):
 
 
 def _num(params: dict, key: str, kind=float, default=None):
-    """The value of a numeric key; required unless ``default`` is given."""
-    return _parse(key, _need(params, key) if default is None else params.get(key, default),
+    """Take out the value of a numeric key; required unless ``default`` is given."""
+    return _parse(key, _need(params, key) if default is None else params.pop(key, default),
                   kind)
 
 
 def _as_q(params: dict) -> QParam:
     if params.get("q") == "classical":
+        del params["q"]
         return CLASSICAL
     q = _num(params, "q")
     if q == 1.0:
@@ -146,31 +152,12 @@ def _series_q(params: dict, key: str, hint: str = "") -> QParam:
     return QParam(q)
 
 
-class _ReadKeys(dict):
-    """A copy of the run's parameters that records every key looked up."""
-
-    def __init__(self, params: dict):
-        super().__init__(params)
-        self.read = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-    def __contains__(self, key):
-        self.read.add(key)
-        return super().__contains__(key)
-
-    def reject_unread(self, command: str):
-        """Called by each runner once it has parsed its keys, before any work."""
-        unknown = sorted(self.keys() - self.read)
-        if unknown:
-            raise DomainError(f"{command} does not use the key(s) "
-                              + ", ".join(f"{key}=" for key in unknown))
+def _reject_unread(params: dict, command: str):
+    """Called by each runner once it has taken out its keys, before any work:
+    a key left in ``params`` is one the command does not use."""
+    if params:
+        raise DomainError(f"{command} does not use the key(s) "
+                          + ", ".join(f"{key}=" for key in sorted(params)))
 
 
 # --------------------------------------------------------------------------
@@ -186,7 +173,7 @@ def _run_state_single(cfg: RunConfig) -> dict:
     alpha = _num(p, "alpha", complex)
     k = _num(p, "k")
     n = _num(p, "N", int)
-    p.reject_unread(cfg.command)
+    _reject_unread(p, cfg.command)
     _check_budget(n, 0, f"N={n}")
     state = cs.build_q_coherent(alpha, k, q, n)
     lowered = apply_ladder("K-", state).coeffs
@@ -218,7 +205,9 @@ def _run_state_bipartite(cfg: RunConfig) -> dict:
     delta = _num(p, "delta", float, "1")
     eps = _num(p, "perturb") if "perturb" in p else None
     seed = None if eps is None else _num(p, "seed", int, "0")
-    p.reject_unread(cfg.command)
+    if seed is not None and seed < 0:
+        raise DomainError(f"seed= must be a nonnegative integer, got {seed}")
+    _reject_unread(p, cfg.command)
     _check_budget(n1, n2, f"N={n1}, N2={n2}")
     if q.is_classical:
         M = bp.classical_bipartite(a1, a2, k1, k2, n1, n2)
@@ -274,7 +263,7 @@ def _run_verify_moments(cfg: RunConfig) -> dict:
         mode = _series_q(p, "q", "; for q = 1 use mode=classical")
     elif mode != "classical":
         raise DomainError(f"mode must be classical or q, got {mode!r}")
-    p.reject_unread(cfg.command)
+    _reject_unread(p, cfg.command)
     report = me.moment_check(nmax, k, mode)
     return {
         "command": "verify-moments",
@@ -299,10 +288,10 @@ def _run_sweep_q(cfg: RunConfig) -> dict:
         raise DomainError(f"steps= must be >= 1, got {steps}")
     a1, a2, k1, k2 = _nodes(p)
     n = _num(p, "N", int)
-    delta_spec = p.get("delta", "1")
+    delta_spec = p.pop("delta", "1")
     delta_power = delta_spec.startswith("q^")
     delta_num = _parse("delta", delta_spec[2:] if delta_power else delta_spec)
-    p.reject_unread(cfg.command)
+    _reject_unread(p, cfg.command)
     _check_budget(n, n, f"N={n}")
     if steps > MAX_COEFFICIENTS:
         raise DomainError(f"steps={steps} exceeds the budget of {MAX_COEFFICIENTS} steps")
@@ -325,7 +314,7 @@ def _run_g_oracle(cfg: RunConfig) -> dict:
     nmax = _num(p, "nmax", int, "12")
     if nmax < 0:
         raise DomainError(f"g-oracle requires nmax >= 0, got {nmax}")
-    p.reject_unread(cfg.command)
+    _reject_unread(p, cfg.command)
     _check_budget(nmax, nmax, f"nmax={nmax}")
     params = bp.BipartiteParams(a1, a2, k1, k2, q)
     # an overflow here is caught and named by the check below
@@ -372,7 +361,7 @@ def _to_csv(payload: dict) -> str:
                 if isinstance(v, float):
                     cells.append(_fmt(v))
                 elif isinstance(v, list):
-                    cells.append(_fmt(v[0]) + "+" + _fmt(v[1]) + "j")
+                    cells.append(f"{_fmt(v[0])}{float(v[1]):+.16e}j")
                 else:
                     cells.append(str(v))
             buf.write(",".join(cells) + "\n")
@@ -498,7 +487,7 @@ def run(cfg: RunConfig) -> dict:
     """Execute a parsed configuration and return the payload dict.  A key the
     subcommand does not read is an invalid configuration, rejected before
     any work."""
-    return _RUNNERS[cfg.command](dataclasses.replace(cfg, params=_ReadKeys(cfg.params)))
+    return _RUNNERS[cfg.command](dataclasses.replace(cfg, params=dict(cfg.params)))
 
 
 def main(argv=None) -> int:

@@ -822,6 +822,20 @@ class TestSweepStacks:
         with pytest.raises(DomainError, match=r"^q-number \[\d+\]_q overflows double range at q=1e-30"):
             sweep(0.5, 1e-30, 0.85)
 
+    @pytest.mark.parametrize("qs, bad", [([0.9, 1.1], "1.1"), ([0.0, 0.5], "0.0"),
+                                         ([0.5, 0.7, 0.8, 0.9, float("nan")], "nan")],
+                             ids=["above-one", "zero", "nan-in-second-chunk"])
+    def test_q_outside_unit_interval_is_refused_before_any_work(self, qs, bad, monkeypatch):
+        # each step of [0.9, 1.1] alone gives a row (1.1 through the
+        # crossing), but a sweep is along 0 < q < 1 only
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the q grid was checked")
+
+        for name in ("classical_bipartite", "_assemble"):
+            monkeypatch.setattr(bp, name, no_work)
+        with pytest.raises(DomainError, match=rf"^sweep_q requires 0 < q < 1, got {bad}$"):
+            bp.sweep_q(0.5, 0.3, 1.0, 1.0, qs, lambda q: 1.0, 20)
+
 
 class TestScaledSvd:
     """The Schmidt SVD drops the entries of the unit-norm state below

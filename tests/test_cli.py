@@ -202,6 +202,20 @@ class TestGOracle:
         assert data["max_rel_recurrence_vs_ansatz"] <= 1e-11
         assert data["max_rel_recurrence_vs_closed"] <= 1e-11
 
+    def test_csv_complex_cells_parse_back(self, tmp_path):
+        # a complex cell is re±imj, which complex() reads back to the JSON pair
+        args = ["g-oracle", "q=0.7", "a1=0.3+0.2j", "a2=0.5", "k1=1", "k2=1", "delta=0.9",
+                "nmax=2"]
+        assert run_cli(args + [f"out={tmp_path / 'g.json'}"]) == 0
+        assert run_cli(args + ["format=csv", f"out={tmp_path / 'g.csv'}"]) == 0
+        rows = json.loads((tmp_path / "g.json").read_text())["rows"]
+        lines = (tmp_path / "g.csv").read_text().splitlines()
+        ig = lines[0].split(",").index("g")
+        cells = [complex(line.split(",")[ig]) for line in lines[1:]]
+        assert len(cells) == len(rows) == 9
+        assert any(z.imag < 0 for z in cells)
+        assert [[z.real, z.imag] for z in cells] == [row["g"] for row in rows]
+
 
 _SINGLE = ["state-single", "q=0.9", "alpha=0.8", "k=1", "N=20"]
 _PAIR = ["state-bipartite", "q=0.9", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "N=20"]
@@ -595,6 +609,44 @@ class TestExitCodes:
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == (f"invalid configuration: {argv[0]} does not use "
                                            f"the key(s) {argv[-1].partition('=')[0]}=\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["state-single", "q=0.9", "alpha=0.8", "k=1", "N=30", "N=40"], "N="),
+        (["state-single", "q=0.9", "alpha=0.8", "format=json", "k=1", "N=30", "format=csv"],
+         "format="),
+        (["verify-moments", "mode=classical", "out=a.json", "k=1", "nmax=1", "out=b.json"],
+         "out="),
+        (["sweep-q", "from=0.99", "to=0.7", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "N=20",
+          "to=0.6"], "to="),
+        (_PAIR + ["perturb=0.1", "seed=1", "seed=1"], "seed="),
+    ], ids=["N", "format", "out", "sweep-to", "same-value"])
+    def test_repeated_key_is_2_before_any_work(self, argv, message, monkeypatch, tmp_path,
+                                               capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the keys were checked")
+
+        for name in ("classical_bipartite", "build_q_bipartite", "solve_g_recurrence",
+                     "sweep_q"):
+            monkeypatch.setattr(bp, name, no_work)
+        monkeypatch.setattr(cli.me, "moment_check", no_work)
+        monkeypatch.setattr(cli.cs, "build_q_coherent", no_work)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", "invalid configuration: the key "
+                                           f"{message} is given more than once\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_is_2_before_any_work(self, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before seed= was checked")
+
+        for name in ("classical_bipartite", "build_q_bipartite"):
+            monkeypatch.setattr(bp, name, no_work)
+        argv = ["state-bipartite", "q=0.9", "a1=0.3", "a2=0.5", "k1=1", "k2=1", "N=10",
+                "perturb=0.1", "seed=-1"]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", "invalid configuration: seed= must be a "
+                                           "nonnegative integer, got -1\n")
 
     @pytest.mark.parametrize("argv", [["state-single", "q=1", "alpha=0.8", "k=1", "N=20"],
                                       ["state-bipartite", "q=1", "a1=0.3", "a2=0.5", "k1=1",
